@@ -61,12 +61,30 @@ fn bench_decoders(c: &mut Criterion) {
     group.finish();
 }
 
+/// Graph construction alone (circuit and noise prepared outside the
+/// timed loop), under `Boundary::Full` at `p = 5e-3`: baseline d 3-9 and
+/// the largest prepare point, compact-interleaved d=11.
 fn bench_graph_build(c: &mut Criterion) {
     let mut group = c.benchmark_group("graph-build");
     group.sample_size(10);
-    for d in [3usize, 5] {
-        group.bench_with_input(BenchmarkId::new("baseline", d), &d, |b, &d| {
-            b.iter(|| graph_for(d))
+    let points = [
+        (Setup::Baseline, 3usize),
+        (Setup::Baseline, 5),
+        (Setup::Baseline, 7),
+        (Setup::Baseline, 9),
+        (Setup::CompactInterleaved, 11),
+    ];
+    for (setup, d) in points {
+        let noise = if setup.uses_memory() {
+            NoiseModel::memory_at_scale(5e-3)
+        } else {
+            NoiseModel::baseline_at_scale(5e-3)
+        };
+        let mc = memory_circuit(MemorySpec::standard(setup, d, 10, Basis::Z), &noise.hw);
+        let noisy = noise.apply(&mc.circuit);
+        let id = BenchmarkId::new(setup.to_string(), d);
+        group.bench_with_input(id, &d, |b, _| {
+            b.iter(|| DecodingGraph::build(&noisy, &mc.z_detectors))
         });
     }
     group.finish();

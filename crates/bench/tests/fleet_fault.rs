@@ -10,10 +10,9 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-/// The CI-scale fig11 grid: 2 rates x d in {3,5} x 2 decoders.
-const FIG11_ARGS: [&str; 12] = [
-    "--trials",
-    "200",
+/// The CI-scale fig11 grid (2 rates x d in {3,5} x 2 decoders), less
+/// `--trials`.
+const FIG11_ARGS: [&str; 10] = [
     "--dmax",
     "5",
     "--setup",
@@ -26,6 +25,14 @@ const FIG11_ARGS: [&str; 12] = [
     "2020",
 ];
 
+/// The CI-scale trial count.
+const TRIALS: &str = "200";
+
+/// Trials for the chaos run: the kill only fires while shard 1 is still
+/// running, so its points after the first row must outlast several
+/// 10 ms polls (~80 ms here, ~2 ms at [`TRIALS`]).
+const CHAOS_TRIALS: &str = "20000";
+
 fn scratch_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("vlq-fleet-fault-{name}"));
     let _ = std::fs::remove_dir_all(&dir);
@@ -34,8 +41,9 @@ fn scratch_dir(name: &str) -> PathBuf {
 }
 
 /// Runs the unsharded single-process reference into `dir`.
-fn run_reference(dir: &Path) {
+fn run_reference(dir: &Path, trials: &str) {
     let status = Command::new(env!("CARGO_BIN_EXE_fig11"))
+        .args(["--trials", trials])
         .args(FIG11_ARGS)
         .args(["--quiet", "--out", dir.to_str().unwrap()])
         .status()
@@ -55,12 +63,13 @@ fn assert_merged_matches(out: &Path, reference: &Path) {
 
 /// Launches a 3-shard fleet with the given extra supervisor flags and
 /// returns the supervisor's stdout report line.
-fn launch_fleet(out: &Path, extra: &[&str]) -> String {
+fn launch_fleet(out: &Path, trials: &str, extra: &[&str]) -> String {
     let output = Command::new(env!("CARGO_BIN_EXE_sweep-launch"))
         .args(["--bin", "fig11", "--out", out.to_str().unwrap()])
         .args(["--procs", "3", "--poll-ms", "10", "--backoff-ms", "10"])
         .args(extra)
         .arg("--")
+        .args(["--trials", trials])
         .args(FIG11_ARGS)
         .output()
         .unwrap();
@@ -77,11 +86,11 @@ fn launch_fleet(out: &Path, extra: &[&str]) -> String {
 fn chaos_killed_shard_recovers_and_merges_byte_identically() {
     let base = scratch_dir("chaos");
     let (reference, out) = (base.join("ref"), base.join("fleet"));
-    run_reference(&reference);
+    run_reference(&reference, CHAOS_TRIALS);
     // Kill shard 1 with SIGKILL once its JSONL reaches one complete
     // row; the supervisor must salvage the artifact and restart it
     // from the resume cache.
-    let report = launch_fleet(&out, &["--quiet", "--chaos-kill", "1@1"]);
+    let report = launch_fleet(&out, CHAOS_TRIALS, &["--quiet", "--chaos-kill", "1@1"]);
     assert!(report.contains("3 shard(s)"), "unexpected report: {report}");
     assert!(
         report.contains("1 restart(s)"),
@@ -97,7 +106,7 @@ fn chaos_killed_shard_recovers_and_merges_byte_identically() {
 fn torn_shard_artifact_is_salvaged_on_restart() {
     let base = scratch_dir("torn");
     let (reference, out) = (base.join("ref"), base.join("fleet"));
-    run_reference(&reference);
+    run_reference(&reference, TRIALS);
     // Pre-tear shard 1's artifact exactly as a kill mid-write would
     // leave it: one complete row (borrowed from the reference run, so
     // it parses and carries the right seed) plus a half-written line.
@@ -113,7 +122,7 @@ fn torn_shard_artifact_is_salvaged_on_restart() {
         format!("{first}\n{{\"index\": 99, \"torn"),
     )
     .unwrap();
-    let report = launch_fleet(&out, &["--quiet"]);
+    let report = launch_fleet(&out, TRIALS, &["--quiet"]);
     assert!(
         report.contains("1 restart(s)"),
         "expected exactly one restart for the torn artifact: {report}"

@@ -1,13 +1,16 @@
 //! Circuit executors.
 //!
-//! Three ways to run a [`Circuit`]:
+//! Four ways to run a [`Circuit`]:
 //!
 //! * [`sample_batch`] — Monte-Carlo: runs 64-shot-per-word Pauli-frame
 //!   batches and reduces measurements to detection events and observable
 //!   flips.
+//! * [`FaultSensitivity`] — deterministic: one backward pass over the
+//!   circuit yields the detectors/observable every single fault flips
+//!   (used to build matching graphs).
 //! * [`propagate_fault`] — deterministic: injects one fault at a given
-//!   site and reports exactly which detectors/observables flip (used to
-//!   build matching graphs).
+//!   site and replays the rest of the circuit forward; the reference
+//!   oracle the backward pass is tested against.
 //! * [`validate_with_tableau`] — runs the *ideal* part of the circuit on
 //!   the stabilizer simulator and checks that every detector is
 //!   deterministic (XOR = 0) and every observable is deterministic; this
@@ -16,7 +19,7 @@
 use rand::Rng;
 use vlq_pauli::Pauli;
 use vlq_sim::tableau::MeasureOutcome;
-use vlq_sim::{FrameBatch, SingleFrame, Tableau};
+use vlq_sim::{CliffordGate, FrameBatch, SingleFrame, Tableau};
 
 use crate::ir::{Circuit, Instruction};
 
@@ -253,6 +256,10 @@ pub struct FaultEffect {
 /// Propagates a single fault through the circuit and reports which
 /// detectors and observables flip.
 ///
+/// This replays the rest of the circuit forward, so it costs
+/// O(instructions) per fault. [`FaultSensitivity`] answers every fault
+/// from one backward pass instead; this is its reference oracle.
+///
 /// # Panics
 ///
 /// Panics if the site's instruction index is out of range or a
@@ -366,6 +373,246 @@ fn run_instruction(
         Instruction::Reset { qubit } => frame.reset_qubit(qubit),
         Instruction::Idle { .. } | Instruction::Noise1 { .. } | Instruction::Noise2 { .. } => {}
     }
+}
+
+/// The effect of every single fault of a noisy circuit on a set of
+/// tracked detectors (and, optionally, observable 0), from one backward
+/// pass — the construction behind stim's detector error models
+/// (Gidney 2021, arXiv:2103.02202).
+///
+/// The pass walks the circuit in reverse and keeps, per qubit, the
+/// sorted set of tracked detectors that an X — and separately a Z — at
+/// the current point would flip. A gate applies the transpose of its
+/// [`SingleFrame::apply`] rule, a `Measure` XORs the detectors that read
+/// its record into the qubit's X set, and a `Reset` clears both sets.
+/// Each noise instruction snapshots its qubits' sets, and each
+/// measurement its record's detector set, into one flat arena, so a
+/// fault's effect is the XOR of at most four snapshots. The pass costs
+/// one walk of the circuit, where replaying the circuit per fault with
+/// [`propagate_fault`] costs O(faults × instructions); `propagate_fault`
+/// stays the reference oracle this pass is tested against.
+#[derive(Debug)]
+pub struct FaultSensitivity {
+    /// Tracked detector ids, ascending. Arena entry `r` names
+    /// `tracked[r]`; `r == tracked.len()` names observable 0.
+    tracked: Vec<usize>,
+    /// Per instruction: the index of its first snapshot (noise and
+    /// measure instructions), or `u32::MAX`.
+    first: Vec<u32>,
+    /// Snapshots below this index are measurement records' reader sets;
+    /// the rest are noise instructions' qubit sets.
+    num_records: u32,
+    /// Snapshot `k` is `arena[bounds[k]..bounds[k + 1]]`.
+    bounds: Vec<u32>,
+    arena: Vec<u32>,
+}
+
+impl FaultSensitivity {
+    /// Runs the backward pass over `circuit`, tracking the detectors in
+    /// `detectors` (any order) and, if `observable`, observable 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a detector index is out of range.
+    pub fn new(circuit: &Circuit, detectors: &[usize], observable: bool) -> Self {
+        let mut tracked = detectors.to_vec();
+        tracked.sort_unstable();
+        tracked.dedup();
+        let obs_entry = tracked.len() as u32;
+
+        // Which tracked entries read each measurement record (an odd
+        // number of times), as sorted `(record, entry)` pairs.
+        let mut readers: Vec<(usize, u32)> = Vec::new();
+        for (r, &d) in tracked.iter().enumerate() {
+            readers.extend(
+                circuit.detectors[d]
+                    .measurements
+                    .iter()
+                    .map(|&m| (m, r as u32)),
+            );
+        }
+        if observable {
+            if let Some(obs) = circuit.observables.first() {
+                readers.extend(obs.iter().map(|&m| (m, obs_entry)));
+            }
+        }
+        readers.sort_unstable();
+        cancel_pairs(&mut readers);
+
+        let num_records = circuit.num_measurements();
+        let mut pass = FaultSensitivity {
+            tracked,
+            first: vec![u32::MAX; circuit.instructions.len()],
+            num_records: num_records as u32,
+            bounds: vec![0],
+            arena: Vec::new(),
+        };
+        // Snapshot `m` (for every record `m`): the entries reading it.
+        let mut readers = readers.into_iter().peekable();
+        for record in 0..num_records {
+            while let Some((_, entry)) = readers.next_if(|&(m, _)| m == record) {
+                pass.arena.push(entry);
+            }
+            pass.bounds.push(pass.arena.len() as u32);
+        }
+
+        // sets[2q] / sets[2q + 1]: what an X / Z on qubit q flips.
+        let mut sets: Vec<Vec<u32>> = vec![Vec::new(); 2 * circuit.num_qubits];
+        let mut scratch = Vec::new();
+        let mut record = num_records;
+        for (at, inst) in circuit.instructions.iter().enumerate().rev() {
+            match *inst {
+                Instruction::Gate { gate, .. } => transpose_gate(&mut sets, &mut scratch, gate),
+                Instruction::Measure { qubit, .. } => {
+                    record -= 1;
+                    pass.first[at] = record as u32;
+                    let read = pass.snapshot_set(record as u32);
+                    xor_into(&mut sets[2 * qubit], read, &mut scratch);
+                }
+                Instruction::Reset { qubit } => {
+                    sets[2 * qubit].clear();
+                    sets[2 * qubit + 1].clear();
+                }
+                Instruction::Noise1 { qubit, .. } => {
+                    pass.first[at] = pass.snapshot(&sets[2 * qubit..2 * qubit + 2]);
+                }
+                Instruction::Noise2 { a, b, .. } => {
+                    pass.first[at] = pass.snapshot(&sets[2 * a..2 * a + 2]);
+                    pass.snapshot(&sets[2 * b..2 * b + 2]);
+                }
+                Instruction::Idle { .. } => {}
+            }
+        }
+        pass
+    }
+
+    /// Appends one snapshot per set to the arena; returns the first
+    /// snapshot's index.
+    fn snapshot(&mut self, sets: &[Vec<u32>]) -> u32 {
+        let first = (self.bounds.len() - 1) as u32;
+        for set in sets {
+            self.arena.extend_from_slice(set);
+            self.bounds.push(self.arena.len() as u32);
+        }
+        first
+    }
+
+    fn snapshot_set(&self, k: u32) -> &[u32] {
+        let k = k as usize;
+        &self.arena[self.bounds[k] as usize..self.bounds[k + 1] as usize]
+    }
+
+    /// Writes the effect of `site` into `out`: the tracked detectors it
+    /// flips (ascending) and observable 0 if tracked and flipped —
+    /// exactly [`propagate_fault`]'s effect restricted to what the pass
+    /// tracks.
+    ///
+    /// Pauli sites must name their noise instruction's qubits in the
+    /// instruction's order, as the decoder's fault enumeration produces
+    /// them; this is not checked.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a Pauli site is not at a noise instruction or a
+    /// measurement flip is not at a measurement.
+    pub fn effect_into(&self, site: FaultSite, out: &mut FaultEffect) {
+        let (at, picks, at_measure) = match site {
+            FaultSite::Pauli1 { at, pauli, .. } => {
+                let (x, z) = pauli.xz();
+                (at, [x, z, false, false], false)
+            }
+            FaultSite::Pauli2 { at, a, b, .. } => {
+                let ((ax, az), (bx, bz)) = (a.1.xz(), b.1.xz());
+                (at, [ax, az, bx, bz], false)
+            }
+            FaultSite::MeasureFlip { at } => (at, [true, false, false, false], true),
+        };
+        let first = self.first[at];
+        let is_record = first < self.num_records;
+        assert!(
+            first != u32::MAX && is_record == at_measure,
+            "fault site {site:?} does not match its instruction"
+        );
+        out.detectors.clear();
+        out.observables.clear();
+        let mut obs = false;
+        for k in (0..4).filter(|&k| picks[k]) {
+            for &entry in self.snapshot_set(first + k as u32) {
+                match self.tracked.get(entry as usize) {
+                    Some(&d) => out.detectors.push(d),
+                    None => obs = !obs,
+                }
+            }
+        }
+        out.detectors.sort_unstable();
+        cancel_pairs(&mut out.detectors);
+        if obs {
+            out.observables.push(0);
+        }
+    }
+}
+
+/// Moves `sets` (X/Z sensitivities per qubit, after `gate`) to before
+/// `gate`: the transpose of [`SingleFrame::apply`]'s rule for it.
+fn transpose_gate(sets: &mut [Vec<u32>], scratch: &mut Vec<u32>, gate: CliffordGate) {
+    use CliffordGate::*;
+    let mut xor = |dst: usize, src: usize| {
+        let read = std::mem::take(&mut sets[src]);
+        xor_into(&mut sets[dst], &read, scratch);
+        sets[src] = read;
+    };
+    let (x, z) = (|q: usize| 2 * q, |q: usize| 2 * q + 1);
+    match gate {
+        H(q) => sets.swap(x(q), z(q)),
+        S(q) | SDag(q) => xor(x(q), z(q)),
+        X(_) | Y(_) | Z(_) => {}
+        Cnot(c, t) => {
+            xor(x(c), x(t));
+            xor(z(t), z(c));
+        }
+        Cz(a, b) => {
+            xor(x(a), z(b));
+            xor(x(b), z(a));
+        }
+        Swap(a, b) => {
+            sets.swap(x(a), x(b));
+            sets.swap(z(a), z(b));
+        }
+        ISwap(a, b) => {
+            // The forward rule is S(a), S(b), Cz, Swap; transpose in
+            // reverse.
+            transpose_gate(sets, scratch, Swap(a, b));
+            transpose_gate(sets, scratch, Cz(a, b));
+            transpose_gate(sets, scratch, S(b));
+            transpose_gate(sets, scratch, S(a));
+        }
+    }
+}
+
+/// `dst ^= src` on sorted sets.
+fn xor_into(dst: &mut Vec<u32>, src: &[u32], scratch: &mut Vec<u32>) {
+    scratch.clear();
+    scratch.extend_from_slice(dst);
+    scratch.extend_from_slice(src);
+    scratch.sort_unstable();
+    cancel_pairs(scratch);
+    std::mem::swap(dst, scratch);
+}
+
+/// Keeps one copy of each value that occurs an odd number of times in a
+/// sorted vector (the XOR of the multiset), in order.
+fn cancel_pairs<T: PartialEq + Copy>(v: &mut Vec<T>) {
+    let mut kept = 0;
+    let mut i = 0;
+    while i < v.len() {
+        let run = v[i..].iter().take_while(|&&e| e == v[i]).count();
+        if run % 2 == 1 {
+            v[kept] = v[i];
+            kept += 1;
+        }
+        i += run;
+    }
+    v.truncate(kept);
 }
 
 /// Outcome of tableau validation.
@@ -597,6 +844,147 @@ mod tests {
         );
         assert_eq!(eff.observables, vec![0]);
         assert_eq!(eff.detectors, vec![0]);
+    }
+
+    /// Every fault site of a noisy circuit, in the decoder's order: the
+    /// 3 / 15 Paulis of each noise channel and a flip of every
+    /// measurement.
+    fn fault_sites(circuit: &Circuit) -> Vec<FaultSite> {
+        let mut sites = Vec::new();
+        for (at, inst) in circuit.instructions.iter().enumerate() {
+            match *inst {
+                Instruction::Noise1 { qubit, .. } => {
+                    for pauli in Pauli::ERRORS {
+                        sites.push(FaultSite::Pauli1 { at, qubit, pauli });
+                    }
+                }
+                Instruction::Noise2 { a, b, .. } => {
+                    for pa in Pauli::ALL {
+                        for pb in Pauli::ALL {
+                            if (pa, pb) != (Pauli::I, Pauli::I) {
+                                sites.push(FaultSite::Pauli2 {
+                                    at,
+                                    a: (a, pa),
+                                    b: (b, pb),
+                                });
+                            }
+                        }
+                    }
+                }
+                Instruction::Measure { .. } => sites.push(FaultSite::MeasureFlip { at }),
+                _ => {}
+            }
+        }
+        sites
+    }
+
+    /// A seeded random noisy circuit over every gate variant, with noisy
+    /// mid-circuit measurements, resets, detectors over random records
+    /// (one of them lists a record twice) and two observables.
+    fn random_noisy_circuit(seed: u64) -> Circuit {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let n = 5;
+        let mut c = Circuit::new(n);
+        for _ in 0..150 {
+            let a = rng.random_range(0..n);
+            let b = (a + rng.random_range(1..n)) % n;
+            let gates = [
+                CliffordGate::H(a),
+                CliffordGate::S(a),
+                CliffordGate::SDag(a),
+                CliffordGate::X(a),
+                CliffordGate::Y(a),
+                CliffordGate::Z(a),
+                CliffordGate::Cnot(a, b),
+                CliffordGate::Cz(a, b),
+                CliffordGate::Swap(a, b),
+                CliffordGate::ISwap(a, b),
+            ];
+            match rng.random_range(0..14usize) {
+                g @ 0..=9 => {
+                    c.gate(gates[g], GateClass::OneQubit);
+                }
+                10 => c
+                    .instructions
+                    .push(Instruction::Noise1 { qubit: a, p: 0.01 }),
+                11 => c.instructions.push(Instruction::Noise2 { a, b, p: 0.01 }),
+                12 => c.instructions.push(Instruction::Measure {
+                    qubit: a,
+                    flip_prob: 0.02,
+                }),
+                _ => {
+                    c.reset(a);
+                }
+            }
+        }
+        let m = c.measure(0);
+        let records = m + 1;
+        c.detector(vec![m, m, 0], (0, 0, 0));
+        for _ in 0..12 {
+            let len = rng.random_range(1..4usize);
+            let reads = (0..len).map(|_| rng.random_range(0..records)).collect();
+            c.detector(reads, (0, 0, 0));
+        }
+        for _ in 0..2 {
+            let len = rng.random_range(1..4usize);
+            c.observable((0..len).map(|_| rng.random_range(0..records)).collect());
+        }
+        c
+    }
+
+    /// `propagate_fault`'s effect restricted to what a pass tracks.
+    fn restricted(effect: FaultEffect, tracked: &[usize], observable: bool) -> FaultEffect {
+        FaultEffect {
+            detectors: effect
+                .detectors
+                .into_iter()
+                .filter(|d| tracked.contains(d))
+                .collect(),
+            observables: effect
+                .observables
+                .into_iter()
+                .filter(|&o| observable && o == 0)
+                .collect(),
+        }
+    }
+
+    #[test]
+    fn sensitivity_pass_matches_propagation_on_random_circuits() {
+        let mut effect = FaultEffect::default();
+        for seed in 0..40 {
+            let c = random_noisy_circuit(seed);
+            let mut rng = SmallRng::seed_from_u64(1000 + seed);
+            // A random detector subset, listed out of order.
+            let mut tracked: Vec<usize> = (0..c.detectors.len())
+                .filter(|_| rng.random_bool(0.6))
+                .collect();
+            tracked.reverse();
+            for observable in [true, false] {
+                let pass = FaultSensitivity::new(&c, &tracked, observable);
+                for site in fault_sites(&c) {
+                    pass.effect_into(site, &mut effect);
+                    let want = restricted(propagate_fault(&c, site), &tracked, observable);
+                    assert_eq!(effect, want, "seed {seed}, {site:?}, obs {observable}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "does not match its instruction")]
+    fn sensitivity_pass_rejects_a_pauli_site_at_a_measurement() {
+        let mut c = Circuit::new(1);
+        c.instructions
+            .push(Instruction::Noise1 { qubit: 0, p: 0.01 });
+        let m = c.measure(0);
+        c.detector(vec![m], (0, 0, 0));
+        let pass = FaultSensitivity::new(&c, &[0], false);
+        let site = FaultSite::Pauli1 {
+            at: 1,
+            qubit: 0,
+            pauli: Pauli::X,
+        };
+        pass.effect_into(site, &mut FaultEffect::default());
     }
 
     #[test]

@@ -8,14 +8,15 @@
 //!    *noisy* circuit (Pauli channels + readout flip probabilities);
 //! 3. [`exec::validate_with_tableau`] proves the detector annotations are
 //!    deterministic on the ideal circuit;
-//! 4. [`exec::propagate_fault`] enumerates single-fault effects to build
-//!    the decoder's matching graph (in `vlq-decoder`);
+//! 4. [`exec::FaultSensitivity`] derives every single fault's effect from
+//!    one backward pass, to build the decoder's matching graph (in
+//!    `vlq-decoder`; [`exec::propagate_fault`] is its reference oracle);
 //! 5. [`exec::sample_batch`] runs bit-parallel Monte Carlo shots.
 
 pub mod exec;
 pub mod ir;
 pub mod noise;
 
-pub use exec::{BatchResult, FaultEffect, FaultSite, ValidationReport};
+pub use exec::{BatchResult, FaultEffect, FaultSensitivity, FaultSite, ValidationReport};
 pub use ir::{Circuit, Detector, GateClass, Instruction, Medium, QubitKind, QubitMeta};
 pub use noise::{NoiseChannel, NoiseModel};

@@ -2,17 +2,18 @@
 //!
 //! Every noise instruction of a noisy circuit defines a set of
 //! elementary faults (3 Paulis for a 1-qubit channel, 15 for a 2-qubit
-//! channel, one flip per measurement). Each fault is propagated
-//! deterministically ([`vlq_circuit::exec::propagate_fault`]) to find
-//! the detectors and observables it flips. Within one decoding sector
+//! channel, one flip per measurement). One backward sensitivity pass
+//! over the circuit ([`vlq_circuit::exec::FaultSensitivity`]) yields
+//! the sector detectors and the observable each fault flips, so the
+//! build is linear in circuit size. Within one decoding sector
 //! (Z-plaquette or X-plaquette detectors), a fault flips at most two
 //! detectors for graphlike noise; faults that flip more are decomposed
 //! into known graphlike edges, as modern detector-error-model tooling
 //! does.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
-use vlq_circuit::exec::{propagate_fault, FaultSite};
+use vlq_circuit::exec::{FaultEffect, FaultSensitivity, FaultSite};
 use vlq_circuit::ir::{Circuit, Instruction};
 use vlq_math::stats::{log_odds_weight, xor_probability};
 use vlq_pauli::Pauli;
@@ -99,7 +100,6 @@ impl DecodingGraph {
         // Keep the observable parity of the dominant contribution; in a
         // sound surface-code circuit all contributions to one edge agree.
         entry.probability = xor_probability(entry.probability, p);
-        entry.weight = log_odds_weight(entry.probability);
     }
 
     /// Builds the decoding graph for the *guard* sector of a noisy
@@ -136,9 +136,9 @@ impl DecodingGraph {
         sector_detectors: &[usize],
         attribute_observable: bool,
     ) -> Self {
-        let mut sector_index: HashMap<usize, usize> = HashMap::new();
+        let mut sector_index = vec![usize::MAX; circuit.detectors.len()];
         for (i, &d) in sector_detectors.iter().enumerate() {
-            sector_index.insert(d, i);
+            sector_index[d] = i;
         }
         let mut graph = DecodingGraph {
             num_nodes: sector_detectors.len(),
@@ -147,19 +147,21 @@ impl DecodingGraph {
             undetectable_logical_mass: 0.0,
         };
         // Collect (sector detector list, obs flip, probability) per fault;
-        // multi-detector faults wait for the second pass.
+        // multi-detector faults wait for the second pass. Faults are
+        // visited in circuit order with their detectors ascending, so
+        // every edge's `xor_probability` fold runs in a fixed order.
+        let sensitivity = FaultSensitivity::new(circuit, sector_detectors, attribute_observable);
+        let mut effect = FaultEffect::default();
+        let mut dets: Vec<usize> = Vec::new();
         let mut pending: Vec<(Vec<usize>, bool, f64)> = Vec::new();
         for_each_fault(circuit, |site, p| {
             if p <= 0.0 {
                 return;
             }
-            let effect = propagate_fault(circuit, site);
-            let dets: Vec<usize> = effect
-                .detectors
-                .iter()
-                .filter_map(|d| sector_index.get(d).copied())
-                .collect();
-            let obs = attribute_observable && effect.observables.contains(&0);
+            sensitivity.effect_into(site, &mut effect);
+            dets.clear();
+            dets.extend(effect.detectors.iter().map(|&d| sector_index[d]));
+            let obs = effect.observables.contains(&0);
             match dets.len() {
                 0 => {
                     if obs {
@@ -168,7 +170,7 @@ impl DecodingGraph {
                 }
                 1 => graph.accumulate(dets[0], BOUNDARY, p, obs),
                 2 => graph.accumulate(dets[0], dets[1], p, obs),
-                _ => pending.push((dets, obs, p)),
+                _ => pending.push((dets.clone(), obs, p)),
             }
         });
         // Second pass: decompose multi-detector faults into existing
@@ -185,6 +187,9 @@ impl DecodingGraph {
             for (a, b, part_obs) in parts {
                 graph.accumulate(a, b, p, part_obs);
             }
+        }
+        for edge in graph.edges.values_mut() {
+            edge.weight = log_odds_weight(edge.probability);
         }
         graph
     }
@@ -290,8 +295,11 @@ fn decompose(
 mod tests {
     use super::*;
     use vlq_arch::params::{ErrorRates, HardwareParams};
+    use vlq_circuit::exec::propagate_fault;
+    use vlq_circuit::ir::GateClass;
     use vlq_circuit::noise::NoiseModel;
-    use vlq_surface::schedule::{memory_circuit, Basis, MemorySpec, Setup};
+    use vlq_sim::CliffordGate;
+    use vlq_surface::schedule::{memory_circuit, Basis, Boundary, MemorySpec, Setup};
 
     fn noisy_baseline(d: usize, p: f64) -> (Circuit, Vec<usize>, Vec<usize>) {
         let spec = MemorySpec::standard(Setup::Baseline, d, 1, Basis::Z);
@@ -415,5 +423,117 @@ mod tests {
         let noisy = model.apply(&mc.circuit);
         let g = DecodingGraph::build(&noisy, &mc.z_detectors);
         assert_eq!(g.num_edges(), 0);
+    }
+
+    #[test]
+    fn sensitivity_pass_matches_propagation_on_d3_memory_circuits() {
+        let mut effect = FaultEffect::default();
+        for setup in [
+            Setup::Baseline,
+            Setup::NaturalInterleaved,
+            Setup::CompactInterleaved,
+        ] {
+            let noise = if setup.uses_memory() {
+                NoiseModel::memory_at_scale(5e-3)
+            } else {
+                NoiseModel::baseline_at_scale(5e-3)
+            };
+            for basis in [Basis::Z, Basis::X] {
+                let mc = memory_circuit(MemorySpec::standard(setup, 3, 10, basis), &noise.hw);
+                for boundary in Boundary::ALL {
+                    let (start, end) = mc.noise_window(boundary);
+                    let noisy = noise.apply_window(&mc.circuit, start, end);
+                    let mut passes = Vec::new();
+                    for sector in [&mc.z_detectors, &mc.x_detectors] {
+                        for observable in [true, false] {
+                            let pass = FaultSensitivity::new(&noisy, sector, observable);
+                            passes.push((sector, observable, pass));
+                        }
+                    }
+                    for_each_fault(&noisy, |site, _| {
+                        let full = propagate_fault(&noisy, site);
+                        for (sector, observable, pass) in &passes {
+                            pass.effect_into(site, &mut effect);
+                            let dets: Vec<usize> = full
+                                .detectors
+                                .iter()
+                                .copied()
+                                .filter(|d| sector.contains(d))
+                                .collect();
+                            let obs: Vec<usize> = full
+                                .observables
+                                .iter()
+                                .copied()
+                                .filter(|&o| *observable && o == 0)
+                                .collect();
+                            assert_eq!(
+                                (&effect.detectors, &effect.observables),
+                                (&dets, &obs),
+                                "{setup} {basis:?} {boundary:?} {site:?} obs {observable}"
+                            );
+                        }
+                    });
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn multi_detector_faults_decompose_into_existing_edges() {
+        // Data qubits 0..4 are read out into detectors 0..4; observable
+        // = record 0. Two-qubit channels on (0, 1) and (2, 3) lay down
+        // the graphlike edges. Noise on qubits 4 and 5, fanned out by
+        // CNOTs, gives X/Y faults that flip detectors {0, 1, 2, 3} (and
+        // the observable) and {1, 2, 3}.
+        let (p2, p4, p5) = (0.015, 0.031, 0.067);
+        let mut c = Circuit::new(6);
+        c.instructions
+            .push(Instruction::Noise2 { a: 0, b: 1, p: p2 });
+        c.instructions
+            .push(Instruction::Noise2 { a: 2, b: 3, p: p2 });
+        c.instructions.push(Instruction::Noise1 { qubit: 4, p: p4 });
+        c.instructions.push(Instruction::Noise1 { qubit: 5, p: p5 });
+        for t in 0..4 {
+            c.gate(CliffordGate::Cnot(4, t), GateClass::TwoQubitTT);
+        }
+        for t in 1..4 {
+            c.gate(CliffordGate::Cnot(5, t), GateClass::TwoQubitTT);
+        }
+        for q in 0..4 {
+            let m = c.measure(q);
+            c.detector(vec![m], (q as i32, 0, 0));
+        }
+        c.observable(vec![0]);
+        let g = DecodingGraph::build(&c, &[0, 1, 2, 3]);
+
+        // X and Y on qubit 4 and on qubit 5: four decomposed faults.
+        assert_eq!(g.decomposed_faults, 4);
+        assert_eq!(g.undetectable_logical_mass, 0.0);
+        assert_eq!(g.num_edges(), 6);
+        // {0,1,2,3} (obs) splits into (0,1) (obs) + (2,3); {1,2,3} into
+        // (1,B) + (2,3). Each part receives the fault's probability after
+        // its graphlike contributions (4 of the 15 two-qubit Paulis each).
+        let fold = |ps: &[f64]| ps.iter().fold(0.0, |acc, &p| xor_probability(acc, p));
+        let pair = [p2 / 15.0; 4];
+        let (q4, q5) = (p4 / 3.0, p5 / 3.0);
+        let e01 = g.edge(0, 1).unwrap();
+        let e23 = g.edge(2, 3).unwrap();
+        let e1b = g.edge(1, BOUNDARY).unwrap();
+        assert_eq!(e01.probability, fold(&[&pair[..], &[q4, q4]].concat()));
+        assert_eq!(
+            e23.probability,
+            fold(&[&pair[..], &[q4, q4, q5, q5]].concat())
+        );
+        assert_eq!(e1b.probability, fold(&[&pair[..], &[q5, q5]].concat()));
+        for untouched in [
+            g.edge(0, BOUNDARY),
+            g.edge(2, BOUNDARY),
+            g.edge(3, BOUNDARY),
+        ] {
+            assert_eq!(untouched.unwrap().probability, fold(&pair));
+        }
+        // The parts' observable parity matches each fault's.
+        assert!(e01.flips_observable ^ e23.flips_observable);
+        assert!(!(e1b.flips_observable ^ e23.flips_observable));
     }
 }

@@ -3,10 +3,10 @@
 //! The decoding pipeline mirrors the modern detector-error-model
 //! approach:
 //!
-//! 1. [`graph`] builds a per-sector matching graph by exhaustively
-//!    propagating every possible single fault of the noisy circuit and
-//!    recording which detectors (and logical observables) it flips,
-//!    with edge weights `ln((1-p)/p)`.
+//! 1. [`graph`] builds a per-sector matching graph by enumerating every
+//!    possible single fault of the noisy circuit and recording which
+//!    detectors (and logical observables) it flips — read from one
+//!    backward sensitivity pass — with edge weights `ln((1-p)/p)`.
 //! 2. [`mwpm`] decodes a defect set by Dijkstra distances on that graph
 //!    followed by exact minimum-weight perfect matching ([`blossom`]) —
 //!    the paper's "usual maximum likelihood \[matching\] decoder".

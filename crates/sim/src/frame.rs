@@ -10,8 +10,9 @@
 //!
 //! * [`FrameBatch`] — bit-parallel over 64 shots per machine word; used
 //!   for Monte-Carlo sampling.
-//! * [`SingleFrame`] — one scalar frame; used to propagate individual
-//!   faults deterministically when building the decoder's matching graph.
+//! * [`SingleFrame`] — one scalar frame; propagates an individual fault
+//!   deterministically (the reference oracle for the backward
+//!   fault-sensitivity pass that builds the decoder's matching graph).
 //!
 //! Gate conjugation here is sign-free (frames live in the Pauli group
 //! modulo phase); the phase-exact algebra lives in [`crate::tableau`].
