@@ -5,9 +5,10 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use vlq_arch::HardwareParams;
+use vlq_circuit::exec::{sample_batch_into, SampleScratch};
 use vlq_circuit::noise::NoiseModel;
 use vlq_decoder::{Decoder, DecodingGraph, MwpmDecoder, UnionFindDecoder};
-use vlq_surface::schedule::{memory_circuit, Basis, MemorySpec, Setup};
+use vlq_surface::schedule::{memory_circuit, Basis, Boundary, MemorySpec, Setup};
 
 fn graph_for(d: usize) -> DecodingGraph {
     graph_at(d, 5e-3)
@@ -30,6 +31,27 @@ fn random_defects(g: &DecodingGraph, count: usize, rng: &mut SmallRng) -> Vec<us
     }
     defects.sort_unstable();
     defects
+}
+
+/// fig11's guard-sector graph at (d, p) (baseline, basis Z,
+/// `Boundary::Full`) and the defect lists of one sampled `lanes`-lane
+/// batch on it.
+fn sampled_defects(d: usize, p: f64, lanes: usize) -> (DecodingGraph, Vec<Vec<usize>>) {
+    let noise = NoiseModel::baseline_at_scale(p);
+    let mc = memory_circuit(
+        MemorySpec::standard(Setup::Baseline, d, 10, Basis::Z),
+        &noise.hw,
+    );
+    let (start, end) = mc.noise_window(Boundary::Full);
+    let noisy = noise.apply_window(&mc.circuit, start, end);
+    let graph = DecodingGraph::build(&noisy, mc.guard_detectors());
+    let mut scratch = SampleScratch::new();
+    sample_batch_into(&noisy, lanes, &mut SmallRng::seed_from_u64(1), &mut scratch);
+    let mut lists = Vec::new();
+    scratch
+        .result
+        .defect_lists_into(mc.guard_detectors(), lanes, &mut lists);
+    (graph, lists)
 }
 
 fn bench_decoders(c: &mut Criterion) {
@@ -91,8 +113,9 @@ fn bench_graph_build(c: &mut Criterion) {
 }
 
 /// Scratch-reusing `decode_batch` vs the per-lane `decode` loop it
-/// replaced, over the (d, p) perf-trajectory grid (Union-Find; MWPM's
-/// batch path only reuses the edge buffer and tracks its `decode`).
+/// replaced, over the (d, p) perf-trajectory grid (Union-Find on random
+/// defect lists), plus MWPM's batch path on sampled syndromes at
+/// fig11's d=7, p=5e-3 point, where shots average about 15 defects.
 fn bench_decode_batch(c: &mut Criterion) {
     use vlq_decoder::UnionFindDecoder;
     let mut group = c.benchmark_group("decode-batch");
@@ -128,6 +151,14 @@ fn bench_decode_batch(c: &mut Criterion) {
             });
         }
     }
+    let lanes = 256usize;
+    let (g, lists) = sampled_defects(7, 5e-3, lanes);
+    let mwpm = MwpmDecoder::new(&g);
+    group.bench_with_input(BenchmarkId::new("mwpm-batch", "d7-p5e-3"), &7, |b, _| {
+        let mut scratch = mwpm.make_scratch();
+        let mut out = vec![0u64; lanes.div_ceil(64)];
+        b.iter(|| mwpm.decode_batch(&lists, &mut scratch, &mut out))
+    });
     group.finish();
 }
 

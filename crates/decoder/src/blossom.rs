@@ -10,12 +10,28 @@
 //! Weights are `i64`; callers scale float weights (the decoder multiplies
 //! log-odds weights by 2^20 and rounds). Vertex duals are stored doubled
 //! so that all arithmetic stays integral.
+//!
+//! All state lives in index-addressed arrays of a reusable `Matcher`.
+//! Vertices are `0..n` and blossoms `n..2n`; per-node tables (labels,
+//! label edges, least-slack edges, parents, bases, duals) are indexed by
+//! node id, and weights and allowed-edge flags by `u * n + v`. Refilling
+//! those arrays allocates nothing once they have reached the largest
+//! instance seen. Tie-breaking follows the reference formulation's
+//! iteration order exactly: neighbours in first-insertion order,
+//! blossoms in id order with freed ids reused last-in first-out, and a
+//! new blossom's least-slack edges ordered by the neighbouring
+//! blossom's id. Equally minimal matchings can differ in logical class,
+//! so that order is part of every decoder prediction.
 
-// BTree (not hash) containers: blossom tie-breaking follows container
-// iteration order, and equally-minimal matchings can differ in logical
-// class — hash iteration order varies per process (`RandomState`), which
-// made shared-syndrome decoder comparisons flaky across runs.
-use std::collections::{BTreeMap, BTreeSet};
+/// Marks an unmatched vertex, a top-level node, or a node without a base.
+const NONE: usize = usize::MAX;
+
+/// Weight-table entry of a vertex pair without an edge.
+const ABSENT: i64 = i64::MIN;
+
+const S: u8 = 1;
+const T: u8 = 2;
+const BREADCRUMB: u8 = 5;
 
 /// Computes a maximum-weight matching of an undirected graph.
 ///
@@ -34,177 +50,256 @@ pub fn max_weight_matching(
     edges: &[(usize, usize, i64)],
     max_cardinality: bool,
 ) -> Vec<Option<usize>> {
-    let mut n = 0usize;
-    for &(i, j, _) in edges {
-        assert_ne!(i, j, "self-loop in matching graph");
-        n = n.max(i + 1).max(j + 1);
-    }
-    if n == 0 {
-        return Vec::new();
-    }
-    Matcher::new(n, edges, max_cardinality).run()
+    let mut matcher = Matcher::new();
+    matcher.solve(edges, max_cardinality, false);
+    matcher
+        .mate
+        .iter()
+        .map(|&u| (u != NONE).then_some(u))
+        .collect()
 }
 
 /// Minimum-weight perfect matching via weight inversion.
 ///
 /// Returns `mate[v] = u` for every vertex, or `None` if no perfect
-/// matching exists.
+/// matching exists. One-shot form: builds a fresh workspace per call.
 pub fn min_weight_perfect_matching(edges: &[(usize, usize, i64)]) -> Option<Vec<usize>> {
-    if edges.is_empty() {
-        return Some(Vec::new());
-    }
-    let max_w = edges.iter().map(|e| e.2).max().unwrap_or(0);
-    let inverted: Vec<(usize, usize, i64)> = edges
-        .iter()
-        .map(|&(u, v, w)| (u, v, max_w + 1 - w))
-        .collect();
-    let mate = max_weight_matching(&inverted, true);
-    if mate.iter().any(Option::is_none) {
-        return None;
-    }
-    Some(mate.into_iter().map(|m| m.expect("perfect")).collect())
+    Matcher::new()
+        .min_weight_perfect_matching(edges)
+        .map(<[usize]>::to_vec)
 }
 
-/// Node id: vertices are `0..n`; blossoms are `n + index`.
-type Node = usize;
-
-const S: u8 = 1;
-const T: u8 = 2;
-const BREADCRUMB: u8 = 5;
-
-#[derive(Default, Clone)]
+/// One blossom's slot. Slots are reused across blossoms and across
+/// calls, so their vectors keep their capacity.
+#[derive(Debug, Default)]
 struct BlossomData {
     /// Ordered sub-blossoms, starting with the base.
-    childs: Vec<Node>,
+    childs: Vec<usize>,
     /// `edges[i] = (v, w)`: v in childs[i], w in childs[wrap(i+1)].
     edges: Vec<(usize, usize)>,
-    /// Least-slack edges to neighboring S-blossoms.
-    mybestedges: Option<Vec<(usize, usize)>>,
+    /// Least-slack edges to neighboring S-blossoms (valid when
+    /// `has_best`).
+    best: Vec<(usize, usize)>,
+    has_best: bool,
     active: bool,
 }
 
-struct Matcher {
+/// Reusable blossom-matcher workspace.
+///
+/// Holds every array the primal-dual search touches, sized to the
+/// largest instance seen so far; each call resets only what it uses.
+#[derive(Debug, Default)]
+pub(crate) struct Matcher {
     n: usize,
     max_cardinality: bool,
-    neighbors: Vec<Vec<usize>>,
-    wt: BTreeMap<(usize, usize), i64>,
-    mate: Vec<Option<usize>>,
-    label: BTreeMap<Node, u8>,
-    labeledge: BTreeMap<Node, Option<(usize, usize)>>,
-    inblossom: Vec<Node>,
-    blossomparent: BTreeMap<Node, Option<Node>>,
-    blossombase: BTreeMap<Node, usize>,
-    bestedge: BTreeMap<Node, Option<(usize, usize)>>,
+    /// Dense `n * n` weight table, symmetric; [`ABSENT`] where no edge.
+    wt: Vec<i64>,
+    /// Per-edge flag: first occurrence of its vertex pair in the input.
+    first: Vec<bool>,
+    /// Adjacency in CSR form: the neighbours of `v` are
+    /// `adj[adj_start[v]..adj_start[v + 1]]`, in first-insertion order.
+    adj_start: Vec<usize>,
+    adj: Vec<usize>,
+    mate: Vec<usize>,
+    label: Vec<u8>,
+    labeledge: Vec<Option<(usize, usize)>>,
+    inblossom: Vec<usize>,
+    blossomparent: Vec<usize>,
+    blossombase: Vec<usize>,
+    bestedge: Vec<Option<(usize, usize)>>,
     dualvar: Vec<i64>,
-    blossomdual: BTreeMap<Node, i64>,
-    allowedge: BTreeSet<(usize, usize)>,
+    blossomdual: Vec<i64>,
+    /// Dense `n * n` allowed-edge flags, keyed `min * n + max`, and the
+    /// keys currently set (so a stage clears only those).
+    allowedge: Vec<bool>,
+    allowed: Vec<usize>,
     queue: Vec<usize>,
     blossoms: Vec<BlossomData>,
-    free_blossoms: Vec<Node>,
+    /// Blossom slots in use this call (ids `n..n + nblossoms`).
+    nblossoms: usize,
+    free_blossoms: Vec<usize>,
+    /// Scratch of `scan_blossom` and of the leaf walks.
+    path: Vec<usize>,
+    leaves: Vec<usize>,
+    /// `add_blossom`'s least-slack edge per neighbouring S-blossom, and
+    /// the blossoms it has set.
+    bestedgeto: Vec<Option<(usize, usize)>>,
+    bestedgeto_keys: Vec<usize>,
 }
 
 impl Matcher {
-    fn new(n: usize, edges: &[(usize, usize, i64)], max_cardinality: bool) -> Self {
-        let mut neighbors: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut wt = BTreeMap::new();
-        let mut maxweight = 0i64;
-        for &(i, j, w) in edges {
-            if wt.insert(key(i, j), w).is_none() {
-                neighbors[i].push(j);
-                neighbors[j].push(i);
-            }
-            maxweight = maxweight.max(w);
-        }
-        Matcher {
-            n,
-            max_cardinality,
-            neighbors,
-            wt,
-            mate: vec![None; n],
-            label: BTreeMap::new(),
-            labeledge: BTreeMap::new(),
-            inblossom: (0..n).collect(),
-            blossomparent: (0..n).map(|v| (v, None)).collect(),
-            blossombase: (0..n).map(|v| (v, v)).collect(),
-            bestedge: BTreeMap::new(),
-            dualvar: vec![maxweight; n],
-            blossomdual: BTreeMap::new(),
-            allowedge: BTreeSet::new(),
-            queue: Vec::new(),
-            blossoms: Vec::new(),
-            free_blossoms: Vec::new(),
+    /// An empty workspace; arrays grow on first use.
+    pub(crate) fn new() -> Self {
+        Matcher::default()
+    }
+
+    /// Minimum-weight perfect matching via weight inversion, in this
+    /// workspace.
+    ///
+    /// Returns `mate[v] = u` for every vertex, or `None` if no perfect
+    /// matching exists. The slice borrows the workspace.
+    pub(crate) fn min_weight_perfect_matching(
+        &mut self,
+        edges: &[(usize, usize, i64)],
+    ) -> Option<&[usize]> {
+        self.solve(edges, true, true);
+        if self.mate.contains(&NONE) {
+            None
+        } else {
+            Some(&self.mate)
         }
     }
 
-    fn weight(&self, v: usize, w: usize) -> i64 {
-        self.wt[&key(v, w)]
+    /// Loads `edges` (weights inverted to `max + 1 - w` when `invert`)
+    /// and runs the search; the result is left in `self.mate`.
+    fn solve(&mut self, edges: &[(usize, usize, i64)], max_cardinality: bool, invert: bool) {
+        let mut n = 0usize;
+        for &(i, j, _) in edges {
+            assert_ne!(i, j, "self-loop in matching graph");
+            n = n.max(i + 1).max(j + 1);
+        }
+        self.mate.clear();
+        if n == 0 {
+            return;
+        }
+        self.n = n;
+        self.max_cardinality = max_cardinality;
+        let top = edges.iter().map(|e| e.2).max().unwrap_or(0);
+        let weight = |w: i64| if invert { top + 1 - w } else { w };
+
+        self.wt.clear();
+        self.wt.resize(n * n, ABSENT);
+        self.first.clear();
+        self.adj_start.clear();
+        self.adj_start.resize(n + 1, 0);
+        let mut maxweight = 0i64;
+        for &(i, j, w) in edges {
+            let w = weight(w);
+            let fresh = self.wt[i * n + j] == ABSENT;
+            self.wt[i * n + j] = w;
+            self.wt[j * n + i] = w;
+            self.first.push(fresh);
+            if fresh {
+                self.adj_start[i + 1] += 1;
+                self.adj_start[j + 1] += 1;
+            }
+            maxweight = maxweight.max(w);
+        }
+        for v in 0..n {
+            self.adj_start[v + 1] += self.adj_start[v];
+        }
+        // Fill each vertex's slice in edge order, using `inblossom` as
+        // the write cursors before it takes its real role below.
+        self.adj.clear();
+        self.adj.resize(self.adj_start[n], 0);
+        self.inblossom.clear();
+        self.inblossom.extend_from_slice(&self.adj_start[..n]);
+        for (&(i, j, _), &fresh) in edges.iter().zip(&self.first) {
+            if fresh {
+                self.adj[self.inblossom[i]] = j;
+                self.inblossom[i] += 1;
+                self.adj[self.inblossom[j]] = i;
+                self.inblossom[j] += 1;
+            }
+        }
+
+        let nodes = 2 * n;
+        self.mate.resize(n, NONE);
+        reset(&mut self.label, nodes, 0);
+        reset(&mut self.labeledge, nodes, None);
+        self.inblossom.clear();
+        self.inblossom.extend(0..n);
+        reset(&mut self.blossomparent, nodes, NONE);
+        self.blossombase.clear();
+        self.blossombase.extend(0..n);
+        self.blossombase.resize(nodes, NONE);
+        reset(&mut self.bestedge, nodes, None);
+        reset(&mut self.dualvar, n, maxweight);
+        reset(&mut self.blossomdual, nodes, 0);
+        reset(&mut self.allowedge, n * n, false);
+        self.allowed.clear();
+        self.queue.clear();
+        self.nblossoms = 0;
+        self.free_blossoms.clear();
+        reset(&mut self.bestedgeto, nodes, None);
+        self.run();
     }
 
     /// 2 * slack of edge (v, w); only valid outside blossoms.
     fn slack(&self, v: usize, w: usize) -> i64 {
-        self.dualvar[v] + self.dualvar[w] - 2 * self.weight(v, w)
+        self.dualvar[v] + self.dualvar[w] - 2 * self.wt[v * self.n + w]
     }
 
-    fn is_blossom(&self, b: Node) -> bool {
+    fn edge_key(&self, v: usize, w: usize) -> usize {
+        v.min(w) * self.n + v.max(w)
+    }
+
+    fn is_allowed(&self, v: usize, w: usize) -> bool {
+        self.allowedge[self.edge_key(v, w)]
+    }
+
+    fn allow(&mut self, v: usize, w: usize) {
+        let k = self.edge_key(v, w);
+        if !self.allowedge[k] {
+            self.allowedge[k] = true;
+            self.allowed.push(k);
+        }
+    }
+
+    fn is_blossom(&self, b: usize) -> bool {
         b >= self.n
     }
 
-    fn bdata(&self, b: Node) -> &BlossomData {
-        &self.blossoms[b - self.n]
+    fn neighbors(&self, v: usize) -> std::ops::Range<usize> {
+        self.adj_start[v]..self.adj_start[v + 1]
     }
 
-    fn bdata_mut(&mut self, b: Node) -> &mut BlossomData {
-        let n = self.n;
-        &mut self.blossoms[b - n]
+    /// Every blossom id handed out this call, in id order; freed ids
+    /// stay in the range (see [`Matcher::is_active`]).
+    fn blossom_ids(&self) -> std::ops::Range<usize> {
+        self.n..self.n + self.nblossoms
     }
 
-    fn new_blossom(&mut self) -> Node {
-        if let Some(b) = self.free_blossoms.pop() {
-            self.blossoms[b - self.n] = BlossomData {
-                active: true,
-                ..Default::default()
-            };
-            b
-        } else {
-            self.blossoms.push(BlossomData {
-                active: true,
-                ..Default::default()
-            });
-            self.n + self.blossoms.len() - 1
-        }
+    fn is_active(&self, b: usize) -> bool {
+        self.blossoms[b - self.n].active
     }
 
-    fn leaves(&self, b: Node, out: &mut Vec<usize>) {
-        if self.is_blossom(b) {
-            for &c in &self.bdata(b).childs {
-                self.leaves(c, out);
+    fn new_blossom(&mut self) -> usize {
+        let b = match self.free_blossoms.pop() {
+            Some(b) => b,
+            None => {
+                self.nblossoms += 1;
+                if self.blossoms.len() < self.nblossoms {
+                    self.blossoms.push(BlossomData::default());
+                }
+                self.n + self.nblossoms - 1
             }
-        } else {
-            out.push(b);
-        }
-    }
-
-    fn label_of(&self, x: Node) -> u8 {
-        self.label.get(&x).copied().unwrap_or(0)
+        };
+        let bd = &mut self.blossoms[b - self.n];
+        bd.childs.clear();
+        bd.edges.clear();
+        bd.best.clear();
+        bd.has_best = false;
+        bd.active = true;
+        b
     }
 
     fn assign_label(&mut self, w: usize, t: u8, v: Option<usize>) {
         let b = self.inblossom[w];
-        debug_assert!(self.label_of(w) == 0 && self.label_of(b) == 0);
-        self.label.insert(w, t);
-        self.label.insert(b, t);
+        debug_assert!(self.label[w] == 0 && self.label[b] == 0);
+        self.label[w] = t;
+        self.label[b] = t;
         let le = v.map(|v| (v, w));
-        self.labeledge.insert(w, le);
-        self.labeledge.insert(b, le);
-        self.bestedge.insert(w, None);
-        self.bestedge.insert(b, None);
+        self.labeledge[w] = le;
+        self.labeledge[b] = le;
+        self.bestedge[w] = None;
+        self.bestedge[b] = None;
         if t == S {
-            let mut lv = Vec::new();
-            self.leaves(b, &mut lv);
-            self.queue.extend(lv);
+            push_leaves(&self.blossoms, self.n, b, &mut self.queue);
         } else if t == T {
-            let base = self.blossombase[&b];
-            let mate_base = self.mate[base].expect("T-blossom base is matched");
+            let base = self.blossombase[b];
+            let mate_base = self.mate[base];
+            debug_assert_ne!(mate_base, NONE, "T-blossom base is matched");
             self.assign_label(mate_base, S, Some(base));
         }
     }
@@ -212,32 +307,33 @@ impl Matcher {
     /// Traces back from v and w; returns the base vertex of a new blossom
     /// or None if an augmenting path was found.
     fn scan_blossom(&mut self, v: usize, w: usize) -> Option<usize> {
-        let mut path: Vec<Node> = Vec::new();
+        let mut path = std::mem::take(&mut self.path);
+        path.clear();
         let mut base: Option<usize> = None;
         let mut v: Option<usize> = Some(v);
         let mut w: Option<usize> = Some(w);
         while let Some(vv) = v {
             let b = self.inblossom[vv];
-            if self.label_of(b) & 4 != 0 {
-                base = Some(self.blossombase[&b]);
+            if self.label[b] & 4 != 0 {
+                base = Some(self.blossombase[b]);
                 break;
             }
-            debug_assert_eq!(self.label_of(b), S);
+            debug_assert_eq!(self.label[b], S);
             path.push(b);
-            self.label.insert(b, BREADCRUMB);
+            self.label[b] = BREADCRUMB;
             // Trace one step back.
-            match self.labeledge[&b] {
+            match self.labeledge[b] {
                 None => {
-                    debug_assert!(self.mate[self.blossombase[&b]].is_none());
+                    debug_assert_eq!(self.mate[self.blossombase[b]], NONE);
                     v = None;
                 }
                 Some(le) => {
-                    debug_assert_eq!(Some(le.0), self.mate[self.blossombase[&b]]);
+                    debug_assert_eq!(le.0, self.mate[self.blossombase[b]]);
                     let t = le.0;
                     let bt = self.inblossom[t];
-                    debug_assert_eq!(self.label_of(bt), T);
+                    debug_assert_eq!(self.label[bt], T);
                     // bt is a T-blossom; trace one more step back.
-                    v = Some(self.labeledge[&bt].expect("T-blossom has label edge").0);
+                    v = Some(self.labeledge[bt].expect("T-blossom has label edge").0);
                 }
             }
             // Swap v and w to alternate between both paths.
@@ -245,142 +341,165 @@ impl Matcher {
                 std::mem::swap(&mut v, &mut w);
             }
         }
-        for b in path {
-            self.label.insert(b, S);
+        for &b in &path {
+            self.label[b] = S;
         }
+        self.path = path;
         base
     }
 
     /// Constructs a new blossom with the given base, through S-vertices
     /// v and w with an edge between them.
     fn add_blossom(&mut self, base: usize, v: usize, w: usize) {
+        let n = self.n;
         let bb = self.inblossom[base];
         let mut bv = self.inblossom[v];
         let mut bw = self.inblossom[w];
         let b = self.new_blossom();
-        self.blossombase.insert(b, base);
-        self.blossomparent.insert(b, None);
-        self.blossomparent.insert(bb, Some(b));
-        let mut path: Vec<Node> = Vec::new();
-        let mut edgs: Vec<(usize, usize)> = vec![(v, w)];
-        // Trace back from v to base (shadow loop cursors).
-        let mut v = v;
-        let mut w = w;
-        let _ = (&v, &w);
+        self.blossombase[b] = base;
+        self.blossomparent[b] = NONE;
+        self.blossomparent[bb] = b;
+        let mut path = std::mem::take(&mut self.blossoms[b - n].childs);
+        let mut edgs = std::mem::take(&mut self.blossoms[b - n].edges);
+        edgs.push((v, w));
+        // Trace back from v to base.
         while bv != bb {
-            self.blossomparent.insert(bv, Some(b));
+            self.blossomparent[bv] = b;
             path.push(bv);
-            let le = self.labeledge[&bv].expect("labeled sub-blossom");
+            let le = self.labeledge[bv].expect("labeled sub-blossom");
             edgs.push(le);
             debug_assert!(
-                self.label_of(bv) == T
-                    || (self.label_of(bv) == S && Some(le.0) == self.mate[self.blossombase[&bv]])
+                self.label[bv] == T
+                    || (self.label[bv] == S && le.0 == self.mate[self.blossombase[bv]])
             );
-            v = le.0;
-            bv = self.inblossom[v];
+            bv = self.inblossom[le.0];
         }
         path.push(bb);
         path.reverse();
         edgs.reverse();
         // Trace back from w to base.
         while bw != bb {
-            self.blossomparent.insert(bw, Some(b));
+            self.blossomparent[bw] = b;
             path.push(bw);
-            let le = self.labeledge[&bw].expect("labeled sub-blossom");
+            let le = self.labeledge[bw].expect("labeled sub-blossom");
             edgs.push((le.1, le.0));
             debug_assert!(
-                self.label_of(bw) == T
-                    || (self.label_of(bw) == S && Some(le.0) == self.mate[self.blossombase[&bw]])
+                self.label[bw] == T
+                    || (self.label[bw] == S && le.0 == self.mate[self.blossombase[bw]])
             );
-            w = le.0;
-            bw = self.inblossom[w];
+            bw = self.inblossom[le.0];
         }
-        debug_assert_eq!(self.label_of(bb), S);
-        self.label.insert(b, S);
-        self.labeledge.insert(b, self.labeledge[&bb]);
-        self.blossomdual.insert(b, 0);
-        self.bdata_mut(b).childs = path.clone();
-        self.bdata_mut(b).edges = edgs;
+        debug_assert_eq!(self.label[bb], S);
+        self.label[b] = S;
+        self.labeledge[b] = self.labeledge[bb];
+        self.blossomdual[b] = 0;
+        self.blossoms[b - n].childs = path;
+        self.blossoms[b - n].edges = edgs;
         // Relabel vertices.
-        let mut lv = Vec::new();
-        self.leaves(b, &mut lv);
+        let mut lv = std::mem::take(&mut self.leaves);
+        lv.clear();
+        push_leaves(&self.blossoms, n, b, &mut lv);
         for &x in &lv {
-            if self.label_of(self.inblossom[x]) == T {
+            if self.label[self.inblossom[x]] == T {
                 self.queue.push(x);
             }
             self.inblossom[x] = b;
         }
-        // Compute b.mybestedges.
-        let mut bestedgeto: BTreeMap<Node, (usize, usize)> = BTreeMap::new();
-        for &bv in &path {
-            let nblist: Vec<(usize, usize)> = if self.is_blossom(bv) {
-                if let Some(best) = self.bdata(bv).mybestedges.clone() {
-                    self.bdata_mut(bv).mybestedges = None;
-                    best
-                } else {
-                    let mut lv = Vec::new();
-                    self.leaves(bv, &mut lv);
-                    lv.iter()
-                        .flat_map(|&x| self.neighbors[x].iter().map(move |&y| (x, y)))
-                        .collect()
+        // Compute b's least-slack edges, one per neighbouring S-blossom.
+        self.bestedgeto_keys.clear();
+        for ci in 0..self.blossoms[b - n].childs.len() {
+            let bv = self.blossoms[b - n].childs[ci];
+            if !self.is_blossom(bv) {
+                for k in self.neighbors(bv) {
+                    self.consider_bestedge(b, bv, self.adj[k]);
                 }
+            } else if self.blossoms[bv - n].has_best {
+                let best = std::mem::take(&mut self.blossoms[bv - n].best);
+                for &(i, j) in &best {
+                    self.consider_bestedge(b, i, j);
+                }
+                self.blossoms[bv - n].best = best;
+                self.blossoms[bv - n].has_best = false;
             } else {
-                self.neighbors[bv].iter().map(|&y| (bv, y)).collect()
-            };
-            for (i0, j0) in nblist {
-                let (i, j) = if self.inblossom[j0] == b {
-                    (j0, i0)
-                } else {
-                    (i0, j0)
-                };
-                let bj = self.inblossom[j];
-                if bj != b && self.label_of(bj) == S {
-                    let better = match bestedgeto.get(&bj) {
-                        None => true,
-                        Some(&(x, y)) => self.slack(i, j) < self.slack(x, y),
-                    };
-                    if better {
-                        bestedgeto.insert(bj, (i, j));
+                lv.clear();
+                push_leaves(&self.blossoms, n, bv, &mut lv);
+                for &x in &lv {
+                    for k in self.neighbors(x) {
+                        self.consider_bestedge(b, x, self.adj[k]);
                     }
                 }
             }
-            self.bestedge.insert(bv, None);
+            self.bestedge[bv] = None;
         }
-        let mybest: Vec<(usize, usize)> = bestedgeto.into_values().collect();
+        self.leaves = lv;
+        self.bestedgeto_keys.sort_unstable();
+        let mut mybest = std::mem::take(&mut self.blossoms[b - n].best);
         let mut best: Option<(usize, usize)> = None;
-        for &(x, y) in &mybest {
-            if best.is_none() || self.slack(x, y) < self.slack(best.unwrap().0, best.unwrap().1) {
+        for &bj in &self.bestedgeto_keys {
+            let (x, y) = self.bestedgeto[bj].take().expect("keyed entry");
+            mybest.push((x, y));
+            if best.is_none_or(|(bx, by)| self.slack(x, y) < self.slack(bx, by)) {
                 best = Some((x, y));
             }
         }
-        self.bdata_mut(b).mybestedges = Some(mybest);
-        self.bestedge.insert(b, best);
+        self.blossoms[b - n].best = mybest;
+        self.blossoms[b - n].has_best = true;
+        self.bestedge[b] = best;
+    }
+
+    /// `add_blossom`'s per-edge step: keeps edge (i0, j0) as new blossom
+    /// b's least-slack edge to the S-blossom at its far end.
+    fn consider_bestedge(&mut self, b: usize, i0: usize, j0: usize) {
+        let (i, j) = if self.inblossom[j0] == b {
+            (j0, i0)
+        } else {
+            (i0, j0)
+        };
+        let bj = self.inblossom[j];
+        if bj != b && self.label[bj] == S {
+            let better = match self.bestedgeto[bj] {
+                None => {
+                    self.bestedgeto_keys.push(bj);
+                    true
+                }
+                Some((x, y)) => self.slack(i, j) < self.slack(x, y),
+            };
+            if better {
+                self.bestedgeto[bj] = Some((i, j));
+            }
+        }
     }
 
     /// Expands the given top-level blossom.
-    fn expand_blossom(&mut self, b: Node, endstage: bool) {
-        let childs = self.bdata(b).childs.clone();
+    fn expand_blossom(&mut self, b: usize, endstage: bool) {
+        let n = self.n;
+        let childs = std::mem::take(&mut self.blossoms[b - n].childs);
+        let mut edges = std::mem::take(&mut self.blossoms[b - n].edges);
         for &s in &childs {
-            self.blossomparent.insert(s, None);
+            self.blossomparent[s] = NONE;
             if !self.is_blossom(s) {
                 self.inblossom[s] = s;
-            } else if endstage && self.blossomdual[&s] == 0 {
+            } else if endstage && self.blossomdual[s] == 0 {
                 self.expand_blossom(s, endstage);
             } else {
-                let mut lv = Vec::new();
-                self.leaves(s, &mut lv);
-                for &x in &lv {
-                    self.inblossom[x] = s;
-                }
+                set_inblossom(&self.blossoms, n, s, s, &mut self.inblossom);
             }
         }
         // If we expand a T-blossom during a stage, relabel sub-blossoms.
-        if !endstage && self.label_of(b) == T {
-            let entrychild = self.inblossom[self.labeledge[&b].expect("T-blossom labeled").1];
-            let childs = self.bdata(b).childs.clone();
-            let edges = self.bdata(b).edges.clone();
+        if !endstage && self.label[b] == T {
+            let (mut v, mut w) = self.labeledge[b].expect("T-blossom labeled");
+            let entrychild = self.inblossom[w];
             let len = childs.len() as i64;
             let at = |j: i64| -> usize { j.rem_euclid(len) as usize };
+            // Edge j of the cycle walked in direction `jstep`.
+            let step_edge = |j: i64, jstep: i64| -> (usize, usize) {
+                if jstep == 1 {
+                    edges[at(j)]
+                } else {
+                    let (x, y) = edges[at(j - 1)];
+                    (y, x)
+                }
+            };
             let mut j = childs
                 .iter()
                 .position(|&c| c == entrychild)
@@ -391,94 +510,98 @@ impl Matcher {
             } else {
                 -1
             };
-            let (mut v, mut w) = self.labeledge[&b].expect("T-blossom labeled");
             while j != 0 {
                 // Relabel the T-sub-blossom.
-                let (p, q) = if jstep == 1 {
-                    edges[at(j)]
-                } else {
-                    let (x, y) = edges[at(j - 1)];
-                    (y, x)
-                };
-                self.label.remove(&w);
-                self.label.remove(&q);
+                let (p, q) = step_edge(j, jstep);
+                self.label[w] = 0;
+                self.label[q] = 0;
                 self.assign_label(w, T, Some(v));
                 // Step to the next S-sub-blossom; note its forward edge.
-                self.allowedge.insert(key(p, q));
+                self.allow(p, q);
                 j += jstep;
-                let (x, y) = if jstep == 1 {
-                    edges[at(j)]
-                } else {
-                    let (a2, b2) = edges[at(j - 1)];
-                    (b2, a2)
-                };
-                v = x;
-                w = y;
+                (v, w) = step_edge(j, jstep);
                 // Step to the next T-sub-blossom.
-                self.allowedge.insert(key(v, w));
+                self.allow(v, w);
                 j += jstep;
             }
             // Relabel the base T-sub-blossom (no assign_label: don't step
             // through to its mate).
             let bw = childs[at(j)];
-            self.label.insert(w, T);
-            self.label.insert(bw, T);
-            self.labeledge.insert(w, Some((v, w)));
-            self.labeledge.insert(bw, Some((v, w)));
-            self.bestedge.insert(bw, None);
+            self.label[w] = T;
+            self.label[bw] = T;
+            self.labeledge[w] = Some((v, w));
+            self.labeledge[bw] = Some((v, w));
+            self.bestedge[bw] = None;
             // Continue along the blossom until back at entrychild.
             j += jstep;
             while childs[at(j)] != entrychild {
                 let bv = childs[at(j)];
-                if self.label_of(bv) == S {
+                if self.label[bv] == S {
                     j += jstep;
                     continue;
                 }
-                let mut lv = Vec::new();
-                self.leaves(bv, &mut lv);
-                let reached = lv.iter().copied().find(|&x| self.label_of(x) != 0);
-                if let Some(x) = reached {
-                    debug_assert_eq!(self.label_of(x), T);
+                if let Some(x) = self.first_labeled_leaf(bv) {
+                    debug_assert_eq!(self.label[x], T);
                     debug_assert_eq!(self.inblossom[x], bv);
-                    self.label.remove(&x);
-                    let base_mate = self.mate[self.blossombase[&bv]].expect("matched base");
-                    self.label.remove(&base_mate);
-                    let le = self.labeledge[&x].expect("reached vertex has edge");
+                    self.label[x] = 0;
+                    let base_mate = self.mate[self.blossombase[bv]];
+                    debug_assert_ne!(base_mate, NONE, "matched base");
+                    self.label[base_mate] = 0;
+                    let le = self.labeledge[x].expect("reached vertex has edge");
                     self.assign_label(x, T, Some(le.0));
                 }
                 j += jstep;
             }
         }
         // Remove the expanded blossom.
-        self.label.remove(&b);
-        self.labeledge.remove(&b);
-        self.bestedge.remove(&b);
-        self.blossomparent.remove(&b);
-        self.blossombase.remove(&b);
-        self.blossomdual.remove(&b);
-        self.bdata_mut(b).active = false;
-        self.bdata_mut(b).childs.clear();
-        self.bdata_mut(b).edges.clear();
-        self.bdata_mut(b).mybestedges = None;
+        self.label[b] = 0;
+        self.labeledge[b] = None;
+        self.bestedge[b] = None;
+        self.blossomparent[b] = NONE;
+        self.blossombase[b] = NONE;
+        self.blossomdual[b] = 0;
+        let mut childs = childs;
+        childs.clear();
+        edges.clear();
+        let bd = &mut self.blossoms[b - n];
+        bd.childs = childs;
+        bd.edges = edges;
+        bd.has_best = false;
+        bd.active = false;
         self.free_blossoms.push(b);
+    }
+
+    /// The first leaf of `b`, in leaf order, that carries a label.
+    fn first_labeled_leaf(&self, b: usize) -> Option<usize> {
+        if !self.is_blossom(b) {
+            return (self.label[b] != 0).then_some(b);
+        }
+        self.blossoms[b - self.n]
+            .childs
+            .iter()
+            .find_map(|&c| self.first_labeled_leaf(c))
     }
 
     /// Swaps matched/unmatched edges over an alternating path through
     /// blossom b between vertex v and the base vertex.
-    fn augment_blossom(&mut self, b: Node, v: usize) {
+    fn augment_blossom(&mut self, b: usize, v: usize) {
+        let n = self.n;
         // Bubble up from v to an immediate sub-blossom of b.
         let mut t = v;
-        while self.blossomparent[&t] != Some(b) {
-            t = self.blossomparent[&t].expect("v inside b");
+        while self.blossomparent[t] != b {
+            t = self.blossomparent[t];
+            debug_assert_ne!(t, NONE, "v inside b");
         }
         if self.is_blossom(t) {
             self.augment_blossom(t, v);
         }
-        let childs = self.bdata(b).childs.clone();
-        let edges = self.bdata(b).edges.clone();
-        let len = childs.len() as i64;
+        let len = self.blossoms[b - n].childs.len() as i64;
         let at = |j: i64| -> usize { j.rem_euclid(len) as usize };
-        let i = childs.iter().position(|&c| c == t).expect("child") as i64;
+        let i = self.blossoms[b - n]
+            .childs
+            .iter()
+            .position(|&c| c == t)
+            .expect("child") as i64;
         let mut j = i;
         let jstep: i64 = if i & 1 == 1 {
             j -= len;
@@ -489,11 +612,11 @@ impl Matcher {
         while j != 0 {
             // Step to the next sub-blossom and augment it recursively.
             j += jstep;
-            let t1 = childs[at(j)];
+            let t1 = self.blossoms[b - n].childs[at(j)];
             let (w, x) = if jstep == 1 {
-                edges[at(j)]
+                self.blossoms[b - n].edges[at(j)]
             } else {
-                let (a2, b2) = edges[at(j - 1)];
+                let (a2, b2) = self.blossoms[b - n].edges[at(j - 1)];
                 (b2, a2)
             };
             if self.is_blossom(t1) {
@@ -501,21 +624,22 @@ impl Matcher {
             }
             // Step to the next sub-blossom and augment it recursively.
             j += jstep;
-            let t2 = childs[at(j)];
+            let t2 = self.blossoms[b - n].childs[at(j)];
             if self.is_blossom(t2) {
                 self.augment_blossom(t2, x);
             }
             // Match the edge connecting those sub-blossoms.
-            self.mate[w] = Some(x);
-            self.mate[x] = Some(w);
+            self.mate[w] = x;
+            self.mate[x] = w;
         }
         // Rotate the sub-blossom list to put the new base at the front.
         let iu = i as usize;
-        self.bdata_mut(b).childs.rotate_left(iu);
-        self.bdata_mut(b).edges.rotate_left(iu);
-        let new_base = self.blossombase[&self.bdata(b).childs[0]];
-        self.blossombase.insert(b, new_base);
-        debug_assert_eq!(self.blossombase[&b], v);
+        let bd = &mut self.blossoms[b - n];
+        bd.childs.rotate_left(iu);
+        bd.edges.rotate_left(iu);
+        let new_base = self.blossombase[self.blossoms[b - n].childs[0]];
+        self.blossombase[b] = new_base;
+        debug_assert_eq!(self.blossombase[b], v);
     }
 
     /// Swaps matched/unmatched edges over an alternating path between two
@@ -526,79 +650,79 @@ impl Matcher {
             let mut j = j0;
             loop {
                 let bs = self.inblossom[s];
-                debug_assert_eq!(self.label_of(bs), S);
+                debug_assert_eq!(self.label[bs], S);
                 debug_assert!(
-                    (self.labeledge[&bs].is_none() && self.mate[self.blossombase[&bs]].is_none())
-                        || self.labeledge[&bs].map(|le| le.0) == self.mate[self.blossombase[&bs]]
+                    (self.labeledge[bs].is_none() && self.mate[self.blossombase[bs]] == NONE)
+                        || self.labeledge[bs].map(|le| le.0)
+                            == Some(self.mate[self.blossombase[bs]])
                 );
                 if self.is_blossom(bs) {
                     self.augment_blossom(bs, s);
                 }
-                self.mate[s] = Some(j);
+                self.mate[s] = j;
                 // Trace one step back.
-                let Some(le) = self.labeledge[&bs] else {
+                let Some(le) = self.labeledge[bs] else {
                     break; // single vertex reached
                 };
                 let t = le.0;
                 let bt = self.inblossom[t];
-                debug_assert_eq!(self.label_of(bt), T);
-                let (next_s, next_j) = self.labeledge[&bt].expect("T labeled");
-                debug_assert_eq!(self.blossombase[&bt], t);
+                debug_assert_eq!(self.label[bt], T);
+                let (next_s, next_j) = self.labeledge[bt].expect("T labeled");
+                debug_assert_eq!(self.blossombase[bt], t);
                 if self.is_blossom(bt) {
                     self.augment_blossom(bt, next_j);
                 }
-                self.mate[next_j] = Some(next_s);
+                self.mate[next_j] = next_s;
                 s = next_s;
                 j = next_j;
             }
         }
     }
 
-    fn active_blossoms(&self) -> Vec<Node> {
-        (0..self.blossoms.len())
-            .filter(|&i| self.blossoms[i].active)
-            .map(|i| self.n + i)
-            .collect()
-    }
-
-    fn run(mut self) -> Vec<Option<usize>> {
+    /// The primal-dual stages: augment until no augmenting path is left.
+    fn run(&mut self) {
+        let n = self.n;
         loop {
             // New stage.
-            self.label.clear();
-            self.labeledge.clear();
-            self.bestedge.clear();
-            for bd in &mut self.blossoms {
-                bd.mybestedges = None;
+            let nodes = n + self.nblossoms;
+            self.label[..nodes].fill(0);
+            self.labeledge[..nodes].fill(None);
+            self.bestedge[..nodes].fill(None);
+            for bd in &mut self.blossoms[..self.nblossoms] {
+                bd.has_best = false;
             }
-            self.allowedge.clear();
+            for &k in &self.allowed {
+                self.allowedge[k] = false;
+            }
+            self.allowed.clear();
             self.queue.clear();
-            for v in 0..self.n {
-                if self.mate[v].is_none() && self.label_of(self.inblossom[v]) == 0 {
+            for v in 0..n {
+                if self.mate[v] == NONE && self.label[self.inblossom[v]] == 0 {
                     self.assign_label(v, S, None);
                 }
             }
             let mut augmented = false;
             loop {
                 'queue_loop: while let Some(v) = self.queue.pop() {
-                    debug_assert_eq!(self.label_of(self.inblossom[v]), S);
-                    let nbs = self.neighbors[v].clone();
-                    for w in nbs {
+                    debug_assert_eq!(self.label[self.inblossom[v]], S);
+                    for k in self.neighbors(v) {
+                        let w = self.adj[k];
                         let bv = self.inblossom[v];
                         let bw = self.inblossom[w];
                         if bv == bw {
                             continue;
                         }
                         let mut kslack = 0;
-                        if !self.allowedge.contains(&key(v, w)) {
+                        if !self.is_allowed(v, w) {
                             kslack = self.slack(v, w);
                             if kslack <= 0 {
-                                self.allowedge.insert(key(v, w));
+                                self.allow(v, w);
                             }
                         }
-                        if self.allowedge.contains(&key(v, w)) {
-                            if self.label_of(bw) == 0 {
+                        if self.is_allowed(v, w) {
+                            if self.label[bw] == 0 {
                                 self.assign_label(w, T, Some(v));
-                            } else if self.label_of(bw) == S {
+                            } else if self.label[bw] == S {
                                 match self.scan_blossom(v, w) {
                                     Some(base) => self.add_blossom(base, v, w),
                                     None => {
@@ -607,27 +731,19 @@ impl Matcher {
                                         break 'queue_loop;
                                     }
                                 }
-                            } else if self.label_of(w) == 0 {
-                                debug_assert_eq!(self.label_of(bw), T);
-                                self.label.insert(w, T);
-                                self.labeledge.insert(w, Some((v, w)));
+                            } else if self.label[w] == 0 {
+                                debug_assert_eq!(self.label[bw], T);
+                                self.label[w] = T;
+                                self.labeledge[w] = Some((v, w));
                             }
-                        } else if self.label_of(bw) == S {
-                            let better = match self.bestedge.get(&bv).copied().flatten() {
-                                None => true,
-                                Some((x, y)) => kslack < self.slack(x, y),
-                            };
-                            if better {
-                                self.bestedge.insert(bv, Some((v, w)));
+                        } else if self.label[bw] == S {
+                            if self.bestedge[bv].is_none_or(|(x, y)| kslack < self.slack(x, y)) {
+                                self.bestedge[bv] = Some((v, w));
                             }
-                        } else if self.label_of(w) == 0 {
-                            let better = match self.bestedge.get(&w).copied().flatten() {
-                                None => true,
-                                Some((x, y)) => kslack < self.slack(x, y),
-                            };
-                            if better {
-                                self.bestedge.insert(w, Some((v, w)));
-                            }
+                        } else if self.label[w] == 0
+                            && self.bestedge[w].is_none_or(|(x, y)| kslack < self.slack(x, y))
+                        {
+                            self.bestedge[w] = Some((v, w));
                         }
                     }
                 }
@@ -638,14 +754,14 @@ impl Matcher {
                 let mut deltatype: i32 = -1;
                 let mut delta: i64 = 0;
                 let mut deltaedge: Option<(usize, usize)> = None;
-                let mut deltablossom: Option<Node> = None;
+                let mut deltablossom = NONE;
                 if !self.max_cardinality {
                     deltatype = 1;
                     delta = self.dualvar.iter().copied().min().unwrap_or(0);
                 }
-                for v in 0..self.n {
-                    if self.label_of(self.inblossom[v]) == 0 {
-                        if let Some((x, y)) = self.bestedge.get(&v).copied().flatten() {
+                for v in 0..n {
+                    if self.label[self.inblossom[v]] == 0 {
+                        if let Some((x, y)) = self.bestedge[v] {
                             let d = self.slack(x, y);
                             if deltatype == -1 || d < delta {
                                 delta = d;
@@ -655,11 +771,10 @@ impl Matcher {
                         }
                     }
                 }
-                let mut top_nodes: Vec<Node> = (0..self.n).collect();
-                top_nodes.extend(self.active_blossoms());
-                for &b in &top_nodes {
-                    if self.blossomparent.get(&b) == Some(&None) && self.label_of(b) == S {
-                        if let Some((x, y)) = self.bestedge.get(&b).copied().flatten() {
+                let active_blossoms = self.blossom_ids().filter(|&b| self.is_active(b));
+                for b in (0..n).chain(active_blossoms) {
+                    if self.blossomparent[b] == NONE && self.label[b] == S {
+                        if let Some((x, y)) = self.bestedge[b] {
                             let kslack = self.slack(x, y);
                             debug_assert_eq!(kslack % 2, 0);
                             let d = kslack / 2;
@@ -671,14 +786,15 @@ impl Matcher {
                         }
                     }
                 }
-                for b in self.active_blossoms() {
-                    if self.blossomparent.get(&b) == Some(&None)
-                        && self.label_of(b) == T
-                        && (deltatype == -1 || self.blossomdual[&b] < delta)
+                for b in self.blossom_ids() {
+                    if self.is_active(b)
+                        && self.blossomparent[b] == NONE
+                        && self.label[b] == T
+                        && (deltatype == -1 || self.blossomdual[b] < delta)
                     {
-                        delta = self.blossomdual[&b];
+                        delta = self.blossomdual[b];
                         deltatype = 4;
-                        deltablossom = Some(b);
+                        deltablossom = b;
                     }
                 }
                 if deltatype == -1 {
@@ -688,70 +804,90 @@ impl Matcher {
                     delta = self.dualvar.iter().copied().min().unwrap_or(0).max(0);
                 }
                 // Update dual variables.
-                for v in 0..self.n {
-                    match self.label_of(self.inblossom[v]) {
-                        x if x == S => self.dualvar[v] -= delta,
-                        x if x == T => self.dualvar[v] += delta,
+                for v in 0..n {
+                    match self.label[self.inblossom[v]] {
+                        S => self.dualvar[v] -= delta,
+                        T => self.dualvar[v] += delta,
                         _ => {}
                     }
                 }
-                for b in self.active_blossoms() {
-                    if self.blossomparent.get(&b) == Some(&None) {
-                        match self.label_of(b) {
-                            x if x == S => *self.blossomdual.get_mut(&b).unwrap() += delta,
-                            x if x == T => *self.blossomdual.get_mut(&b).unwrap() -= delta,
+                for b in self.blossom_ids() {
+                    if self.is_active(b) && self.blossomparent[b] == NONE {
+                        match self.label[b] {
+                            S => self.blossomdual[b] += delta,
+                            T => self.blossomdual[b] -= delta,
                             _ => {}
                         }
                     }
                 }
                 match deltatype {
                     1 => break,
-                    2 => {
-                        let (v, w) = deltaedge.unwrap();
-                        debug_assert_eq!(self.label_of(self.inblossom[v]), S);
-                        self.allowedge.insert(key(v, w));
+                    2 | 3 => {
+                        let (v, w) = deltaedge.expect("delta edge");
+                        debug_assert_eq!(self.label[self.inblossom[v]], S);
+                        self.allow(v, w);
                         self.queue.push(v);
                     }
-                    3 => {
-                        let (v, w) = deltaedge.unwrap();
-                        self.allowedge.insert(key(v, w));
-                        debug_assert_eq!(self.label_of(self.inblossom[v]), S);
-                        self.queue.push(v);
-                    }
-                    4 => self.expand_blossom(deltablossom.unwrap(), false),
+                    4 => self.expand_blossom(deltablossom, false),
                     _ => unreachable!(),
                 }
             }
             // Paranoia check.
             #[cfg(debug_assertions)]
-            for v in 0..self.n {
-                if let Some(u) = self.mate[v] {
-                    debug_assert_eq!(self.mate[u], Some(v));
+            for v in 0..n {
+                if self.mate[v] != NONE {
+                    debug_assert_eq!(self.mate[self.mate[v]], v);
                 }
             }
             if !augmented {
                 break;
             }
             // End of stage: expand all S-blossoms with zero dual.
-            for b in self.active_blossoms() {
-                if self.blossoms[b - self.n].active
-                    && self.blossomparent.get(&b) == Some(&None)
-                    && self.label_of(b) == S
-                    && self.blossomdual.get(&b) == Some(&0)
+            for b in self.blossom_ids() {
+                if self.is_active(b)
+                    && self.blossomparent[b] == NONE
+                    && self.label[b] == S
+                    && self.blossomdual[b] == 0
                 {
                     self.expand_blossom(b, true);
                 }
             }
         }
-        self.mate
     }
 }
 
-fn key(a: usize, b: usize) -> (usize, usize) {
-    if a <= b {
-        (a, b)
+/// Clears `v` and refills its first `len` entries with `value`.
+fn reset<X: Clone>(v: &mut Vec<X>, len: usize, value: X) {
+    v.clear();
+    v.resize(len, value);
+}
+
+/// Appends the vertices of node `b` to `out`, in leaf order (depth
+/// first through the sub-blossom lists).
+fn push_leaves(blossoms: &[BlossomData], n: usize, b: usize, out: &mut Vec<usize>) {
+    if b < n {
+        out.push(b);
     } else {
-        (b, a)
+        for &c in &blossoms[b - n].childs {
+            push_leaves(blossoms, n, c, out);
+        }
+    }
+}
+
+/// Sets `inblossom[x] = top` for every vertex `x` of node `b`.
+fn set_inblossom(
+    blossoms: &[BlossomData],
+    n: usize,
+    b: usize,
+    top: usize,
+    inblossom: &mut [usize],
+) {
+    if b < n {
+        inblossom[b] = top;
+    } else {
+        for &c in &blossoms[b - n].childs {
+            set_inblossom(blossoms, n, c, top, inblossom);
+        }
     }
 }
 
@@ -1080,6 +1216,31 @@ mod tests {
             let mut best = None;
             recur(&edges, 0, &mut used, 0, 0, n, &mut best);
             assert_eq!(total, best.unwrap());
+        }
+    }
+
+    /// One workspace reused across instances that grow, shrink, and
+    /// sometimes have no perfect matching must answer exactly as a
+    /// fresh workspace does each time: no state leaks between calls.
+    #[test]
+    fn reused_workspace_matches_fresh() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(2303);
+        let mut matcher = Matcher::new();
+        for trial in 0..300 {
+            let n = 2 * rng.random_range(1..13usize);
+            let mut edges = Vec::new();
+            for u in 0..n {
+                for v in (u + 1)..n {
+                    if rng.random::<f64>() < 0.4 {
+                        edges.push((u, v, rng.random_range(0..20i64)));
+                    }
+                }
+            }
+            let fresh = min_weight_perfect_matching(&edges);
+            let reused = matcher.min_weight_perfect_matching(&edges);
+            assert_eq!(reused, fresh.as_deref(), "trial {trial}, edges {edges:?}");
         }
     }
 

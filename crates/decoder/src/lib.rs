@@ -19,7 +19,7 @@ pub mod mwpm;
 pub mod unionfind;
 
 pub use graph::{DecodingGraph, GraphEdge};
-pub use mwpm::{MwpmDecoder, MwpmScratch};
+pub use mwpm::{MwpmDecoder, MwpmOutcome, MwpmScratch};
 pub use unionfind::{UfScratch, UnionFindDecoder};
 
 /// Reusable decoder working memory, owned by the caller and threaded
@@ -36,12 +36,12 @@ pub enum DecoderScratch {
     /// For decoders without a native batch path.
     #[default]
     None,
-    /// [`unionfind::UnionFindDecoder`] working set (boxed: it is by far
-    /// the largest variant, and scratch lives behind one allocation per
-    /// decoder for a whole run).
+    /// [`unionfind::UnionFindDecoder`] working set (boxed, like the
+    /// MWPM one: both are large, and scratch lives behind one allocation
+    /// per decoder for a whole run).
     UnionFind(Box<unionfind::UfScratch>),
     /// [`mwpm::MwpmDecoder`] working set.
-    Mwpm(mwpm::MwpmScratch),
+    Mwpm(Box<mwpm::MwpmScratch>),
 }
 
 impl DecoderScratch {

@@ -13,7 +13,7 @@ use std::collections::BinaryHeap;
 
 use vlq_telemetry::{Metric, Recorder};
 
-use crate::blossom::min_weight_perfect_matching;
+use crate::blossom::Matcher;
 use crate::graph::{DecodingGraph, BOUNDARY};
 use crate::{Decoder, DecoderScratch};
 
@@ -37,14 +37,15 @@ pub struct MwpmDecoder {
 }
 
 /// Reusable working set for [`MwpmDecoder::decode_detailed_with`]: the
-/// matching-instance edge buffer, refilled per decode instead of
-/// reallocated. The blossom matcher itself still allocates internally
-/// (its `BTreeMap`-based state is kept as-is for determinism), so the
-/// MWPM batch path reduces — but does not eliminate — per-shot
-/// allocation; see `docs/perf.md`.
+/// defects' scaled boundary weights, the matching-instance edge buffer
+/// and the blossom matcher's workspace, all refilled per decode. Once
+/// they have grown to the largest defect count seen, decoding allocates
+/// nothing.
 #[derive(Debug, Default)]
 pub struct MwpmScratch {
+    boundary: Vec<i64>,
     edges: Vec<(usize, usize, i64)>,
+    matcher: Matcher,
     /// Telemetry sink (disabled by default: one branch per record).
     recorder: Recorder,
 }
@@ -59,6 +60,19 @@ impl MwpmScratch {
     pub fn set_recorder(&mut self, recorder: &Recorder) {
         self.recorder = recorder.clone();
     }
+}
+
+/// What one MWPM decode found.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct MwpmOutcome {
+    /// Predicted logical-observable flip.
+    pub flip: bool,
+    /// Total weight of the chosen matching (sum of shortest-path
+    /// log-odds weights).
+    pub weight: f64,
+    /// The same total in the fixed-point units the matcher minimises:
+    /// every matched edge's weight times 2^20, rounded.
+    pub scaled_weight: i64,
 }
 
 /// Result of a Dijkstra run from one source.
@@ -139,82 +153,128 @@ impl MwpmDecoder {
 
     /// Decodes with full output: predicted observable flip and the total
     /// matching weight (useful for diagnostics and tests).
-    pub fn decode_detailed(&self, defects: &[usize]) -> (bool, f64) {
+    pub fn decode_detailed(&self, defects: &[usize]) -> MwpmOutcome {
         self.decode_detailed_with(defects, &mut MwpmScratch::new())
     }
 
     /// [`MwpmDecoder::decode_detailed`] against caller-owned scratch:
-    /// bit-identical output, with the matching-instance edge buffer
-    /// reused across calls.
+    /// bit-identical output, with every buffer reused across calls.
     pub fn decode_detailed_with(
         &self,
         defects: &[usize],
         scratch: &mut MwpmScratch,
-    ) -> (bool, f64) {
+    ) -> MwpmOutcome {
         let m = defects.len();
         if m == 0 {
-            return (false, 0.0);
+            return MwpmOutcome {
+                flip: false,
+                weight: 0.0,
+                scaled_weight: 0,
+            };
         }
         let boundary = self.num_nodes;
-        // Matching instance: nodes 0..m are defects, m..2m boundary
-        // copies. Defect-defect edges use pairwise distances; defect i
-        // connects to its boundary copy at its boundary distance;
-        // boundary copies pair up freely at zero weight.
+        let bnd = &mut scratch.boundary;
+        bnd.clear();
+        bnd.extend(
+            defects
+                .iter()
+                .map(|&d| scale(self.dist_between(d, boundary))),
+        );
         let edges = &mut scratch.edges;
-        edges.clear();
-        let scale = |w: f64| -> i64 {
-            if w.is_finite() {
-                (w * WEIGHT_SCALE).round() as i64
-            } else {
-                i64::MAX / 4
-            }
-        };
-        for i in 0..m {
-            for j in (i + 1)..m {
-                let w = self.dist_between(defects[i], defects[j]);
-                if w.is_finite() {
-                    edges.push((i, j, scale(w)));
-                }
-                edges.push((m + i, m + j, 0));
-            }
-            let wb = self.dist_between(defects[i], boundary);
-            if wb.is_finite() {
-                edges.push((i, m + i, scale(wb)));
-            }
-        }
+        matching_instance(
+            bnd,
+            |i, j| scale(self.dist_between(defects[i], defects[j])),
+            edges,
+        );
         scratch.recorder.incr(Metric::MwpmBlossomCalls);
-        let mate = min_weight_perfect_matching(edges)
+        scratch
+            .recorder
+            .add(Metric::MwpmMatchingEdges, edges.len() as u64);
+        let mate = scratch
+            .matcher
+            .min_weight_perfect_matching(edges)
             .expect("decoding graph must admit a perfect matching");
         let mut flip = false;
         let mut total = 0.0;
+        let mut scaled_total = 0;
         for i in 0..m {
             let partner = mate[i];
-            match partner.cmp(&m) {
-                Ordering::Less => {
-                    if partner > i {
-                        flip ^= self.parity_between(defects[i], defects[partner]);
-                        total += self.dist_between(defects[i], defects[partner]);
-                    }
-                }
+            let other = match partner.cmp(&m) {
+                Ordering::Less if partner > i => defects[partner],
+                Ordering::Less => continue,
                 _ => {
                     // Matched to its boundary copy.
                     debug_assert_eq!(partner, m + i);
-                    flip ^= self.parity_between(defects[i], boundary);
-                    total += self.dist_between(defects[i], boundary);
+                    boundary
                 }
+            };
+            flip ^= self.parity_between(defects[i], other);
+            let w = self.dist_between(defects[i], other);
+            total += w;
+            scaled_total += scale(w);
+        }
+        MwpmOutcome {
+            flip,
+            weight: total,
+            scaled_weight: scaled_total,
+        }
+    }
+}
+
+/// Fills `edges` with the matching instance of `bnd.len() = m` defects,
+/// given each defect's scaled boundary weight `bnd[i]` and the scaled
+/// weight `pair(i, j)` of each defect pair (`i < j`), either of them
+/// [`UNREACHABLE`] when there is no path.
+///
+/// Nodes 0..m are defects, m..2m their boundary copies. Defect i joins
+/// its own copy at weight b_i. Defects i and j join at weight w_ij,
+/// mirrored by a zero-weight edge between their copies (the only way
+/// copies pair up). A pair with w_ij > b_i + b_j is left out: sending
+/// both defects to the boundary is strictly cheaper, so no minimum
+/// matching of the complete instance (every copy pair joined) uses it,
+/// and every one that uses only the kept pairs survives here. See
+/// docs/perf.md, "MWPM matcher".
+fn matching_instance(
+    bnd: &[i64],
+    pair: impl Fn(usize, usize) -> i64,
+    edges: &mut Vec<(usize, usize, i64)>,
+) {
+    let m = bnd.len();
+    edges.clear();
+    for i in 0..m {
+        for j in (i + 1)..m {
+            let w = pair(i, j);
+            if w != UNREACHABLE && w <= bnd[i] + bnd[j] {
+                edges.push((i, j, w));
+                edges.push((m + i, m + j, 0));
             }
         }
-        (flip, total)
+        if bnd[i] != UNREACHABLE {
+            edges.push((i, m + i, bnd[i]));
+        }
+    }
+}
+
+/// Scaled weight of an infinite distance (no path). Two of them still
+/// sum without overflow.
+const UNREACHABLE: i64 = i64::MAX / 4;
+
+/// A float weight in the matcher's fixed-point units.
+fn scale(w: f64) -> i64 {
+    if w.is_finite() {
+        (w * WEIGHT_SCALE).round() as i64
+    } else {
+        UNREACHABLE
     }
 }
 
 impl Decoder for MwpmDecoder {
     fn decode(&self, defects: &[usize]) -> bool {
-        self.decode_detailed(defects).0
+        self.decode_detailed(defects).flip
     }
 
     fn make_scratch(&self) -> DecoderScratch {
-        DecoderScratch::Mwpm(MwpmScratch::new())
+        DecoderScratch::Mwpm(Box::new(MwpmScratch::new()))
     }
 
     fn decode_batch(
@@ -231,7 +291,7 @@ impl Decoder for MwpmDecoder {
                 let words = defects_per_lane.len().div_ceil(64);
                 out[..words].fill(0);
                 for (lane, defects) in defects_per_lane.iter().enumerate() {
-                    if self.decode_detailed_with(defects, s).0 {
+                    if self.decode_detailed_with(defects, s).flip {
                         out[lane / 64] |= 1u64 << (lane % 64);
                     }
                 }
@@ -302,12 +362,12 @@ mod tests {
             } else {
                 vec![a, b]
             };
-            let (flip, weight) = dec.decode_detailed(&defects);
+            let out = dec.decode_detailed(&defects);
             assert_eq!(
-                flip, e.flips_observable,
+                out.flip, e.flips_observable,
                 "edge ({a},{b}) decoded wrong parity"
             );
-            assert!(weight <= e.weight + 1e-9, "matching found heavier path");
+            assert!(out.weight <= e.weight + 1e-9, "matching found heavier path");
         }
     }
 
@@ -348,5 +408,125 @@ mod tests {
         for _ in 0..5 {
             assert_eq!(dec.decode(&defects), a);
         }
+    }
+
+    /// Minimum weight of a perfect matching of the complete instance
+    /// (every pair of boundary copies joined at zero weight), by
+    /// exhaustive search; `None` when it has no perfect matching.
+    fn brute_force_complete(bnd: &[i64], pair: &[Vec<i64>]) -> Option<i64> {
+        let m = bnd.len();
+        let edge = |a: usize, b: usize| -> Option<i64> {
+            match (a < m, b < m) {
+                (true, true) => (pair[a][b] != UNREACHABLE).then_some(pair[a][b]),
+                (true, false) => (b == a + m && bnd[a] != UNREACHABLE).then_some(bnd[a]),
+                _ => Some(0),
+            }
+        };
+        fn recur(used: &mut [bool], edge: &dyn Fn(usize, usize) -> Option<i64>) -> Option<i64> {
+            let Some(a) = used.iter().position(|&u| !u) else {
+                return Some(0);
+            };
+            used[a] = true;
+            let mut best: Option<i64> = None;
+            for b in a + 1..used.len() {
+                if used[b] {
+                    continue;
+                }
+                if let Some(w) = edge(a, b) {
+                    used[b] = true;
+                    if let Some(rest) = recur(used, edge) {
+                        best = Some(best.map_or(w + rest, |x| x.min(w + rest)));
+                    }
+                    used[b] = false;
+                }
+            }
+            used[a] = false;
+            best
+        }
+        recur(&mut vec![false; 2 * m], &edge)
+    }
+
+    #[test]
+    fn pruned_instance_keeps_the_complete_instance_optimum() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(14);
+        let mut matcher = Matcher::new();
+        let mut edges = Vec::new();
+        let (mut pruned, mut unmatchable, mut cut_off) = (0, 0, 0);
+        for trial in 0..1000 {
+            // A small decoding-graph stand-in: nodes 0..nodes plus the
+            // boundary node `nodes`, sparse edges of weight 1..=3 (so
+            // equal-weight matchings are common), and shortest paths
+            // that, as in the decoder, never pass through the boundary.
+            // Nodes outside the boundary's component have no path to it.
+            let nodes = rng.random_range(2..10usize);
+            let mut dist = vec![vec![UNREACHABLE; nodes + 1]; nodes + 1];
+            for a in 0..=nodes {
+                dist[a][a] = 0;
+                for b in a + 1..=nodes {
+                    let p = if b == nodes { 0.5 } else { 0.35 };
+                    if rng.random::<f64>() < p {
+                        let w = rng.random_range(1..4i64);
+                        dist[a][b] = w;
+                        dist[b][a] = w;
+                    }
+                }
+            }
+            for k in 0..nodes {
+                for a in 0..=nodes {
+                    for b in 0..=nodes {
+                        if dist[a][k] != UNREACHABLE && dist[k][b] != UNREACHABLE {
+                            dist[a][b] = dist[a][b].min(dist[a][k] + dist[k][b]);
+                        }
+                    }
+                }
+            }
+            let m = rng.random_range(1..=nodes.min(7));
+            let mut defects: Vec<usize> = Vec::new();
+            while defects.len() < m {
+                let x = rng.random_range(0..nodes);
+                if !defects.contains(&x) {
+                    defects.push(x);
+                }
+            }
+            let bnd: Vec<i64> = defects.iter().map(|&x| dist[x][nodes]).collect();
+            let pair: Vec<Vec<i64>> = defects
+                .iter()
+                .map(|&x| defects.iter().map(|&y| dist[x][y]).collect())
+                .collect();
+            cut_off += bnd.iter().filter(|&&b| b == UNREACHABLE).count();
+            matching_instance(&bnd, |i, j| pair[i][j], &mut edges);
+            let kept = edges.iter().filter(|e| e.0 < m && e.1 < m).count();
+            let reachable = (0..m)
+                .flat_map(|i| (i + 1..m).map(move |j| (i, j)))
+                .filter(|&(i, j)| pair[i][j] != UNREACHABLE)
+                .count();
+            pruned += reachable - kept;
+            let got = match matcher.min_weight_perfect_matching(&edges) {
+                Some(mate) if mate.len() == 2 * m => Some(
+                    edges
+                        .iter()
+                        .filter(|&&(a, b, _)| mate[a] == b)
+                        .map(|e| e.2)
+                        .sum::<i64>(),
+                ),
+                _ => None,
+            };
+            let want = brute_force_complete(&bnd, &pair);
+            unmatchable += usize::from(want.is_none());
+            assert_eq!(
+                got, want,
+                "trial {trial}: boundary {bnd:?}, pairs {pair:?}, instance {edges:?}"
+            );
+        }
+        // The instances exercised what they are for: pruned pairs,
+        // defects cut off from the boundary, and unmatchable sets.
+        assert!(pruned > 200, "only {pruned} pairs pruned");
+        assert!(
+            cut_off > 200,
+            "only {cut_off} defects without a boundary path"
+        );
+        assert!(unmatchable > 0, "every instance had a perfect matching");
     }
 }

@@ -1,0 +1,123 @@
+//! Golden digests of MWPM decoding on the fig11 benchmark grid.
+//!
+//! The nine graphs are fig11's defaults (baseline setup, basis Z,
+//! k = 10, `Boundary::Full`) at d ∈ {3, 5, 7} × p ∈ {2e-3, 5e-3, 8e-3}.
+//! Each graph decodes one 1024-lane batch sampled at a fixed seed. Two
+//! digests are pinned over all nine batches: one of the predicted flips
+//! (the packed `decode_batch` words), and one of each shot's matching
+//! weight in the integer units the matcher minimises.
+//!
+//! The matcher may break ties between equal-weight matchings however it
+//! likes, so a change of matcher may move the flip digest, but never the
+//! weight digest: a different weight means a matching that is not
+//! minimum. Any re-pin of the flip digest states the number of shots it
+//! changed and that their weights were equal.
+
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
+use vlq_circuit::exec::{sample_batch_into, SampleScratch};
+use vlq_circuit::noise::NoiseModel;
+use vlq_decoder::{Decoder, DecodingGraph, MwpmDecoder, MwpmScratch};
+use vlq_surface::schedule::{memory_circuit, Basis, Boundary, MemorySpec, Setup};
+
+const LANES: usize = 1024;
+
+/// Weight digest, captured from the earlier `BTreeMap` blossom matcher
+/// on the complete instance (every pair of boundary copies joined). The
+/// index-addressed matcher reproduced it, and so did pruning dominated
+/// pairs.
+const WEIGHT_DIGEST: u64 = 0x2eef_509d_22dc_c04c;
+/// Flip digest. The index-addressed matcher reproduced the old one
+/// (`0xe0b9_7a7b_f5f0_48d2`) bit for bit. Pruning dominated pairs
+/// changed the prediction of 1 of the 9,216 shots (d=7, p=8e-3), a tie
+/// between matchings of equal integer weight, and this is the re-pin.
+const FLIP_DIGEST: u64 = 0xc5a2_f05d_291d_f7eb;
+/// Shots pinned per digest, and the total defect count they decode.
+const SHOTS: usize = 9 * LANES;
+const DEFECTS: usize = 62_559;
+
+/// FNV-1a over little-endian `u64` words.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, w: u64) {
+        for byte in w.to_le_bytes() {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+/// One fig11 grid point: its guard-sector graph and one sampled batch's
+/// per-lane defect lists.
+fn sampled_point(d: usize, p: f64, seed: u64) -> (DecodingGraph, Vec<Vec<usize>>) {
+    let noise = NoiseModel::baseline_at_scale(p);
+    let mc = memory_circuit(
+        MemorySpec::standard(Setup::Baseline, d, 10, Basis::Z),
+        &noise.hw,
+    );
+    let (start, end) = mc.noise_window(Boundary::Full);
+    let noisy = noise.apply_window(&mc.circuit, start, end);
+    let graph = DecodingGraph::build(&noisy, mc.guard_detectors());
+    let mut scratch = SampleScratch::new();
+    sample_batch_into(
+        &noisy,
+        LANES,
+        &mut SmallRng::seed_from_u64(seed),
+        &mut scratch,
+    );
+    let mut lists = Vec::new();
+    scratch
+        .result
+        .defect_lists_into(mc.guard_detectors(), LANES, &mut lists);
+    (graph, lists)
+}
+
+#[test]
+fn fig11_grid_decodes_match_golden() {
+    let mut flips = Fnv::new();
+    let mut weights = Fnv::new();
+    let mut shots = 0;
+    let mut defects = 0;
+    let mut seed = 2020;
+    for d in [3usize, 5, 7] {
+        for p in [2e-3, 5e-3, 8e-3] {
+            let (graph, lists) = sampled_point(d, p, seed);
+            seed += 1;
+            let decoder = MwpmDecoder::new(&graph);
+            let mut batch_scratch = decoder.make_scratch();
+            let mut words = vec![0u64; LANES / 64];
+            decoder.decode_batch(&lists, &mut batch_scratch, &mut words);
+            for &w in &words {
+                flips.word(w);
+            }
+            let mut scratch = MwpmScratch::new();
+            for (lane, lane_defects) in lists.iter().enumerate() {
+                let out = decoder.decode_detailed_with(lane_defects, &mut scratch);
+                assert_eq!(
+                    out.flip,
+                    words[lane / 64] >> (lane % 64) & 1 == 1,
+                    "d{d} p{p:e} lane {lane}: decode_batch disagrees with decode_detailed_with"
+                );
+                weights.word(out.scaled_weight as u64);
+                shots += 1;
+                defects += lane_defects.len();
+            }
+        }
+    }
+    assert_eq!((shots, defects), (SHOTS, DEFECTS), "sampled workload moved");
+    assert_eq!(
+        weights.0, WEIGHT_DIGEST,
+        "matching weights moved: got {:#018x}",
+        weights.0
+    );
+    assert_eq!(
+        flips.0, FLIP_DIGEST,
+        "predicted flips moved: got {:#018x}",
+        flips.0
+    );
+}

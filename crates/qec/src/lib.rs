@@ -299,8 +299,7 @@ pub trait BlockSampler {
 /// the simulator's frame/record buffers, the per-lane defect lists, the
 /// per-decoder scratch, and the packed prediction words. One scratch
 /// held across the batches of a [`BlockSampler::run_shots`] run makes
-/// the steady state allocation-free (with the Union-Find decoder; MWPM's
-/// blossom matcher still allocates internally).
+/// the steady state allocation-free under either decoder.
 #[derive(Debug, Default)]
 pub struct BlockScratch {
     sample: SampleScratch,

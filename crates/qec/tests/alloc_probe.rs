@@ -2,8 +2,7 @@
 //!
 //! `BlockSampler::run_shots` holds one `BlockScratch` across batches;
 //! after the first few batches have grown every buffer to its working
-//! size, further batches must allocate *nothing* (with the Union-Find
-//! decoder — MWPM's blossom matcher allocates internally by design).
+//! size, further batches must allocate *nothing*, under either decoder.
 //! A counting global allocator makes that a hard test, which is why the
 //! probe lives in its own integration-test binary with a single test.
 
@@ -43,13 +42,19 @@ static COUNTING: CountingAlloc = CountingAlloc;
 
 #[test]
 fn steady_state_batches_do_not_allocate() {
+    for kind in DecoderKind::ALL {
+        probe(kind);
+    }
+}
+
+/// The serial and pooled steady-state checks for one decoder kind.
+fn probe(kind: DecoderKind) {
     let memory = MemorySpec::standard(Setup::Baseline, 5, 1, Basis::Z);
-    let block = PreparedBlock::prepare(
-        &BlockConfig::new(BlockSpec::full(memory), 3e-3).with_decoder(DecoderKind::UnionFind),
-    );
+    let block =
+        PreparedBlock::prepare(&BlockConfig::new(BlockSpec::full(memory), 3e-3).with_decoder(kind));
     // `PreparedBlock`'s own decoder is private; build the same kind for
     // the multi-decoder entry point (the one `run_shots` batches over).
-    let decoder = DecoderKind::UnionFind.build(&block.graph);
+    let decoder = kind.build(&block.graph);
     let decoders: [&(dyn vlq_decoder::Decoder + Send + Sync); 1] = [decoder.as_ref()];
     let mut scratch = BlockScratch::new();
     // The telemetry contract: an *attached* recorder must not break the
@@ -82,20 +87,27 @@ fn steady_state_batches_do_not_allocate() {
     assert_eq!(
         after - before,
         0,
-        "steady-state batches allocated ({warm_failures} warm-up / {failures} steady failures)"
+        "{kind}: steady-state batches allocated ({warm_failures} warm-up / {failures} steady failures)"
     );
     // The batches did real work (a zero-allocation no-op would also pass
     // the count check).
-    assert!(failures > 0, "probe batches produced no failures at all");
+    assert!(
+        failures > 0,
+        "{kind}: probe batches produced no failures at all"
+    );
     // And the recorder really was live the whole time.
     assert_eq!(
         recorder.value(vlq_telemetry::Metric::SampleBatches),
         24,
-        "recorder missed batches"
+        "{kind}: recorder missed batches"
     );
+    let work = match kind {
+        DecoderKind::UnionFind => vlq_telemetry::Metric::UfGrowthSteps,
+        DecoderKind::Mwpm => vlq_telemetry::Metric::MwpmMatchingEdges,
+    };
     assert!(
-        recorder.value(vlq_telemetry::Metric::UfGrowthSteps) > 0,
-        "recorder saw no decoder work"
+        recorder.value(work) > 0,
+        "{kind}: recorder saw no decoder work"
     );
 
     // The same contract with the sample pool attached: pool creation and
@@ -123,7 +135,10 @@ fn steady_state_batches_do_not_allocate() {
             pooled += block.run_shots_par(POOL_SHOTS, seed, &par);
         }
         let after = ALLOC_CALLS.load(Ordering::Relaxed);
-        assert_eq!(pooled, pooled_warm, "pooled runs were not deterministic");
+        assert_eq!(
+            pooled, pooled_warm,
+            "{kind}: pooled runs were not deterministic"
+        );
         if after == before {
             settled = true;
             break;
@@ -131,7 +146,7 @@ fn steady_state_batches_do_not_allocate() {
     }
     assert!(
         settled,
-        "pooled batches kept allocating after 32 warm passes ({pooled_warm} failures/pass)"
+        "{kind}: pooled batches kept allocating after 32 warm passes ({pooled_warm} failures/pass)"
     );
     let pooled = pooled_warm;
     assert_eq!(
@@ -139,6 +154,6 @@ fn steady_state_batches_do_not_allocate() {
         (200..204u64)
             .map(|s| block.run_shots(POOL_SHOTS, s))
             .sum::<u64>(),
-        "pooled failure counts diverged from serial"
+        "{kind}: pooled failure counts diverged from serial"
     );
 }

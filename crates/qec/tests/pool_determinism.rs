@@ -12,7 +12,7 @@
 use vlq_decoder::DecoderKind;
 use vlq_qec::{BlockConfig, BlockSampler, BlockSpec, Parallelism, PreparedBlock};
 use vlq_surface::schedule::{Basis, Boundary, MemorySpec, Setup};
-use vlq_telemetry::Recorder;
+use vlq_telemetry::{Metric, Recorder};
 
 /// Crosses two full 1024-lane batches into a ragged third, so batch
 /// claiming, stealing, and the tail batch are all exercised.
@@ -77,6 +77,33 @@ fn pooled_multi_decoder_counts_match_serial() {
             "threads={threads}: multi-decoder counts diverged"
         );
     }
+}
+
+/// MWPM's deterministic counters (one matcher call per non-empty
+/// defect list, and the edges handed to the matcher) must come out the
+/// same whether the shots run serially (`--threads 1`) or on the pool.
+#[test]
+fn mwpm_counters_match_across_thread_counts() {
+    let memory = MemorySpec::standard(Setup::Baseline, 5, 1, Basis::Z);
+    let block = PreparedBlock::prepare(
+        &BlockConfig::new(BlockSpec::full(memory), 5e-3).with_decoder(DecoderKind::Mwpm),
+    );
+    let run = |threads: usize| {
+        let rec = Recorder::attached();
+        let failures =
+            block.run_shots_recorded_par(SHOTS, SEED, &rec, &Parallelism::threads(threads));
+        (
+            failures,
+            rec.value(Metric::MwpmBlossomCalls),
+            rec.value(Metric::MwpmMatchingEdges),
+            rec.deterministic_jsonl("pool-determinism", SEED),
+        )
+    };
+    let serial = run(1);
+    let (_, calls, edges, _) = &serial;
+    assert!(*calls > 0, "no matcher calls recorded");
+    assert!(edges > calls, "matching-edge counter not recorded");
+    assert_eq!(run(3), serial, "threads=3 changed MWPM counters or sidecar");
 }
 
 #[test]

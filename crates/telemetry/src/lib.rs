@@ -155,6 +155,7 @@ metrics! {
     UfTouchedNodes => ("decoder.uf_touched_nodes", Counter, Deterministic),
     UfOddClusterPeak => ("decoder.uf_odd_cluster_peak", GaugeMax, Deterministic),
     MwpmBlossomCalls => ("decoder.mwpm_blossom_calls", Counter, Deterministic),
+    MwpmMatchingEdges => ("decoder.mwpm_matching_edges", Counter, Deterministic),
     // -- qec block sampling -------------------------------------------
     SampleBatches => ("qec.sample_batches", Counter, Deterministic),
     SampleLanes => ("qec.sample_lanes", Counter, Deterministic),

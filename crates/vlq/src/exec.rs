@@ -574,9 +574,9 @@ type BlockScratchMap = BTreeMap<(usize, Boundary, u8), BlockScratch>;
 /// measured-slot flags, the measurement read-out buffer, and one
 /// [`BlockScratch`] per sampled block. Holding one scratch across
 /// batches — per worker, on the pooled path — makes the steady state
-/// allocation-free (with the Union-Find decoder; MWPM's blossom matcher
-/// allocates internally by design), where the frame replay previously
-/// rebuilt its whole working set on every exposure of every batch.
+/// allocation-free under either decoder, where the frame replay
+/// previously rebuilt its whole working set on every exposure of every
+/// batch.
 ///
 /// A scratch automatically re-keys itself when it is handed to a
 /// different [`FramePrepared`] (block scratch is dropped, frame buffers

@@ -5,8 +5,7 @@
 //! after the first few batches have grown every buffer — the logical
 //! Pauli frames, the failure accumulator, and one `BlockScratch` per
 //! sampled syndrome block — to its working size, further batches must
-//! allocate *nothing* (with the Union-Find decoder — MWPM's blossom
-//! matcher allocates internally by design). A counting global allocator
+//! allocate *nothing*, under either decoder. A counting global allocator
 //! makes that a hard test, which is why the probe lives in its own
 //! integration-test binary, mirroring `crates/qec/tests/alloc_probe.rs`
 //! for the memory-block path.
@@ -48,14 +47,21 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static COUNTING: CountingAlloc = CountingAlloc;
 
-fn prepared(boundary: Boundary) -> FramePrepared {
+fn prepared(boundary: Boundary, kind: DecoderKind) -> FramePrepared {
     let compiled = compile(&LogicalCircuit::ghz(2), MachineConfig::compact_demo()).unwrap();
-    FramePrepared::new(compiled.schedule, 3e-3, DecoderKind::UnionFind, boundary)
+    FramePrepared::new(compiled.schedule, 3e-3, kind, boundary)
 }
 
 #[test]
 fn steady_state_frame_batches_do_not_allocate() {
-    let prep = prepared(Boundary::MidCircuit);
+    for kind in DecoderKind::ALL {
+        probe(kind);
+    }
+}
+
+/// The serial, legacy and pooled steady-state checks for one decoder.
+fn probe(kind: DecoderKind) {
+    let prep = prepared(Boundary::MidCircuit, kind);
     const SHOTS: u64 = 256;
     let mut scratch = FrameScratch::new();
 
@@ -79,12 +85,15 @@ fn steady_state_frame_batches_do_not_allocate() {
     assert_eq!(
         after - before,
         0,
-        "steady-state frame batches allocated ({warm} warm-up / {steady} steady failures)"
+        "{kind}: steady-state frame batches allocated ({warm} warm-up / {steady} steady failures)"
     );
     assert_eq!(steady, warm, "scratch reuse changed the sampled bits");
     // The batches did real work, and scratch reuse is bit-identical to
     // the fresh-scratch entry point.
-    assert!(warm > 0, "probe batches produced no failures at all");
+    assert!(
+        warm > 0,
+        "{kind}: probe batches produced no failures at all"
+    );
     assert_eq!(
         warm,
         (100..112u64)
@@ -95,7 +104,7 @@ fn steady_state_frame_batches_do_not_allocate() {
 
     // The legacy Boundary::Full replay shares the scratch machinery
     // (whole-memory-experiment blocks, same per-block keying).
-    let legacy = prepared(Boundary::Full);
+    let legacy = prepared(Boundary::Full, kind);
     let mut legacy_scratch = FrameScratch::new();
     let mut legacy_warm = 0u64;
     for seed in 100..106u64 {
@@ -110,7 +119,7 @@ fn steady_state_frame_batches_do_not_allocate() {
     assert_eq!(
         after - before,
         0,
-        "steady-state legacy batches allocated ({legacy_warm} warm-up / {legacy_steady} steady)"
+        "{kind}: steady-state legacy batches allocated ({legacy_warm} warm-up / {legacy_steady} steady)"
     );
     assert_eq!(legacy_steady, legacy_warm);
 
@@ -141,7 +150,10 @@ fn steady_state_frame_batches_do_not_allocate() {
             pooled += prep.run_failures_par(POOL_SHOTS, seed, &par);
         }
         let after = ALLOC_CALLS.load(Ordering::Relaxed);
-        assert_eq!(pooled, pooled_warm, "pooled runs were not deterministic");
+        assert_eq!(
+            pooled, pooled_warm,
+            "{kind}: pooled runs were not deterministic"
+        );
         if after == before {
             settled = true;
             break;
@@ -149,7 +161,7 @@ fn steady_state_frame_batches_do_not_allocate() {
     }
     assert!(
         settled,
-        "pooled frame batches kept allocating after 32 warm passes ({pooled_warm} failures/pass)"
+        "{kind}: pooled frame batches kept allocating after 32 warm passes ({pooled_warm} failures/pass)"
     );
     let pooled = pooled_warm;
     assert_eq!(
