@@ -38,7 +38,7 @@ fn bench_sampling(c: &mut Criterion) {
     group.finish();
 }
 
-/// Scratch-reusing sampling (`sample_batch_into`, the `run_shots`
+/// Scratch-reusing sampling (`sample_batch_into`, the batch driver's
 /// steady state) against the allocating `sample_batch` wrapper.
 fn bench_sampling_scratch(c: &mut Criterion) {
     let mut group = c.benchmark_group("frame-sample-scratch");

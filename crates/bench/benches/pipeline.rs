@@ -4,10 +4,11 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use vlq_qec::{
-    run_memory_experiment, BlockConfig, BlockSampler, BlockSpec, DecoderKind, ExperimentConfig,
+    run_memory_experiment, BlockConfig, BlockSpec, DecoderKind, ExperimentConfig, Parallelism,
     PreparedBlock,
 };
 use vlq_surface::schedule::{Basis, MemorySpec, Setup};
+use vlq_telemetry::Recorder;
 
 fn bench_full_point(c: &mut Criterion) {
     let mut group = c.benchmark_group("threshold-point");
@@ -49,7 +50,7 @@ fn bench_decoder_ablation(c: &mut Criterion) {
 }
 
 /// The (d, p) grid of the ratcheted BENCH_*.json perf trajectory: the
-/// batched sample→decode hot path (`PreparedBlock::run_shots` with one
+/// batched sample→decode hot path (serial `PreparedBlock::run`, one
 /// scratch across batches) at every grid point, Union-Find decoded.
 fn bench_sample_decode_grid(c: &mut Criterion) {
     let mut group = c.benchmark_group("sample-decode-grid");
@@ -63,7 +64,9 @@ fn bench_sample_decode_grid(c: &mut Criterion) {
             group.bench_with_input(
                 BenchmarkId::new(format!("uf-d{d}"), format!("p{p:.0e}")),
                 &block,
-                |b, block| b.iter(|| block.run_shots(1024, 7)),
+                |b, block| {
+                    b.iter(|| block.run(1024, 7, &Parallelism::serial(), &Recorder::disabled()))
+                },
             );
         }
     }

@@ -1,6 +1,6 @@
 //! Ratcheted perf trajectory for the batched sample→decode hot path.
 //!
-//! Measures the end-to-end `run_shots` cost over the (d, p) grid
+//! Measures the end-to-end serial `PreparedBlock::run` cost over the (d, p) grid
 //! {3,5,7,9} × {1e-3, 5e-3} with the Union-Find decoder, comparing the
 //! scratch-reusing batch pipeline against a faithful reconstruction of
 //! the pre-refactor path (allocating `sample_batch`, per-lane
@@ -31,7 +31,7 @@ use rand::SeedableRng;
 use vlq_bench::{count_from_args, finish_telemetry, telemetry_from_args, usage_exit, Args};
 use vlq_circuit::exec::sample_batch;
 use vlq_decoder::{Decoder, DecoderKind};
-use vlq_qec::{BlockConfig, BlockSampler, BlockSpec, Parallelism, PreparedBlock};
+use vlq_qec::{BlockConfig, BlockSpec, Parallelism, PreparedBlock};
 use vlq_surface::schedule::{Basis, MemorySpec, Setup};
 use vlq_telemetry::{Metric, Recorder};
 
@@ -85,6 +85,8 @@ fn main() {
     }
     let threads = threads.unwrap_or(1);
     let par = Parallelism::threads(threads);
+    let serial = Parallelism::serial();
+    let untraced = Recorder::disabled();
     let (def_shots, def_reps) = if quick { (256u64, 3usize) } else { (2048, 5) };
     let shots: u64 = args.get_or_usage(USAGE, "shots", def_shots);
     let reps: usize = args.get_or_usage(USAGE, "reps", def_reps);
@@ -123,14 +125,14 @@ fn main() {
             let decoder = DecoderKind::UnionFind.build(&block.graph);
 
             // The refactor must be bit-identical before it is fast.
-            let f_after = block.run_shots(shots, seed);
+            let f_after = block.run(shots, seed, &serial, &untraced);
             let f_before = run_shots_pre_refactor(&block, decoder.as_ref(), shots, seed);
             assert_eq!(
                 f_before, f_after,
                 "d{d} p{p}: pre-refactor and batched paths disagree"
             );
             if threads > 1 {
-                let f_pooled = block.run_shots_par(shots, seed, &par);
+                let f_pooled = block.run(shots, seed, &par, &untraced);
                 assert_eq!(
                     f_pooled, f_after,
                     "d{d} p{p}: pooled path (threads={threads}) and serial path disagree"
@@ -140,7 +142,7 @@ fn main() {
             let before_ns = median_ns(reps, || {
                 run_shots_pre_refactor(&block, decoder.as_ref(), shots, seed)
             });
-            let after_ns = median_ns(reps, || block.run_shots(shots, seed));
+            let after_ns = median_ns(reps, || block.run(shots, seed, &serial, &untraced));
             let speedup = before_ns as f64 / after_ns.max(1) as f64;
 
             // One instrumented pass per point: the recorder accumulates
@@ -151,7 +153,7 @@ fn main() {
                 at(Metric::ExtractNanos),
                 at(Metric::DecodeNanos),
             );
-            let f_recorded = block.run_shots_recorded(shots, seed, &recorder);
+            let f_recorded = block.run(shots, seed, &serial, &recorder);
             assert_eq!(
                 f_recorded, f_after,
                 "d{d} p{p}: recorded and plain paths disagree"
@@ -187,14 +189,14 @@ fn main() {
             // thread-independent shot count, counts proven equal before
             // any timing.
             if d == 9 && threads > 1 {
-                let mc_serial = block.run_shots(mc_shots, seed);
-                let mc_pooled = block.run_shots_par(mc_shots, seed, &par);
+                let mc_serial = block.run(mc_shots, seed, &serial, &untraced);
+                let mc_pooled = block.run(mc_shots, seed, &par, &untraced);
                 assert_eq!(
                     mc_serial, mc_pooled,
                     "d{d} p{p}: multicore failure counts diverge at threads={threads}"
                 );
-                let serial_ns = median_ns(reps, || block.run_shots(mc_shots, seed));
-                let pooled_ns = median_ns(reps, || block.run_shots_par(mc_shots, seed, &par));
+                let serial_ns = median_ns(reps, || block.run(mc_shots, seed, &serial, &untraced));
+                let pooled_ns = median_ns(reps, || block.run(mc_shots, seed, &par, &untraced));
                 let mc_speedup = serial_ns as f64 / pooled_ns.max(1) as f64;
                 if !quiet {
                     eprintln!(
@@ -255,8 +257,8 @@ struct MulticorePoint {
 /// The hot path exactly as it was before this refactor: a freshly
 /// allocated `sample_batch` result per batch, per-lane × per-detector
 /// `detector_bit` probes, and per-lane `decode` with per-call working
-/// memory. Bit-identical to `run_shots` (same seeds, same RNG streams),
-/// which the caller asserts.
+/// memory. Bit-identical to the serial `PreparedBlock::run` (same seeds,
+/// same RNG streams), which the caller asserts.
 fn run_shots_pre_refactor(
     block: &PreparedBlock,
     decoder: &dyn Decoder,

@@ -16,7 +16,7 @@ use vlq_bench::{
     resumed_points, sci, shard_from_args, telemetry_from_args, threads_from_args, usage_exit, Args,
     MetaBuilder, OutSinks,
 };
-use vlq_qec::{estimate_threshold, run_sweep_opts_par, DecoderKind, ThresholdScan};
+use vlq_qec::{estimate_threshold, DecoderKind, MemoryExecutor, ThresholdScan};
 use vlq_surface::schedule::{Basis, Setup};
 use vlq_sweep::{RunOptions, SweepSpec};
 
@@ -139,7 +139,7 @@ fn main() {
 
     let (recorder, telemetry_path) = telemetry_from_args(&args);
     let engine = engine_from_args(&args, USAGE).with_recorder(recorder.clone());
-    let par = threads_from_args(&args, USAGE);
+    let executor = MemoryExecutor::with_parallelism(threads_from_args(&args, USAGE));
     let shard = shard_from_args(&args, USAGE);
     let plan = plan_from_args(&args, USAGE, shard);
     let opts = RunOptions {
@@ -159,7 +159,8 @@ fn main() {
     let mut meta = MetaBuilder::new(seed, shard).with_plan(opts.plan.as_ref());
     meta.absorb(&spec);
     out.write_meta(&meta.build());
-    let records = run_sweep_opts_par(&spec, &engine, &mut out.as_dyn(), &cache, &opts, &par)
+    let records = engine
+        .run_opts(&spec, &executor, &mut out.as_dyn(), &cache, &opts)
         .expect("sweep artifacts");
     finish_telemetry(&recorder, telemetry_path.as_deref(), "fig11", seed);
 

@@ -14,7 +14,7 @@ use vlq_bench::{
     sci, shard_from_args, telemetry_from_args, threads_from_args, usage_exit, Args, MetaBuilder,
     OutSinks,
 };
-use vlq_qec::{run_sweep_opts_par, sensitivity_spec, DecoderKind, Knob};
+use vlq_qec::{sensitivity_spec, DecoderKind, Knob, MemoryExecutor};
 use vlq_surface::schedule::Setup;
 use vlq_sweep::{RunOptions, SweepRecord};
 
@@ -111,7 +111,7 @@ fn main() {
 
     let (recorder, telemetry_path) = telemetry_from_args(&args);
     let engine = engine_from_args(&args, USAGE).with_recorder(recorder.clone());
-    let par = threads_from_args(&args, USAGE);
+    let executor = MemoryExecutor::with_parallelism(threads_from_args(&args, USAGE));
     let shard = shard_from_args(&args, USAGE);
     let plan = plan_from_args(&args, USAGE, shard);
     // Read the previous artifact (if resuming) before the sinks
@@ -156,7 +156,8 @@ fn main() {
         if skipped > 0 {
             eprintln!("note: resume: {skipped}/{owned} points already complete");
         }
-        let records = run_sweep_opts_par(&spec, &engine, &mut out.as_dyn(), &cache, &opts, &par)
+        let records = engine
+            .run_opts(&spec, &executor, &mut out.as_dyn(), &cache, &opts)
             .expect("sweep artifacts");
         if !shard.is_full() {
             println!(

@@ -5,10 +5,11 @@
 //! Each grid point compiles the named logical program onto a machine at
 //! the point's `(setup, d, k)`, then frame-replays the schedule through
 //! `vlq::exec::ProgramSweepExecutor`: every instruction samples a
-//! boundary-aware syndrome block sized to its actual round span
-//! (`--boundary mid-circuit`, the quantitative default) or a legacy
-//! whole-memory-experiment block (`--boundary full`, the pre-block
-//! approximation) — see `docs/executors.md`.
+//! boundary-aware syndrome block sized to its actual round span. Under
+//! `--boundary mid-circuit`, the quantitative default, only a program's
+//! genuine ends charge prep/readout noise; the uniform modes give every
+//! block their one boundary (`--boundary full`: a whole memory
+//! experiment per exposure) — see `docs/executors.md`.
 //!
 //! Flags mirror the other figure binaries: `--out` writes CSV/JSONL
 //! artifacts, `--resume` reuses completed points, `--shard I/N` splits
@@ -37,7 +38,8 @@ usage: prog1 [--trials N] [--dmax D] [--k K] [--seed S]
   --k         cavity depth (>= 2: one storage + one free mode per stack)
   --boundary  syndrome-block boundary model (default mid-circuit: interior
               blocks are boundary-light, program ends charge real
-              prep/readout noise; full = legacy per-timestep memory exps)
+              prep/readout noise; full/prep/readout give every exposure's
+              block that boundary, full = a memory experiment per exposure)
   --rates     comma-separated physical error rates (default: 8e-4,2e-3,5e-3)
   --out       write <stem>.csv and <stem>.jsonl sweep artifacts into DIR
               (stem: prog1 for the default boundary, prog1-<boundary>

@@ -11,17 +11,19 @@
 //! The sampling core of the crate is boundary-aware: a [`BlockSpec`]
 //! pairs a memory-circuit shape with a [`Boundary`] selecting which of
 //! the block's ends carry noise, and [`PreparedBlock`] samples any such
-//! block through one shared sample-and-decode pipeline (the
-//! [`BlockSampler`] trait). [`Boundary::Full`] *is* the memory
-//! experiment — [`run_memory_experiment`], [`compare_decoders`], and
-//! [`PreparedExperiment`] are thin wrappers over it, bit-for-bit
-//! identical to the pre-block API. [`Boundary::MidCircuit`] keeps the
-//! identical circuit and detector schedule but makes the prep/readout
-//! boundaries ideal, so the sampled failure rate measures exactly
-//! `rounds` rounds of steady-state exposure; schedule-replay backends
-//! (`vlq::exec::FrameExecutor`) request such blocks sized to each
-//! instruction's real round span, which is what makes *program-level*
-//! logical error rates quantitative rather than trend-only.
+//! block through one sample-and-decode kernel
+//! ([`PreparedBlock::sample_failure_words_into`]), batched by the one
+//! batch driver ([`Parallelism::run_batches`]). [`Boundary::Full`] *is*
+//! the memory experiment — [`run_memory_experiment`],
+//! [`compare_decoders`], and [`PreparedExperiment`] are thin wrappers
+//! over it, bit-for-bit identical to the pre-block API.
+//! [`Boundary::MidCircuit`] keeps the identical circuit and detector
+//! schedule but makes the prep/readout boundaries ideal, so the sampled
+//! failure rate measures exactly `rounds` rounds of steady-state
+//! exposure; schedule-replay backends (`vlq::exec::FrameExecutor`)
+//! request such blocks sized to each instruction's real round span,
+//! which is what makes *program-level* logical error rates quantitative
+//! rather than trend-only.
 //!
 //! # Examples
 //!
@@ -42,14 +44,15 @@
 //! Sampling a mid-circuit block directly:
 //!
 //! ```
-//! use vlq_qec::{BlockConfig, BlockSampler, BlockSpec, PreparedBlock};
+//! use vlq_qec::{BlockConfig, BlockSpec, Parallelism, PreparedBlock};
 //! use vlq_surface::schedule::{Basis, MemorySpec, Setup};
+//! use vlq_telemetry::Recorder;
 //!
 //! let spec = BlockSpec::mid_circuit(MemorySpec::standard(
 //!     Setup::Baseline, 3, 1, Basis::Z,
 //! ));
 //! let block = PreparedBlock::prepare(&BlockConfig::new(spec, 2e-3));
-//! let failures = block.run_shots(256, 7);
+//! let failures = block.run(256, 7, &Parallelism::serial(), &Recorder::disabled());
 //! assert!(failures <= 256);
 //! ```
 
@@ -71,11 +74,8 @@ use vlq_surface::schedule::{memory_circuit, MemoryCircuit, MemorySpec};
 use vlq_telemetry::{Metric, Recorder};
 
 pub use lambda::{lambda_scan, mean_lambda, LambdaPoint};
-pub use orchestrate::{
-    block_config_for_point, config_for_point, run_sweep, run_sweep_opts, run_sweep_opts_par,
-    run_sweep_resumable, run_sweep_with, BlockExecutor, MemoryExecutor,
-};
-pub use pool::{Parallelism, SamplePool};
+pub use orchestrate::{config_for_point, MemoryExecutor};
+pub use pool::{Parallelism, SamplePool, LANES_PER_BATCH};
 pub use sensitivity::{sensitivity_spec, sensitivity_sweep, Knob, SensitivityPoint};
 pub use threshold::{estimate_threshold, threshold_scan, threshold_spec, ScanPoint, ThresholdScan};
 
@@ -264,44 +264,23 @@ impl BlockConfig {
     }
 }
 
-/// Anything that samples seeded failure words from a prepared noisy
-/// block — the abstraction `orchestrate` executors and schedule-replay
-/// backends are generic over.
-///
-/// The two methods share one contract: bit `l` of the packed result is
-/// set when decoding shot lane `l` left a *residual logical error*
-/// (decoder prediction XOR actual flip). Implementations must be
-/// deterministic given the seed and independent of batching.
-pub trait BlockSampler {
-    /// Samples one seeded batch of `lanes` shots and returns the packed
-    /// per-lane failure words.
-    fn sample_failure_words(&self, lanes: usize, seed: u64) -> Vec<u64>;
-
-    /// Runs `shots` shots in fixed-size seeded batches and returns the
-    /// failure count (the popcount of every batch's failure words).
-    fn run_shots(&self, shots: u64, seed: u64) -> u64 {
-        const LANES_PER_BATCH: usize = 1024;
-        let mut failures = 0u64;
-        let mut remaining = shots;
-        let mut batch_idx = 0u64;
-        while remaining > 0 {
-            let lanes = (remaining as usize).min(LANES_PER_BATCH);
-            let words = self.sample_failure_words(lanes, seed.wrapping_add(batch_idx));
-            failures += words.iter().map(|w| w.count_ones() as u64).sum::<u64>();
-            remaining -= lanes as u64;
-            batch_idx += 1;
-        }
-        failures
-    }
-}
-
-/// Reusable working set for [`PreparedBlock`]'s sample→decode pipeline:
+/// Reusable working set for [`PreparedBlock`]'s sample→decode kernel:
 /// the simulator's frame/record buffers, the per-lane defect lists, the
 /// per-decoder scratch, and the packed prediction words. One scratch
-/// held across the batches of a [`BlockSampler::run_shots`] run makes
-/// the steady state allocation-free under either decoder.
+/// held across the batches of a run makes the steady state
+/// allocation-free under either decoder.
+///
+/// Decoder scratch can carry memoisation keyed to one decoding graph,
+/// so the scratch re-keys itself whenever it is handed a different
+/// (block, decoder list) than it was built for: the decoder scratch is
+/// then rebuilt. Same block, same decoders — the steady state — reuses
+/// everything, which is what lets pool workers keep one scratch across
+/// jobs.
 #[derive(Debug, Default)]
 pub struct BlockScratch {
+    /// Identity of the (block, decoder list) the decoder scratch was
+    /// built for (0 = none yet).
+    key: u64,
     sample: SampleScratch,
     defect_lists: Vec<Vec<usize>>,
     decoder_scratch: Vec<DecoderScratch>,
@@ -319,30 +298,13 @@ impl BlockScratch {
         Self::default()
     }
 
-    /// An empty scratch that reports through `recorder`.
-    pub fn with_recorder(recorder: Recorder) -> Self {
-        let mut s = Self::default();
-        s.set_recorder(recorder);
-        s
-    }
-
     /// Attaches a telemetry recorder, including to any decoder scratch
     /// already built.
-    pub fn set_recorder(&mut self, recorder: Recorder) {
+    pub fn set_recorder(&mut self, recorder: &Recorder) {
         for ds in &mut self.decoder_scratch {
-            ds.set_recorder(&recorder);
+            ds.set_recorder(recorder);
         }
-        self.recorder = recorder;
-    }
-
-    /// Drops any decoder scratch so the next batch rebuilds it. The
-    /// sample pool calls this when a persistent worker scratch is about
-    /// to serve a different (block, decoder list) than it was built
-    /// for: decoder scratch can carry graph-keyed memoisation, and the
-    /// length-only rebuild check in `sample_failure_words_into` cannot
-    /// see a graph change.
-    pub(crate) fn reset_decoder_scratch(&mut self) {
-        self.decoder_scratch.clear();
+        self.recorder = recorder.clone();
     }
 }
 
@@ -366,8 +328,8 @@ pub struct PreparedBlock {
     pub boundary: Boundary,
     decoder: Box<dyn Decoder + Send + Sync>,
     guard: Vec<usize>,
-    /// Process-unique id (never reused), the key the sample pool uses
-    /// to decide whether persistent worker scratch may be carried over.
+    /// Process-unique id (never reused, unlike addresses), the block
+    /// half of a [`BlockScratch`]'s key.
     identity: u64,
 }
 
@@ -392,30 +354,21 @@ impl PreparedBlock {
         }
     }
 
-    /// The process-unique block id (see the `identity` field).
-    pub(crate) fn identity(&self) -> u64 {
-        self.identity
+    /// The block's configured decoder.
+    pub fn decoder(&self) -> &(dyn Decoder + Send + Sync) {
+        self.decoder.as_ref()
     }
 
-    /// [`BlockSampler::sample_failure_words`] for several decoders over
-    /// the *identical* defect sets (same circuit, same noise
-    /// realizations).
-    pub fn sample_failure_words_with(
-        &self,
-        decoders: &[&(dyn Decoder + Send + Sync)],
-        lanes: usize,
-        seed: u64,
-    ) -> Vec<Vec<u64>> {
-        let mut scratch = BlockScratch::new();
-        self.sample_failure_words_into(decoders, lanes, seed, &mut scratch);
-        scratch.predictions.truncate(decoders.len());
-        scratch.predictions
-    }
-
-    /// [`PreparedBlock::sample_failure_words_with`] against caller-owned
-    /// scratch: bit-identical failure words, with every buffer of the
-    /// sample→decode pipeline reused across calls. Returns the per-
-    /// decoder prediction words (borrowed from the scratch).
+    /// Samples one seeded batch of `lanes` shots and decodes it with
+    /// every decoder in `decoders`, all on the *identical* defect sets
+    /// (same circuit, same noise realizations). Returns one packed
+    /// failure-word vector per decoder (borrowed from the scratch): bit
+    /// `l` is set when decoding lane `l` left a residual logical error
+    /// (prediction XOR actual flip).
+    ///
+    /// Every buffer of the sample→decode pipeline lives in `scratch`
+    /// and is reused across calls; the words depend only on the block,
+    /// the decoders, `lanes` and `seed`, never on the scratch's history.
     pub fn sample_failure_words_into<'s>(
         &self,
         decoders: &[&(dyn Decoder + Send + Sync)],
@@ -447,9 +400,9 @@ impl PreparedBlock {
                     .observe(Metric::DefectsPerLane, defects.len() as u64);
             }
         }
-        // Decoder scratch is keyed to the decoder list; rebuild on any
-        // shape change (cheap, and callers keep the list stable).
-        if scratch.decoder_scratch.len() != decoders.len() {
+        let key = self.scratch_key(decoders);
+        if scratch.key != key {
+            scratch.key = key;
             scratch.decoder_scratch.clear();
             scratch
                 .decoder_scratch
@@ -480,203 +433,62 @@ impl PreparedBlock {
         if scratch.recorder.is_enabled() {
             let failures: u64 = scratch.predictions[..decoders.len()]
                 .iter()
-                .flat_map(|pred| pred.iter())
-                .map(|w| w.count_ones() as u64)
+                .map(|pred| popcount(pred))
                 .sum();
             scratch.recorder.add(Metric::BlockFailures, failures);
         }
         &scratch.predictions[..decoders.len()]
     }
 
-    /// [`BlockSampler::sample_failure_words`] against caller-owned
-    /// scratch: the identical packed failure words through the block's
-    /// own configured decoder, with every buffer of the sample→decode
-    /// pipeline reused across calls. The scratch must not be shared
-    /// across *different* blocks without clearing — decoder scratch can
-    /// carry graph-keyed memoisation, and the length-only rebuild check
-    /// in [`PreparedBlock::sample_failure_words_into`] cannot see a
-    /// graph change (keep one scratch per block, as the `vlq` frame
-    /// replay does).
-    pub fn sample_failure_words_reusing<'s>(
-        &self,
-        lanes: usize,
-        seed: u64,
-        scratch: &'s mut BlockScratch,
-    ) -> &'s [u64] {
-        let decoders: [&(dyn Decoder + Send + Sync); 1] = [self.decoder.as_ref()];
-        &self.sample_failure_words_into(&decoders, lanes, seed, scratch)[0]
-    }
-
-    /// Runs `shots` sampled shots through several decoders at once:
-    /// every decoder sees the *identical* defect sets. Returns one
-    /// failure count per decoder.
-    pub fn run_shots_with(
-        &self,
-        decoders: &[&(dyn Decoder + Send + Sync)],
-        shots: u64,
-        seed: u64,
-    ) -> Vec<u64> {
-        const LANES_PER_BATCH: usize = 1024;
-        let mut scratch = BlockScratch::new();
-        let mut failures = vec![0u64; decoders.len()];
-        let mut remaining = shots;
-        let mut batch_idx = 0u64;
-        while remaining > 0 {
-            let lanes = (remaining as usize).min(LANES_PER_BATCH);
-            let words = self.sample_failure_words_into(
-                decoders,
-                lanes,
-                seed.wrapping_add(batch_idx),
-                &mut scratch,
-            );
-            for (fi, decoder_words) in words.iter().enumerate() {
-                failures[fi] += decoder_words
-                    .iter()
-                    .map(|w| w.count_ones() as u64)
-                    .sum::<u64>();
-            }
-            remaining -= lanes as u64;
-            batch_idx += 1;
+    /// The key a [`BlockScratch`]'s decoder scratch is built for: this
+    /// block's unique id plus the decoder list (the pointers guard a
+    /// caller-supplied list against in-place swaps).
+    fn scratch_key(&self, decoders: &[&(dyn Decoder + Send + Sync)]) -> u64 {
+        let mut key = vlq_sweep::splitmix64(self.identity);
+        key = vlq_sweep::splitmix64(key ^ decoders.len() as u64);
+        for decoder in decoders {
+            let thin = std::ptr::from_ref::<dyn Decoder + Send + Sync>(*decoder).cast::<()>();
+            key = vlq_sweep::splitmix64(key ^ thin as usize as u64);
         }
-        failures
+        key
     }
 
-    /// [`BlockSampler::run_shots`] with telemetry: identical batching,
-    /// seed schedule, and failure count, with per-phase timings and
-    /// sampling statistics reported through `recorder`.
-    pub fn run_shots_recorded(&self, shots: u64, seed: u64, recorder: &Recorder) -> u64 {
-        const LANES_PER_BATCH: usize = 1024;
-        let decoders = [self.decoder.as_ref()];
-        let mut scratch = BlockScratch::with_recorder(recorder.clone());
-        let mut failures = 0u64;
-        let mut remaining = shots;
-        let mut batch_idx = 0u64;
-        while remaining > 0 {
-            let lanes = (remaining as usize).min(LANES_PER_BATCH);
-            let words = self.sample_failure_words_into(
-                &decoders,
-                lanes,
-                seed.wrapping_add(batch_idx),
-                &mut scratch,
-            );
-            failures += words[0].iter().map(|w| w.count_ones() as u64).sum::<u64>();
-            remaining -= lanes as u64;
-            batch_idx += 1;
-        }
-        failures
-    }
-
-    /// [`BlockSampler::run_shots`] under a worker policy: serial when
-    /// `par` carries no pool, otherwise the batches are claimed
-    /// work-stealing-style by the pool's workers. Bit-identical to the
-    /// serial path at any worker count (batches are independently
-    /// seeded; counts reduce in batch order — see [`pool::SamplePool`]).
-    pub fn run_shots_par(&self, shots: u64, seed: u64, par: &Parallelism) -> u64 {
-        match par.pool() {
-            None => self.run_shots(shots, seed),
-            Some(pool) => {
-                let mut failures = [0u64];
-                pool.run_block_shots(
-                    self,
-                    &[self.decoder.as_ref()],
-                    shots,
-                    seed,
-                    None,
-                    &mut failures,
+    /// Runs `shots` shots through the block's own decoder under a
+    /// worker policy and returns the failure count. Batch `b` is seeded
+    /// `seed + b`, so the count is identical at any worker count;
+    /// `recorder` receives the per-phase timings and sampling
+    /// statistics, whose Deterministic values are identical too.
+    pub fn run(&self, shots: u64, seed: u64, par: &Parallelism, recorder: &Recorder) -> u64 {
+        let decoders = [self.decoder()];
+        let mut failures = [0u64];
+        par.run_batches(
+            shots,
+            recorder,
+            &mut failures,
+            BlockScratch::new,
+            |scratch, batch, lanes, counts| {
+                scratch.set_recorder(recorder);
+                let words = self.sample_failure_words_into(
+                    &decoders,
+                    lanes,
+                    seed.wrapping_add(batch),
+                    scratch,
                 );
-                failures[0]
-            }
-        }
-    }
-
-    /// [`PreparedBlock::run_shots_with`] under a worker policy (see
-    /// [`PreparedBlock::run_shots_par`]).
-    pub fn run_shots_with_par(
-        &self,
-        decoders: &[&(dyn Decoder + Send + Sync)],
-        shots: u64,
-        seed: u64,
-        par: &Parallelism,
-    ) -> Vec<u64> {
-        match par.pool() {
-            None => self.run_shots_with(decoders, shots, seed),
-            Some(pool) => {
-                let mut failures = vec![0u64; decoders.len()];
-                pool.run_block_shots(self, decoders, shots, seed, None, &mut failures);
-                failures
-            }
-        }
-    }
-
-    /// [`PreparedBlock::run_shots_recorded`] under a worker policy:
-    /// identical failure count *and* identical deterministic telemetry
-    /// (per-worker recorders merge commutatively, so the JSONL sidecar
-    /// stays byte-identical at any worker count; steal/busy timings land
-    /// in the runtime summary only).
-    pub fn run_shots_recorded_par(
-        &self,
-        shots: u64,
-        seed: u64,
-        recorder: &Recorder,
-        par: &Parallelism,
-    ) -> u64 {
-        match par.pool() {
-            None => self.run_shots_recorded(shots, seed, recorder),
-            Some(pool) => {
-                let mut failures = [0u64];
-                pool.run_block_shots(
-                    self,
-                    &[self.decoder.as_ref()],
-                    shots,
-                    seed,
-                    Some(recorder),
-                    &mut failures,
-                );
-                failures[0]
-            }
-        }
+                counts[0] += popcount(&words[0]);
+            },
+        );
+        failures[0]
     }
 }
 
-impl BlockSampler for PreparedBlock {
-    fn sample_failure_words(&self, lanes: usize, seed: u64) -> Vec<u64> {
-        self.sample_failure_words_with(&[self.decoder.as_ref()], lanes, seed)
-            .pop()
-            .expect("one decoder in, one word vector out")
-    }
-
-    /// Override of the trait default: identical batching and seed
-    /// schedule, but one [`BlockScratch`] is held across all batches so
-    /// the steady state allocates nothing.
-    fn run_shots(&self, shots: u64, seed: u64) -> u64 {
-        const LANES_PER_BATCH: usize = 1024;
-        let decoders = [self.decoder.as_ref()];
-        let mut scratch = BlockScratch::new();
-        let mut failures = 0u64;
-        let mut remaining = shots;
-        let mut batch_idx = 0u64;
-        while remaining > 0 {
-            let lanes = (remaining as usize).min(LANES_PER_BATCH);
-            let words = self.sample_failure_words_into(
-                &decoders,
-                lanes,
-                seed.wrapping_add(batch_idx),
-                &mut scratch,
-            );
-            failures += words[0].iter().map(|w| w.count_ones() as u64).sum::<u64>();
-            remaining -= lanes as u64;
-            batch_idx += 1;
-        }
-        failures
-    }
+/// Set bits across packed failure words.
+fn popcount(words: &[u64]) -> u64 {
+    words.iter().map(|w| u64::from(w.count_ones())).sum()
 }
 
 /// Builds the noisy circuit and guard-sector decoder for a
 /// memory-experiment config: a [`PreparedBlock`] pinned to
-/// [`Boundary::Full`].
-///
-/// Sampling goes through the [`BlockSampler`] trait; downstream code
-/// that needs other boundary kinds holds a [`PreparedBlock`] directly.
+/// [`Boundary::Full`], the prepared state of the memory sweep executor.
 pub struct PreparedExperiment {
     /// The underlying full-boundary block.
     pub block: PreparedBlock,
@@ -689,66 +501,6 @@ impl PreparedExperiment {
             block: PreparedBlock::prepare(&BlockConfig::from_experiment(cfg, Boundary::Full)),
         }
     }
-
-    /// Runs `shots` sampled shots with the given base seed, returning the
-    /// failure count.
-    pub fn run_shots(&self, shots: u64, seed: u64) -> u64 {
-        self.block.run_shots(shots, seed)
-    }
-
-    /// Runs `shots` sampled shots through several decoders at once (see
-    /// [`PreparedBlock::run_shots_with`]).
-    pub fn run_shots_with(
-        &self,
-        decoders: &[&(dyn Decoder + Send + Sync)],
-        shots: u64,
-        seed: u64,
-    ) -> Vec<u64> {
-        self.block.run_shots_with(decoders, shots, seed)
-    }
-
-    /// [`PreparedExperiment::run_shots`] with telemetry (see
-    /// [`PreparedBlock::run_shots_recorded`]).
-    pub fn run_shots_recorded(&self, shots: u64, seed: u64, recorder: &Recorder) -> u64 {
-        self.block.run_shots_recorded(shots, seed, recorder)
-    }
-
-    /// [`PreparedExperiment::run_shots`] under a worker policy (see
-    /// [`PreparedBlock::run_shots_par`]).
-    pub fn run_shots_par(&self, shots: u64, seed: u64, par: &Parallelism) -> u64 {
-        self.block.run_shots_par(shots, seed, par)
-    }
-
-    /// [`PreparedExperiment::run_shots_with`] under a worker policy
-    /// (see [`PreparedBlock::run_shots_with_par`]).
-    pub fn run_shots_with_par(
-        &self,
-        decoders: &[&(dyn Decoder + Send + Sync)],
-        shots: u64,
-        seed: u64,
-        par: &Parallelism,
-    ) -> Vec<u64> {
-        self.block.run_shots_with_par(decoders, shots, seed, par)
-    }
-
-    /// [`PreparedExperiment::run_shots_recorded`] under a worker policy
-    /// (see [`PreparedBlock::run_shots_recorded_par`]).
-    pub fn run_shots_recorded_par(
-        &self,
-        shots: u64,
-        seed: u64,
-        recorder: &Recorder,
-        par: &Parallelism,
-    ) -> u64 {
-        self.block
-            .run_shots_recorded_par(shots, seed, recorder, par)
-    }
-}
-
-impl BlockSampler for PreparedExperiment {
-    fn sample_failure_words(&self, lanes: usize, seed: u64) -> Vec<u64> {
-        self.block.sample_failure_words(lanes, seed)
-    }
 }
 
 /// Runs the same sampled syndromes through several decoders, returning
@@ -760,101 +512,58 @@ impl BlockSampler for PreparedExperiment {
 /// the honest way to quantify e.g. the union-find first-contact growth
 /// approximation against exact MWPM.
 ///
-/// Shots are split into fixed-size chunks with seeds derived from
-/// `cfg.seed` and the chunk index alone (the sweep-engine discipline),
-/// so results are identical for any `cfg.threads` / machine core count.
+/// Batch `b` is seeded `splitmix64(cfg.seed ^ splitmix64(b))` (the
+/// sweep engine's chunk discipline), so results are identical for any
+/// `cfg.threads` / machine core count.
 pub fn compare_decoders(cfg: &ExperimentConfig, kinds: &[DecoderKind]) -> Vec<ExperimentResult> {
-    let prepared = PreparedExperiment::prepare(cfg);
-    let decoders: Vec<Box<dyn Decoder + Send + Sync>> = kinds
-        .iter()
-        .map(|k| k.build(&prepared.block.graph))
-        .collect();
+    let block = PreparedExperiment::prepare(cfg).block;
+    let decoders: Vec<Box<dyn Decoder + Send + Sync>> =
+        kinds.iter().map(|k| k.build(&block.graph)).collect();
     let decoder_refs: Vec<&(dyn Decoder + Send + Sync)> =
         decoders.iter().map(|d| d.as_ref()).collect();
-
-    const CHUNK_SHOTS: u64 = 1024;
-    let n_chunks = cfg.shots.div_ceil(CHUNK_SHOTS);
-    let chunk_failures = |c: u64| -> Vec<u64> {
-        let shots = CHUNK_SHOTS.min(cfg.shots - c * CHUNK_SHOTS);
-        let seed = vlq_sweep::splitmix64(cfg.seed ^ vlq_sweep::splitmix64(c));
-        prepared.run_shots_with(&decoder_refs, shots, seed)
-    };
-    let sum = |mut acc: Vec<u64>, part: Vec<u64>| {
-        for (a, p) in acc.iter_mut().zip(part) {
-            *a += p;
-        }
-        acc
-    };
-
-    let threads = cfg.threads.clamp(1, n_chunks.max(1) as usize);
-    let failures: Vec<u64> = if threads <= 1 {
-        (0..n_chunks)
-            .map(chunk_failures)
-            .fold(vec![0u64; kinds.len()], sum)
-    } else {
-        // Chunk seeds don't depend on this round-robin assignment, so
-        // the thread count only affects wall-clock, never results.
-        std::thread::scope(|scope| {
-            let chunk_failures = &chunk_failures;
-            let handles: Vec<_> = (0..threads as u64)
-                .map(|t| {
-                    scope.spawn(move || {
-                        (t..n_chunks)
-                            .step_by(threads)
-                            .map(chunk_failures)
-                            .fold(vec![0u64; kinds.len()], sum)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker"))
-                .fold(vec![0u64; kinds.len()], sum)
-        })
-    };
-
+    let mut failures = vec![0u64; kinds.len()];
+    Parallelism::threads(cfg.threads).run_batches(
+        cfg.shots,
+        &Recorder::disabled(),
+        &mut failures,
+        BlockScratch::new,
+        |scratch, batch, lanes, counts| {
+            let seed = vlq_sweep::splitmix64(cfg.seed ^ vlq_sweep::splitmix64(batch));
+            let words = block.sample_failure_words_into(&decoder_refs, lanes, seed, scratch);
+            for (count, decoder_words) in counts.iter_mut().zip(words) {
+                *count += popcount(decoder_words);
+            }
+        },
+    );
     failures
         .into_iter()
         .map(|f| ExperimentResult {
             failures: f,
             shots: cfg.shots,
             estimate: BinomialEstimate::new(f, cfg.shots.max(1)),
-            guard_detectors: prepared.block.graph.num_nodes(),
-            graph_edges: prepared.block.graph.num_edges(),
+            guard_detectors: block.graph.num_nodes(),
+            graph_edges: block.graph.num_edges(),
         })
         .collect()
 }
 
-/// Runs a complete memory experiment (possibly multi-threaded).
+/// Runs a complete memory experiment on `cfg.threads` workers. Batch
+/// `b` is seeded `cfg.seed + b`, so the result does not depend on the
+/// thread count.
 pub fn run_memory_experiment(cfg: &ExperimentConfig) -> ExperimentResult {
-    let prepared = PreparedExperiment::prepare(cfg);
-    let threads = cfg.threads.max(1).min(cfg.shots.max(1) as usize);
-    let failures = if threads <= 1 {
-        prepared.run_shots(cfg.shots, cfg.seed)
-    } else {
-        let per = cfg.shots / threads as u64;
-        let extra = cfg.shots % threads as u64;
-        std::thread::scope(|scope| {
-            let prepared = &prepared;
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    let shots = per + u64::from((t as u64) < extra);
-                    // Separate seed streams per worker.
-                    let seed = cfg
-                        .seed
-                        .wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(t as u64 + 1));
-                    scope.spawn(move || prepared.run_shots(shots, seed))
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("worker")).sum()
-        })
-    };
+    let block = PreparedExperiment::prepare(cfg).block;
+    let failures = block.run(
+        cfg.shots,
+        cfg.seed,
+        &Parallelism::threads(cfg.threads),
+        &Recorder::disabled(),
+    );
     ExperimentResult {
         failures,
         shots: cfg.shots,
         estimate: BinomialEstimate::new(failures, cfg.shots.max(1)),
-        guard_detectors: prepared.block.graph.num_nodes(),
-        graph_edges: prepared.block.graph.num_edges(),
+        guard_detectors: block.graph.num_nodes(),
+        graph_edges: block.graph.num_edges(),
     }
 }
 

@@ -5,17 +5,16 @@
 //! [`SweepPoint`] into an [`ExperimentConfig`] (interpreting sensitivity
 //! knobs through [`Knob`]), prepares the noisy circuit + decoder once
 //! per point, and runs seeded shot chunks against it. The threshold and
-//! sensitivity scans in this crate are thin adapters over
-//! [`run_sweep`].
+//! sensitivity scans in this crate, and the figure binaries, run it on
+//! `vlq_sweep::SweepEngine::run` / `run_opts`.
 
-use std::io;
+use vlq_sweep::{SweepExecutor, SweepPoint};
+use vlq_telemetry::Recorder;
 
-use vlq_sweep::{RecordSink, SweepEngine, SweepExecutor, SweepPoint, SweepRecord, SweepSpec};
-
-use vlq_surface::schedule::{Boundary, MemorySpec};
+use vlq_surface::schedule::MemorySpec;
 
 use crate::sensitivity::{noise_with_knob, Knob};
-use crate::{BlockConfig, ExperimentConfig, Parallelism, PreparedBlock, PreparedExperiment};
+use crate::{ExperimentConfig, Parallelism, PreparedExperiment};
 
 /// Builds the experiment configuration a sweep point describes.
 ///
@@ -59,12 +58,6 @@ pub fn config_for_point(pt: &SweepPoint) -> ExperimentConfig {
     cfg.with_shots(pt.shots).with_decoder(pt.decoder)
 }
 
-/// [`config_for_point`] viewed as a block config under an explicit
-/// [`Boundary`] (the sweep grid itself stays boundary-agnostic).
-pub fn block_config_for_point(pt: &SweepPoint, boundary: Boundary) -> BlockConfig {
-    BlockConfig::from_experiment(&config_for_point(pt), boundary)
-}
-
 /// [`SweepExecutor`] running this crate's memory experiments.
 ///
 /// Point-level parallelism comes from the engine (`--workers`);
@@ -98,7 +91,9 @@ impl SweepExecutor for MemoryExecutor {
         shots: u64,
         seed: u64,
     ) -> u64 {
-        prepared.run_shots_par(shots, seed, &self.parallelism)
+        prepared
+            .block
+            .run(shots, seed, &self.parallelism, &Recorder::disabled())
     }
 
     fn run_chunk_recorded(
@@ -107,136 +102,10 @@ impl SweepExecutor for MemoryExecutor {
         _point: &SweepPoint,
         shots: u64,
         seed: u64,
-        recorder: &vlq_telemetry::Recorder,
+        recorder: &Recorder,
     ) -> u64 {
-        prepared.run_shots_recorded_par(shots, seed, recorder, &self.parallelism)
+        prepared.block.run(shots, seed, &self.parallelism, recorder)
     }
-}
-
-/// [`MemoryExecutor`] generalized over block boundaries: the same
-/// sweep grid, sampled through a [`PreparedBlock`] of any
-/// [`Boundary`] kind.
-///
-/// `BlockExecutor::new(Boundary::Full)` reproduces [`MemoryExecutor`]
-/// record-for-record (same prepared circuit, same chunk seeding, same
-/// sample-and-decode core); `Boundary::MidCircuit` sweeps per-round
-/// steady-state error rates instead of whole memory experiments.
-#[derive(Clone, Debug)]
-pub struct BlockExecutor {
-    /// The boundary every point of the sweep is sampled under.
-    pub boundary: Boundary,
-    /// In-block worker policy every chunk is sampled under.
-    pub parallelism: Parallelism,
-}
-
-impl BlockExecutor {
-    /// An executor sampling every point under `boundary`.
-    pub fn new(boundary: Boundary) -> Self {
-        BlockExecutor {
-            boundary,
-            parallelism: Parallelism::serial(),
-        }
-    }
-
-    /// Sets the in-block worker policy.
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = parallelism;
-        self
-    }
-}
-
-impl SweepExecutor for BlockExecutor {
-    type Prepared = PreparedBlock;
-
-    fn prepare(&self, point: &SweepPoint) -> PreparedBlock {
-        PreparedBlock::prepare(&block_config_for_point(point, self.boundary))
-    }
-
-    fn run_chunk(
-        &self,
-        prepared: &PreparedBlock,
-        _point: &SweepPoint,
-        shots: u64,
-        seed: u64,
-    ) -> u64 {
-        prepared.run_shots_par(shots, seed, &self.parallelism)
-    }
-
-    fn run_chunk_recorded(
-        &self,
-        prepared: &PreparedBlock,
-        _point: &SweepPoint,
-        shots: u64,
-        seed: u64,
-        recorder: &vlq_telemetry::Recorder,
-    ) -> u64 {
-        prepared.run_shots_recorded_par(shots, seed, recorder, &self.parallelism)
-    }
-}
-
-/// Runs a sweep spec on the default work-stealing engine.
-pub fn run_sweep(spec: &SweepSpec) -> Vec<SweepRecord> {
-    run_sweep_with(spec, &SweepEngine::default(), &mut [])
-        .expect("sweep without file sinks cannot fail")
-}
-
-/// Runs a sweep spec on an explicit engine, streaming to `sinks`.
-pub fn run_sweep_with(
-    spec: &SweepSpec,
-    engine: &SweepEngine,
-    sinks: &mut [&mut dyn RecordSink],
-) -> io::Result<Vec<SweepRecord>> {
-    engine.run(spec, &MemoryExecutor::default(), sinks)
-}
-
-/// [`run_sweep_with`], reusing completed points from a previous run's
-/// artifact (`--resume`). Deterministic seeding makes the merged
-/// records — and the re-written artifacts — byte-identical to a fresh
-/// full run.
-pub fn run_sweep_resumable(
-    spec: &SweepSpec,
-    engine: &SweepEngine,
-    sinks: &mut [&mut dyn RecordSink],
-    cache: &vlq_sweep::ResumeCache,
-) -> io::Result<Vec<SweepRecord>> {
-    engine.run_resumable(spec, &MemoryExecutor::default(), sinks, cache)
-}
-
-/// The fully-general memory-experiment sweep: resumable, shardable
-/// (`opts.shard` keeps only the globally-numbered points a `--shard
-/// i/N` run owns), and offsettable (`opts.index_offset` for binaries
-/// that stream several specs into one artifact). Shard runs emit
-/// byte-for-byte the records the full run would for the same points,
-/// so `sweep-merge` can interleave their artifacts back together.
-pub fn run_sweep_opts(
-    spec: &SweepSpec,
-    engine: &SweepEngine,
-    sinks: &mut [&mut dyn RecordSink],
-    cache: &vlq_sweep::ResumeCache,
-    opts: &vlq_sweep::RunOptions,
-) -> io::Result<Vec<SweepRecord>> {
-    run_sweep_opts_par(spec, engine, sinks, cache, opts, &Parallelism::serial())
-}
-
-/// [`run_sweep_opts`] with an in-block worker policy (`--threads`):
-/// every chunk's batches are additionally spread over the sample pool.
-/// Records and telemetry sidecars are byte-identical for any policy —
-/// both parallelism axes preserve the bit-identity contract.
-pub fn run_sweep_opts_par(
-    spec: &SweepSpec,
-    engine: &SweepEngine,
-    sinks: &mut [&mut dyn RecordSink],
-    cache: &vlq_sweep::ResumeCache,
-    opts: &vlq_sweep::RunOptions,
-    par: &Parallelism,
-) -> io::Result<Vec<SweepRecord>> {
-    engine.run_opts(
-        spec,
-        &MemoryExecutor::with_parallelism(par.clone()),
-        sinks,
-        cache,
-        opts,
-    )
 }
 
 #[cfg(test)]
@@ -325,39 +194,6 @@ mod tests {
             program: Some("ghz4".to_string()),
         };
         config_for_point(&pt);
-    }
-
-    #[test]
-    fn block_executor_full_matches_memory_executor_records() {
-        // The boundary-generic executor at Boundary::Full must be
-        // record-for-record the memory executor: same prepared circuit,
-        // same chunk seeding, same sample-and-decode core.
-        let spec = SweepSpec::new()
-            .setups([Setup::Baseline])
-            .distances([3])
-            .error_rates([4e-3])
-            .decoders([DecoderKind::UnionFind])
-            .shots(600)
-            .base_seed(13);
-        let engine = SweepEngine::serial();
-        let memory = engine
-            .run(&spec, &MemoryExecutor::default(), &mut [])
-            .expect("no sinks");
-        let full = engine
-            .run(&spec, &BlockExecutor::new(Boundary::Full), &mut [])
-            .expect("no sinks");
-        assert_eq!(memory, full);
-        // Mid-circuit blocks strip the boundary-round noise, so the
-        // same grid must record strictly fewer failures.
-        let mid = engine
-            .run(&spec, &BlockExecutor::new(Boundary::MidCircuit), &mut [])
-            .expect("no sinks");
-        assert!(
-            mid[0].failures < full[0].failures,
-            "mid {} !< full {}",
-            mid[0].failures,
-            full[0].failures
-        );
     }
 
     #[test]

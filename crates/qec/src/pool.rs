@@ -1,79 +1,69 @@
-//! In-block work-stealing thread pool for the batched sample→decode
-//! hot path.
+//! The batch driver and its in-block work-stealing worker pool.
 //!
-//! `vlq-sweep` parallelizes *across* grid points; this module
-//! parallelizes *inside* one [`PreparedBlock`]: the 1024-lane batches
-//! of [`BlockSampler::run_shots`](crate::BlockSampler::run_shots) are
-//! already seeded independently (`seed.wrapping_add(batch_idx)`), so
-//! workers can claim batches in any order without perturbing a single
-//! sampled bit. The pool mirrors the sweep engine's injector+stealer
-//! deques (shared injector refilled into per-worker locals, LIFO local
-//! pops, FIFO steals) but keeps three contracts the sweep level never
-//! had to:
+//! [`Parallelism::run_batches`] is the one multi-batch loop of the
+//! workspace. It cuts a run of `shots` into [`LANES_PER_BATCH`]-lane
+//! batches and sums the counts each batch adds. When serial it runs the
+//! batches inline on one caller-typed scratch; otherwise it runs them
+//! as [`SamplePool`] tasks, each worker keeping one persistent scratch
+//! in its typed state slot. Callers supply the one-batch kernel and
+//! their own batch-seed rule: memory blocks seed batch `b` with
+//! `seed + b`, frame replays and `compare_decoders` with
+//! `splitmix64(seed ^ splitmix64(b))`.
 //!
-//! * **Bit-identical at any worker count.** Each batch writes its
-//!   failure popcount into a private slot; the submitter reduces the
-//!   slots in ascending batch order after *all* workers finish. No
-//!   atomic accumulation order, no schedule dependence.
+//! `vlq-sweep` parallelizes *across* grid points; the pool parallelizes
+//! *inside* one run, over the same [`StealQueue`] scheduler. It keeps
+//! three contracts:
+//!
+//! * **Bit-identical at any worker count.** A batch's result depends
+//!   only on its index (its seed comes from the index), and integer
+//!   sums do not depend on the order they are added in, so which worker
+//!   ran which batch can never leak into a count.
 //! * **Zero steady-state allocation.** Workers are long-lived and
-//!   parked on a condvar between jobs; the injector, local deques,
-//!   result slots, per-worker [`BlockScratch`]es, and per-worker
-//!   recorders are all pool-owned and reused. After warm-up, a
-//!   `run_shots_par` call allocates nothing
+//!   parked on a condvar between jobs; the queue, the per-worker
+//!   scratches and the per-worker partial counts are pool-owned and
+//!   reused. After warm-up a pooled run allocates nothing
 //!   (`crates/qec/tests/alloc_probe.rs` pins this).
-//! * **Byte-identical telemetry sidecars.** Each worker records into
-//!   its own [`Recorder`]; after the job the submitter drains them into
-//!   the caller's recorder in worker-index order
-//!   ([`Recorder::drain_into`]). Deterministic metrics are commutative
-//!   reductions of schedule-independent work, so the merged values —
-//!   and hence the JSONL sidecar — match the serial path byte for byte.
-//!   Runtime metrics (steals, worker busy time) land in the stderr
-//!   summary only.
+//! * **Byte-identical telemetry sidecars.** Workers record into the
+//!   caller's [`Recorder`]. Deterministic metrics are commutative
+//!   reductions of schedule-independent work, so their values — and
+//!   the JSONL sidecar — match the serial path byte for byte. The
+//!   pool's own steal and busy-time metrics are Runtime-class and land
+//!   in the stderr summary only.
 //!
-//! # Per-worker scratch contract
+//! # Per-worker scratch
 //!
-//! A [`BlockScratch`]'s decoder scratch is only rebuilt when the
-//! decoder-list *length* changes — by design, so the steady state stays
-//! allocation-free — which means scratch memoised against one decoding
-//! graph (e.g. union-find's boundary-parity memo) would be silently
-//! reused against a different graph with the same node count. The
-//! serial paths construct a fresh scratch per run and never hit this;
-//! the pool's scratches are persistent, so every job is keyed by
-//! (block identity, decoder list) and any key change clears all worker
-//! decoder scratch before sampling. Same block, same decoders — the
-//! common steady state — reuses everything.
+//! A worker's scratch outlives the job that built it. A scratch whose
+//! contents are keyed to job inputs must therefore re-key itself when
+//! handed different inputs: a `BlockScratch` re-keys on (block
+//! identity, decoder list), the `vlq` crate's `FrameScratch` on the
+//! identity of the prepared schedule. A job that needs a different
+//! scratch type replaces the slot's contents.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::any::Any;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use vlq_decoder::Decoder;
+use vlq_sweep::StealQueue;
 use vlq_telemetry::{Metric, Recorder};
 
-use crate::{BlockScratch, PreparedBlock};
+/// Shot lanes per batch: the width of one bit-packed sample→decode
+/// pass, and the unit the batch driver schedules.
+pub const LANES_PER_BATCH: usize = 1024;
 
-/// Batch size of the in-block hot path (one pool task = one batch).
-pub(crate) const LANES_PER_BATCH: usize = 1024;
-
-/// How many injector tasks a worker moves to its local deque per grab
-/// (the sweep engine's constant).
-const REFILL_BATCH: usize = 4;
-
-/// Worker-count policy for the in-block sample pool.
+/// Worker-count policy of the batch driver.
 ///
-/// `Parallelism::serial()` (the default) runs the existing
-/// single-threaded paths untouched; [`Parallelism::threads`] attaches a
-/// shared [`SamplePool`]. Cloning shares the pool (an `Arc` bump), so
-/// one pool serves every prepared block of a sweep.
+/// `Parallelism::serial()` (the default) runs batches inline on the
+/// calling thread; [`Parallelism::threads`] attaches a shared
+/// [`SamplePool`]. Cloning shares the pool (an `Arc` bump), so one pool
+/// serves every prepared block of a sweep.
 #[derive(Clone, Debug, Default)]
 pub struct Parallelism {
     pool: Option<Arc<SamplePool>>,
 }
 
 impl Parallelism {
-    /// Single-threaded execution (identical to the pre-pool paths).
+    /// Single-threaded execution on the calling thread.
     pub fn serial() -> Self {
         Parallelism { pool: None }
     }
@@ -99,21 +89,91 @@ impl Parallelism {
     pub fn pool(&self) -> Option<&SamplePool> {
         self.pool.as_deref()
     }
+
+    /// Runs `shots` shots as [`LANES_PER_BATCH`]-lane batches and leaves
+    /// the summed per-batch counts in `counts`.
+    ///
+    /// `batch(scratch, index, lanes, counts)` runs batch `index` (of
+    /// `lanes` shots; only the last batch is short) and *adds* its
+    /// counts into the `counts.len()` slots it is handed. Serial runs
+    /// call it on one `scratch()` in batch order; pooled runs call it
+    /// on any worker, in any order, each worker on its own persistent
+    /// scratch, so the kernel must derive everything random from
+    /// `index` alone. `recorder` receives the pool's runtime metrics;
+    /// the kernel records its own.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a batch panicked on a pool worker (the pool is then
+    /// poisoned and must be discarded).
+    pub fn run_batches<S: Any + Send>(
+        &self,
+        shots: u64,
+        recorder: &Recorder,
+        counts: &mut [u64],
+        scratch: impl Fn() -> S + Sync,
+        batch: impl Fn(&mut S, u64, usize, &mut [u64]) + Sync,
+    ) {
+        counts.fill(0);
+        let per_batch = LANES_PER_BATCH as u64;
+        let batches = shots.div_ceil(per_batch);
+        let lanes = |b: u64| (shots - b * per_batch).min(per_batch) as usize;
+        let Some(pool) = self.pool() else {
+            let mut s = scratch();
+            for b in 0..batches {
+                batch(&mut s, b, lanes(b), counts);
+            }
+            return;
+        };
+        let width = counts.len();
+        pool.run_tasks(
+            batches,
+            recorder,
+            &|b, state| {
+                if !state.is::<Worker<S>>() {
+                    *state = Box::new(Worker {
+                        scratch: scratch(),
+                        counts: Vec::new(),
+                    });
+                }
+                let worker = state
+                    .downcast_mut::<Worker<S>>()
+                    .expect("worker state installed above");
+                worker.counts.resize(width, 0);
+                batch(&mut worker.scratch, b, lanes(b), &mut worker.counts);
+            },
+            &mut |state| {
+                if let Some(worker) = state.downcast_mut::<Worker<S>>() {
+                    for (c, partial) in counts.iter_mut().zip(&mut worker.counts) {
+                        *c += std::mem::take(partial);
+                    }
+                }
+            },
+        );
+    }
 }
+
+/// One pool worker's share of a [`Parallelism::run_batches`] job: its
+/// persistent scratch and the counts of the batches it ran.
+struct Worker<S> {
+    scratch: S,
+    counts: Vec<u64>,
+}
+
+/// A worker's typed state slot (see [`Parallelism::run_batches`]).
+type WorkerState = Box<dyn Any + Send>;
 
 /// One submitted job, as seen by the workers.
 ///
-/// The closure and the slot slice live on the submitter's stack / in
-/// the pool's locked resources; their lifetimes are erased to `'static`
-/// for storage. This is sound because the submitter blocks until every
-/// worker has finished the job's epoch (the `active` barrier below), so
-/// no worker can touch either borrow after submission returns.
-#[derive(Clone, Copy)]
+/// The closure lives on the submitter's stack; its lifetime is erased
+/// to `'static` for storage. This is sound because the submitter blocks
+/// until every worker has finished the job's epoch (the `active`
+/// barrier below), so no worker can touch the borrow after submission
+/// returns.
+#[derive(Clone)]
 struct Job {
-    width: usize,
-    slots: &'static [AtomicU64],
-    run: &'static (dyn Fn(u64, usize, &[AtomicU64]) + Sync),
-    record: bool,
+    run: &'static (dyn Fn(u64, &mut WorkerState) + Sync),
+    recorder: Recorder,
 }
 
 struct Coord {
@@ -129,58 +189,14 @@ struct Coord {
     shutdown: bool,
 }
 
-/// Worker-shared coordination state: job hand-off plus the
-/// injector+stealer deques.
+/// Worker-shared state: job hand-off, the task queue and the per-worker
+/// state slots.
 struct Core {
     coord: Mutex<Coord>,
     work_cv: Condvar,
     done_cv: Condvar,
-    injector: Mutex<VecDeque<u64>>,
-    locals: Vec<Mutex<VecDeque<u64>>>,
-}
-
-impl Core {
-    /// Claims the next batch index: local LIFO pop, then an injector
-    /// refill, then FIFO steals from the other workers in ring order.
-    /// Returns the task and whether it was stolen.
-    fn next_task(&self, me: usize) -> Option<(u64, bool)> {
-        if let Some(t) = self.locals[me].lock().expect("local deque").pop_back() {
-            return Some((t, false));
-        }
-        {
-            let mut injector = self.injector.lock().expect("injector");
-            if let Some(first) = injector.pop_front() {
-                let mut local = self.locals[me].lock().expect("local deque");
-                for _ in 1..REFILL_BATCH {
-                    match injector.pop_front() {
-                        Some(t) => local.push_back(t),
-                        None => break,
-                    }
-                }
-                return Some((first, false));
-            }
-        }
-        for off in 1..self.locals.len() {
-            let victim = (me + off) % self.locals.len();
-            if let Some(t) = self.locals[victim]
-                .lock()
-                .expect("victim deque")
-                .pop_front()
-            {
-                return Some((t, true));
-            }
-        }
-        None
-    }
-}
-
-/// Per-job reusable buffers, locked for the whole job — the lock that
-/// serializes concurrent submitters onto one pool.
-struct Resources {
-    slots: Vec<AtomicU64>,
-    /// Identity of the (block, decoder list) the persistent worker
-    /// scratches are currently keyed to (see module docs).
-    scratch_key: u64,
+    queue: StealQueue<u64>,
+    states: Vec<Mutex<WorkerState>>,
 }
 
 /// The long-lived in-block worker pool. Construct via
@@ -188,12 +204,9 @@ struct Resources {
 /// join them.
 pub struct SamplePool {
     core: Arc<Core>,
-    resources: Mutex<Resources>,
-    scratches: Vec<Mutex<BlockScratch>>,
-    /// Typed per-worker state for custom [`SamplePool::run_tasks`]
-    /// closures (see [`SamplePool::worker_state`]).
-    user_states: Vec<Mutex<Box<dyn std::any::Any + Send>>>,
-    worker_recorders: Vec<Recorder>,
+    /// Held for a whole job, so concurrent submitters (sweep workers
+    /// sharing one pool) take turns and never see each other's counts.
+    submit: Mutex<()>,
     handles: Mutex<Vec<JoinHandle<()>>>,
 }
 
@@ -219,109 +232,63 @@ impl SamplePool {
             }),
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
-            injector: Mutex::new(VecDeque::new()),
-            locals: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
+            queue: StealQueue::new(threads),
+            states: (0..threads)
+                .map(|_| Mutex::new(Box::new(()) as WorkerState))
+                .collect(),
         });
-        let worker_recorders: Vec<Recorder> = (0..threads).map(|_| Recorder::attached()).collect();
         let handles = (0..threads)
             .map(|w| {
                 let core = Arc::clone(&core);
-                let recorder = worker_recorders[w].clone();
-                std::thread::spawn(move || worker_main(&core, w, &recorder))
+                std::thread::spawn(move || worker_main(&core, w))
             })
             .collect();
         SamplePool {
             core,
-            resources: Mutex::new(Resources {
-                slots: Vec::new(),
-                scratch_key: 0,
-            }),
-            scratches: (0..threads)
-                .map(|_| Mutex::new(BlockScratch::new()))
-                .collect(),
-            user_states: (0..threads)
-                .map(|_| Mutex::new(Box::new(()) as Box<dyn std::any::Any + Send>))
-                .collect(),
-            worker_recorders,
+            submit: Mutex::new(()),
             handles: Mutex::new(handles),
         }
     }
 
     /// Number of worker threads.
     pub fn workers(&self) -> usize {
-        self.scratches.len()
+        self.core.states.len()
     }
 
-    /// Runs `tasks` independent tasks across the workers and reduces
-    /// their results deterministically.
-    ///
-    /// Task `t` must fill all `width` slots of its private window
-    /// (`slots[0..width]` as passed to `run`); after every worker has
-    /// finished, `out[j]` is the sum of slot `j` over tasks in
-    /// *ascending task order* — so the reduction is schedule- and
-    /// worker-count-independent whenever the per-task values are.
-    /// `run(task, worker, slots)` may be claimed by any worker in any
-    /// order; it must be safe under that (the in-block closures are:
-    /// batches are independently seeded).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `out.len() != width`, and when a task panicked on a
-    /// worker (the pool is then poisoned and must be discarded).
-    pub fn run_tasks(
+    /// Runs tasks `0..tasks` across the workers — `run(task, state)`
+    /// on whichever worker claims the task, with that worker's state
+    /// slot — then, once every worker has finished, hands each state
+    /// slot to `collect` in worker order.
+    fn run_tasks(
         &self,
         tasks: u64,
-        width: usize,
-        out: &mut [u64],
-        run: &(dyn Fn(u64, usize, &[AtomicU64]) + Sync),
+        recorder: &Recorder,
+        run: &(dyn Fn(u64, &mut WorkerState) + Sync),
+        collect: &mut dyn FnMut(&mut WorkerState),
     ) {
-        let mut res = self.resources.lock().expect("pool resources");
-        self.run_tasks_locked(&mut res, tasks, width, out, run, false);
-    }
-
-    fn run_tasks_locked(
-        &self,
-        res: &mut Resources,
-        tasks: u64,
-        width: usize,
-        out: &mut [u64],
-        run: &(dyn Fn(u64, usize, &[AtomicU64]) + Sync),
-        record: bool,
-    ) {
-        assert_eq!(out.len(), width, "out must hold one slot per width");
-        out.fill(0);
-        if tasks == 0 || width == 0 {
+        let _submit = self.submit.lock().expect("pool submitter");
+        if tasks == 0 {
             return;
         }
-        let need = usize::try_from(tasks).expect("task count fits usize") * width;
-        if res.slots.len() < need {
-            res.slots.resize_with(need, || AtomicU64::new(0));
-        }
-        {
-            let mut injector = self.core.injector.lock().expect("injector");
-            debug_assert!(injector.is_empty(), "previous job drained the injector");
-            injector.extend(0..tasks);
-        }
-        // SAFETY: the borrows escape only into workers' epoch loops,
-        // and the `active` barrier below keeps this frame alive (and
-        // `res` locked) until every worker has left the epoch.
-        let job = unsafe {
-            Job {
-                width,
-                slots: std::mem::transmute::<&[AtomicU64], &'static [AtomicU64]>(
-                    &res.slots[..need],
-                ),
-                run: std::mem::transmute::<
-                    &(dyn Fn(u64, usize, &[AtomicU64]) + Sync),
-                    &'static (dyn Fn(u64, usize, &[AtomicU64]) + Sync),
-                >(run),
-                record,
-            }
+        debug_assert!(self.core.queue.is_empty(), "previous job drained the queue");
+        self.core.queue.extend(0..tasks);
+        // SAFETY: the borrow escapes only into workers' epoch loops;
+        // each worker drops its copy before it leaves the epoch, and the
+        // `active` barrier below keeps this frame alive until every
+        // worker has left it.
+        let run = unsafe {
+            std::mem::transmute::<
+                &(dyn Fn(u64, &mut WorkerState) + Sync),
+                &'static (dyn Fn(u64, &mut WorkerState) + Sync),
+            >(run)
         };
         {
             let mut coord = self.core.coord.lock().expect("pool coord");
             coord.epoch += 1;
-            coord.job = Some(job);
+            coord.job = Some(Job {
+                run,
+                recorder: recorder.clone(),
+            });
             coord.active = self.workers();
             self.core.work_cv.notify_all();
             while coord.active > 0 {
@@ -330,95 +297,8 @@ impl SamplePool {
             coord.job = None;
             assert!(!coord.poisoned, "a pool task panicked on a worker");
         }
-        // Deterministic reduction: ascending task (= batch) order. The
-        // coord lock round-trip above orders every worker's relaxed
-        // slot stores before these loads.
-        for t in 0..tasks as usize {
-            for (j, o) in out.iter_mut().enumerate() {
-                *o += res.slots[t * width + j].load(Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Runs `f` against worker `worker`'s persistent typed state slot,
-    /// installing `init()` the first time (or whenever the stored type
-    /// changes). Custom task closures passed to
-    /// [`SamplePool::run_tasks`] use this to keep per-worker working
-    /// sets — e.g. the `vlq` frame replay's batch scratch — alive
-    /// across jobs, so their steady state allocates nothing. Callers
-    /// are responsible for invalidating state that is keyed to job
-    /// inputs (the same hazard the per-worker [`BlockScratch`] contract
-    /// above documents).
-    pub fn worker_state<T: std::any::Any + Send, R>(
-        &self,
-        worker: usize,
-        init: impl FnOnce() -> T,
-        f: impl FnOnce(&mut T) -> R,
-    ) -> R {
-        let mut slot = self.user_states[worker].lock().expect("worker state");
-        if !slot.is::<T>() {
-            *slot = Box::new(init());
-        }
-        f(slot.downcast_mut::<T>().expect("state type just installed"))
-    }
-
-    /// Runs `shots` of `block` through `decoders` across the workers:
-    /// the pooled equivalent of the serial batch loops in
-    /// `crates/qec/src/lib.rs`, bit-identical to them (same
-    /// `seed.wrapping_add(batch_idx)` seeds, same per-batch pipeline,
-    /// failure counts reduced in batch order). One failure count per
-    /// decoder lands in `failures`.
-    ///
-    /// With `recorder` attached, workers record into their own
-    /// recorders, drained into `recorder` in worker-index order after
-    /// the job — deterministic metrics merge to the serial values;
-    /// steal/busy runtime metrics land in the stderr summary only.
-    pub(crate) fn run_block_shots(
-        &self,
-        block: &PreparedBlock,
-        decoders: &[&(dyn Decoder + Send + Sync)],
-        shots: u64,
-        seed: u64,
-        recorder: Option<&Recorder>,
-        failures: &mut [u64],
-    ) {
-        let mut res = self.resources.lock().expect("pool resources");
-        let record = recorder.is_some_and(Recorder::is_enabled);
-        let key = scratch_key(block, decoders);
-        let rebuild = res.scratch_key != key;
-        res.scratch_key = key;
-        for (w, slot) in self.scratches.iter().enumerate() {
-            let mut scratch = slot.lock().expect("worker scratch");
-            if rebuild {
-                scratch.reset_decoder_scratch();
-            }
-            scratch.set_recorder(if record {
-                self.worker_recorders[w].clone()
-            } else {
-                Recorder::disabled()
-            });
-        }
-        let tasks = shots.div_ceil(LANES_PER_BATCH as u64);
-        let run = |batch_idx: u64, worker: usize, slots: &[AtomicU64]| {
-            let done = batch_idx * LANES_PER_BATCH as u64;
-            let lanes = (shots - done).min(LANES_PER_BATCH as u64) as usize;
-            let mut scratch = self.scratches[worker].lock().expect("worker scratch");
-            let words = block.sample_failure_words_into(
-                decoders,
-                lanes,
-                seed.wrapping_add(batch_idx),
-                &mut scratch,
-            );
-            for (slot, decoder_words) in slots.iter().zip(words) {
-                let count: u64 = decoder_words.iter().map(|w| w.count_ones() as u64).sum();
-                slot.store(count, Ordering::Relaxed);
-            }
-        };
-        self.run_tasks_locked(&mut res, tasks, decoders.len(), failures, &run, record);
-        if let Some(target) = recorder {
-            for worker in &self.worker_recorders {
-                worker.drain_into(target);
-            }
+        for state in &self.core.states {
+            collect(&mut state.lock().expect("worker state"));
         }
     }
 }
@@ -436,22 +316,7 @@ impl Drop for SamplePool {
     }
 }
 
-/// Identity of (block, decoder list) a job runs against, used to decide
-/// whether persistent worker scratch may be reused. The block's unique
-/// id is the load-bearing part (ids are never reused, unlike
-/// addresses); the decoder pointers guard the caller-supplied list of
-/// `run_shots_with` against in-place swaps.
-fn scratch_key(block: &PreparedBlock, decoders: &[&(dyn Decoder + Send + Sync)]) -> u64 {
-    let mut key = vlq_sweep::splitmix64(block.identity());
-    key = vlq_sweep::splitmix64(key ^ decoders.len() as u64);
-    for decoder in decoders {
-        let thin = std::ptr::from_ref::<dyn Decoder + Send + Sync>(*decoder).cast::<()>();
-        key = vlq_sweep::splitmix64(key ^ thin as usize as u64);
-    }
-    key
-}
-
-fn worker_main(core: &Core, me: usize, recorder: &Recorder) {
+fn worker_main(core: &Core, me: usize) {
     let mut seen = 0u64;
     loop {
         let job = {
@@ -464,31 +329,36 @@ fn worker_main(core: &Core, me: usize, recorder: &Recorder) {
                     seen = coord.epoch;
                     // Every worker joins every epoch (the submitter
                     // waits for all of them), so the job is installed.
-                    break coord.job.expect("epoch advanced with a job installed");
+                    break coord
+                        .job
+                        .clone()
+                        .expect("epoch advanced with a job installed");
                 }
                 coord = core.work_cv.wait(coord).expect("pool coord");
             }
         };
-        let started = job.record.then(Instant::now);
+        let started = job.recorder.is_enabled().then(Instant::now);
         let finished = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            while let Some((task, stolen)) = core.next_task(me) {
-                if stolen && job.record {
-                    recorder.incr(Metric::PoolSteals);
+            let mut state = core.states[me].lock().expect("worker state");
+            while let Some((task, stolen)) = core.queue.next(me) {
+                if stolen {
+                    job.recorder.incr(Metric::PoolSteals);
                 }
-                let base = usize::try_from(task).expect("task fits usize") * job.width;
-                (job.run)(task, me, &job.slots[base..base + job.width]);
+                (job.run)(task, &mut state);
             }
         }))
         .is_ok();
         if let Some(started) = started {
-            recorder.add(Metric::PoolBusyNanos, started.elapsed().as_nanos() as u64);
+            job.recorder
+                .add(Metric::PoolBusyNanos, started.elapsed().as_nanos() as u64);
         }
+        // Release the erased borrow before leaving the epoch.
+        drop(job);
         let mut coord = core.coord.lock().expect("pool coord");
         if !finished {
             coord.poisoned = true;
             // Leave any unclaimed work behind; the submitter panics.
-            core.injector.lock().expect("injector").clear();
-            core.locals[me].lock().expect("local deque").clear();
+            core.queue.clear();
         }
         coord.active -= 1;
         if coord.active == 0 {

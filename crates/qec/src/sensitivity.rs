@@ -11,9 +11,9 @@ use vlq_arch::params::{ErrorRates, HardwareParams, REFERENCE_ERROR_RATE};
 use vlq_circuit::noise::NoiseModel;
 use vlq_math::stats::BinomialEstimate;
 use vlq_surface::schedule::{Basis, Setup};
-use vlq_sweep::SweepSpec;
+use vlq_sweep::{SweepEngine, SweepSpec};
 
-use crate::orchestrate::run_sweep;
+use crate::orchestrate::MemoryExecutor;
 use crate::DecoderKind;
 
 /// The knob a sensitivity panel varies.
@@ -164,7 +164,9 @@ pub fn sensitivity_sweep(
     decoder: DecoderKind,
 ) -> Vec<SensitivityPoint> {
     let spec = sensitivity_spec(setup, knob, values, distances, shots, seed, decoder);
-    run_sweep(&spec)
+    SweepEngine::default()
+        .run(&spec, &MemoryExecutor::default(), &mut [])
+        .expect("sweep without file sinks cannot fail")
         .into_iter()
         .map(|rec| SensitivityPoint {
             d: rec.point.d,

@@ -6,9 +6,9 @@
 
 use vlq_math::stats::{log_log_crossing, BinomialEstimate};
 use vlq_surface::schedule::{Basis, Setup};
-use vlq_sweep::{SweepRecord, SweepSpec};
+use vlq_sweep::{SweepEngine, SweepRecord, SweepSpec};
 
-use crate::orchestrate::run_sweep;
+use crate::orchestrate::MemoryExecutor;
 use crate::DecoderKind;
 
 /// One sampled point of a threshold scan.
@@ -146,7 +146,9 @@ pub fn threshold_scan(
         seed,
         decoder,
     );
-    let records = run_sweep(&spec);
+    let records = SweepEngine::default()
+        .run(&spec, &MemoryExecutor::default(), &mut [])
+        .expect("sweep without file sinks cannot fail");
     ThresholdScan::from_records(setup, basis, k, decoder, distances, error_rates, &records)
 }
 

@@ -1,16 +1,19 @@
 //! Steady-state allocation probe for the batched sample→decode path.
 //!
-//! `BlockSampler::run_shots` holds one `BlockScratch` across batches;
-//! after the first few batches have grown every buffer to its working
-//! size, further batches must allocate *nothing*, under either decoder.
+//! `PreparedBlock::run` holds one `BlockScratch` across batches (one
+//! per worker on the pool); after the first few batches have grown
+//! every buffer to its working size, further batches must allocate
+//! *nothing*, under either decoder. The serial check drives the
+//! one-batch kernel directly.
 //! A counting global allocator makes that a hard test, which is why the
 //! probe lives in its own integration-test binary with a single test.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use vlq_qec::{BlockConfig, BlockSampler, BlockScratch, BlockSpec, DecoderKind, PreparedBlock};
+use vlq_qec::{BlockConfig, BlockScratch, BlockSpec, DecoderKind, Parallelism, PreparedBlock};
 use vlq_surface::schedule::{Basis, MemorySpec, Setup};
+use vlq_telemetry::{Metric, Recorder};
 
 struct CountingAlloc;
 
@@ -52,16 +55,14 @@ fn probe(kind: DecoderKind) {
     let memory = MemorySpec::standard(Setup::Baseline, 5, 1, Basis::Z);
     let block =
         PreparedBlock::prepare(&BlockConfig::new(BlockSpec::full(memory), 3e-3).with_decoder(kind));
-    // `PreparedBlock`'s own decoder is private; build the same kind for
-    // the multi-decoder entry point (the one `run_shots` batches over).
-    let decoder = kind.build(&block.graph);
-    let decoders: [&(dyn vlq_decoder::Decoder + Send + Sync); 1] = [decoder.as_ref()];
+    // The one-batch kernel `run` batches over, on the block's decoder.
+    let decoders = [block.decoder()];
     let mut scratch = BlockScratch::new();
     // The telemetry contract: an *attached* recorder must not break the
     // zero-steady-state-allocation property (counters are pre-registered
     // atomics; spans and histogram buckets never allocate after setup).
-    let recorder = vlq_telemetry::Recorder::attached();
-    scratch.set_recorder(recorder.clone());
+    let recorder = Recorder::attached();
+    scratch.set_recorder(&recorder);
     const LANES: usize = 256;
 
     // Warm-up: run the probe seeds once so every buffer (frames,
@@ -97,13 +98,13 @@ fn probe(kind: DecoderKind) {
     );
     // And the recorder really was live the whole time.
     assert_eq!(
-        recorder.value(vlq_telemetry::Metric::SampleBatches),
+        recorder.value(Metric::SampleBatches),
         24,
         "{kind}: recorder missed batches"
     );
     let work = match kind {
-        DecoderKind::UnionFind => vlq_telemetry::Metric::UfGrowthSteps,
-        DecoderKind::Mwpm => vlq_telemetry::Metric::MwpmMatchingEdges,
+        DecoderKind::UnionFind => Metric::UfGrowthSteps,
+        DecoderKind::Mwpm => Metric::MwpmMatchingEdges,
     };
     assert!(
         recorder.value(work) > 0,
@@ -113,26 +114,28 @@ fn probe(kind: DecoderKind) {
     // The same contract with the sample pool attached: pool creation and
     // warm-up may allocate (threads, injector, per-worker scratch
     // growth), but re-running identical pooled batches must not — the
-    // pool reuses its slot buffer and queues, workers park on a condvar,
-    // and every worker holds its scratch at the high-water mark. Work
+    // pool reuses its queues and per-worker partial counts, workers park
+    // on a condvar, and every worker holds its scratch at the high-water
+    // mark. Work
     // stealing does not guarantee a given worker touches a batch on any
     // given pass (under load one worker can sit a pass out and first
     // grow its scratch later), so warm-up repeats until a full pass
     // allocates nothing — per-worker growth converges once every worker
     // has participated, while per-batch allocation never does, which
     // the attempt bound turns into a failure.
-    let par = vlq_qec::Parallelism::threads(2);
+    let par = Parallelism::threads(2);
+    let run = |par: &Parallelism, seed| block.run(POOL_SHOTS, seed, par, &Recorder::disabled());
     const POOL_SHOTS: u64 = 2048;
     let mut pooled_warm = 0u64;
     for seed in 200..204u64 {
-        pooled_warm += block.run_shots_par(POOL_SHOTS, seed, &par);
+        pooled_warm += run(&par, seed);
     }
     let mut settled = false;
     for _attempt in 0..32 {
         let before = ALLOC_CALLS.load(Ordering::Relaxed);
         let mut pooled = 0u64;
         for seed in 200..204u64 {
-            pooled += block.run_shots_par(POOL_SHOTS, seed, &par);
+            pooled += run(&par, seed);
         }
         let after = ALLOC_CALLS.load(Ordering::Relaxed);
         assert_eq!(
@@ -152,7 +155,7 @@ fn probe(kind: DecoderKind) {
     assert_eq!(
         pooled,
         (200..204u64)
-            .map(|s| block.run_shots(POOL_SHOTS, s))
+            .map(|s| run(&Parallelism::serial(), s))
             .sum::<u64>(),
         "{kind}: pooled failure counts diverged from serial"
     );

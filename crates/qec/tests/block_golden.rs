@@ -4,23 +4,30 @@
 //! memory-experiment-shaped `PreparedExperiment` sampling core. These
 //! values were captured from the pre-redesign implementation (commit
 //! 33c23a3) and pin `Boundary::Full` to it *bit-for-bit*: the windowed
-//! noise pass over the full window, the wrapper types, and the
-//! `BlockSampler` batching must all reproduce the old RNG streams and
-//! decode decisions exactly. Any drift here silently invalidates every
+//! noise pass over the full window, the wrapper types, and the batch
+//! driver must all reproduce the old RNG streams and decode decisions
+//! exactly. Any drift here silently invalidates every
 //! recorded fig11/fig12 artifact, so these are hard equality pins, not
 //! tolerances.
 
 use vlq_qec::{
-    compare_decoders, run_memory_experiment, BlockConfig, BlockSampler, BlockSpec, Boundary,
+    compare_decoders, run_memory_experiment, BlockConfig, BlockScratch, BlockSpec, Boundary,
     DecoderKind, ExperimentConfig, PreparedBlock, PreparedExperiment,
 };
 use vlq_surface::schedule::{Basis, MemorySpec, Setup};
+
+/// One seeded 192-lane batch through the block's own decoder, on a
+/// fresh scratch: the packed failure words the pins below record.
+fn failure_words(block: &PreparedBlock, seed: u64) -> Vec<u64> {
+    let mut scratch = BlockScratch::new();
+    block.sample_failure_words_into(&[block.decoder()], 192, seed, &mut scratch)[0].clone()
+}
 
 /// One pinned configuration: (setup, d, k, basis, p, seed, expected
 /// 192-lane failure words).
 type GoldenWordsRow = (Setup, usize, usize, Basis, f64, u64, [u64; 3]);
 
-/// Pre-redesign `PreparedExperiment::sample_failure_words(192, seed)`
+/// Pre-redesign `PreparedExperiment` failure words (192 lanes, `seed`)
 /// outputs for four configurations covering baseline, natural, and
 /// compact setups in both bases.
 const GOLDEN_WORDS: [GoldenWordsRow; 4] = [
@@ -80,7 +87,7 @@ fn full_boundary_failure_words_match_pre_redesign_bits() {
             &BlockConfig::new(BlockSpec::full(memory), p).with_decoder(DecoderKind::UnionFind),
         );
         assert_eq!(
-            block.sample_failure_words(192, seed),
+            failure_words(&block, seed),
             expected,
             "PreparedBlock {setup} d{d} k{k} {basis:?}"
         );
@@ -90,7 +97,7 @@ fn full_boundary_failure_words_match_pre_redesign_bits() {
             &ExperimentConfig::new(memory, p).with_decoder(DecoderKind::UnionFind),
         );
         assert_eq!(
-            wrapped.sample_failure_words(192, seed),
+            failure_words(&wrapped.block, seed),
             expected,
             "PreparedExperiment {setup} d{d} k{k} {basis:?}"
         );
@@ -101,7 +108,7 @@ fn full_boundary_failure_words_match_pre_redesign_bits() {
 /// expected 192-lane failure words).
 type GoldenBoundaryRow = (Setup, usize, usize, Basis, f64, u64, Boundary, [u64; 3]);
 
-/// `PreparedBlock::sample_failure_words(192, seed)` outputs for the same
+/// `PreparedBlock` failure words (192 lanes, `seed`) for the same
 /// four configurations under *every* [`Boundary`] mode, captured
 /// immediately before the batched sample→decode refactor (scratch-reusing
 /// decoders + word-level defect extraction). The refactor must be
@@ -296,7 +303,7 @@ fn all_boundary_modes_failure_words_are_pinned() {
                 .with_decoder(DecoderKind::UnionFind),
         );
         assert_eq!(
-            block.sample_failure_words(192, seed),
+            failure_words(&block, seed),
             expected,
             "{setup} d{d} k{k} {basis:?} {boundary:?}"
         );
@@ -305,15 +312,16 @@ fn all_boundary_modes_failure_words_are_pinned() {
 
 #[test]
 fn run_memory_experiment_matches_pre_redesign_counts() {
-    // (setup, d, k, basis, p, failures@threads=1, failures@threads=3),
-    // all at 4096 shots, seed 99, MWPM.
-    let golden: [(Setup, usize, usize, Basis, f64, u64, u64); 3] = [
-        (Setup::Baseline, 3, 1, Basis::Z, 5e-3, 476, 492),
-        (Setup::NaturalAllAtOnce, 3, 3, Basis::Z, 3e-3, 317, 310),
-        (Setup::CompactInterleaved, 3, 4, Basis::X, 4e-3, 517, 517),
+    // (setup, d, k, basis, p, failures), all at 4096 shots, seed 99,
+    // MWPM. The count is the pre-redesign single-threaded one at every
+    // thread count: batches are seeded by index, never by worker.
+    let golden: [(Setup, usize, usize, Basis, f64, u64); 3] = [
+        (Setup::Baseline, 3, 1, Basis::Z, 5e-3, 476),
+        (Setup::NaturalAllAtOnce, 3, 3, Basis::Z, 3e-3, 317),
+        (Setup::CompactInterleaved, 3, 4, Basis::X, 4e-3, 517),
     ];
-    for (setup, d, k, basis, p, f1, f3) in golden {
-        for (threads, expected) in [(1usize, f1), (3, f3)] {
+    for (setup, d, k, basis, p, expected) in golden {
+        for threads in [1usize, 2, 3, 8] {
             let cfg = ExperimentConfig::new(MemorySpec::standard(setup, d, k, basis), p)
                 .with_shots(4096)
                 .with_seed(99)

@@ -3,8 +3,9 @@
 //! full-experiment rate, suppressed with distance).
 
 use vlq_circuit::ir::Instruction;
-use vlq_qec::{BlockConfig, BlockSampler, BlockSpec, Boundary, DecoderKind, PreparedBlock};
+use vlq_qec::{BlockConfig, BlockSpec, Boundary, DecoderKind, Parallelism, PreparedBlock};
 use vlq_surface::schedule::{Basis, MemorySpec, Setup};
+use vlq_telemetry::Recorder;
 
 fn prepared(setup: Setup, d: usize, k: usize, p: f64, boundary: Boundary) -> PreparedBlock {
     let spec = BlockSpec {
@@ -12,6 +13,10 @@ fn prepared(setup: Setup, d: usize, k: usize, p: f64, boundary: Boundary) -> Pre
         boundary,
     };
     PreparedBlock::prepare(&BlockConfig::new(spec, p).with_decoder(DecoderKind::UnionFind))
+}
+
+fn run(block: &PreparedBlock, shots: u64, seed: u64) -> u64 {
+    block.run(shots, seed, &Parallelism::serial(), &Recorder::disabled())
 }
 
 fn noise_mass(block: &PreparedBlock) -> f64 {
@@ -94,8 +99,8 @@ fn per_round_mid_circuit_rate_is_below_full_experiment_rate() {
         (Setup::Baseline, 1usize, 3e-3),
         (Setup::NaturalInterleaved, 3, 3e-3),
     ] {
-        let full = prepared(setup, 3, k, p, Boundary::Full).run_shots(shots, 2020);
-        let mid = prepared(setup, 3, k, p, Boundary::MidCircuit).run_shots(shots, 2020);
+        let full = run(&prepared(setup, 3, k, p, Boundary::Full), shots, 2020);
+        let mid = run(&prepared(setup, 3, k, p, Boundary::MidCircuit), shots, 2020);
         let full_rate = full as f64 / shots as f64;
         let per_round_mid = (mid as f64 / shots as f64) / 3.0;
         assert!(
@@ -115,7 +120,11 @@ fn per_round_mid_circuit_rate_decreases_with_distance() {
     let shots = 60_000u64;
     let p = 1e-3;
     let rate = |d: usize| {
-        let failures = prepared(Setup::Baseline, d, 1, p, Boundary::MidCircuit).run_shots(shots, 7);
+        let failures = run(
+            &prepared(Setup::Baseline, d, 1, p, Boundary::MidCircuit),
+            shots,
+            7,
+        );
         (failures as f64 / shots as f64) / d as f64
     };
     let (r3, r5) = (rate(3), rate(5));

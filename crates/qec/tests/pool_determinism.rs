@@ -1,16 +1,17 @@
 //! The sample pool's bit-identity contract, property-style.
 //!
-//! `run_shots_par` must return the exact failure count of the serial
-//! path — and `run_shots_recorded_par` the byte-identical deterministic
-//! telemetry sidecar — at *any* worker count, for every `Boundary`
-//! mode, across distances. The in-block batches are independently
-//! seeded (`seed.wrapping_add(batch_idx)`) and reduced in batch order,
-//! so the schedule (which worker ran which batch, in what order) can
-//! never leak into results; this test is the executable form of that
-//! claim. Mirrors `crates/sweep/tests/sharding.rs`.
+//! `PreparedBlock::run` on a pool must return the exact failure count
+//! of the serial path — and, with a recorder attached, the
+//! byte-identical deterministic telemetry sidecar — at *any* worker
+//! count, for every `Boundary` mode, across distances. The batches are
+//! independently seeded (`seed.wrapping_add(batch_idx)`) and their
+//! counts summed, so the schedule (which worker ran which batch, in
+//! what order) can never leak into results; this test is the
+//! executable form of that claim. Mirrors
+//! `crates/sweep/tests/sharding.rs`.
 
 use vlq_decoder::DecoderKind;
-use vlq_qec::{BlockConfig, BlockSampler, BlockSpec, Parallelism, PreparedBlock};
+use vlq_qec::{BlockConfig, BlockScratch, BlockSpec, Parallelism, PreparedBlock};
 use vlq_surface::schedule::{Basis, Boundary, MemorySpec, Setup};
 use vlq_telemetry::{Metric, Recorder};
 
@@ -18,6 +19,11 @@ use vlq_telemetry::{Metric, Recorder};
 /// claiming, stealing, and the tail batch are all exercised.
 const SHOTS: u64 = 2500;
 const SEED: u64 = 7_2020;
+
+/// `block.run` without telemetry.
+fn run(block: &PreparedBlock, par: &Parallelism) -> u64 {
+    block.run(SHOTS, SEED, par, &Recorder::disabled())
+}
 
 fn block_for(d: usize, boundary: Boundary) -> PreparedBlock {
     let memory = MemorySpec::standard(Setup::Baseline, d, 1, Basis::Z);
@@ -30,9 +36,9 @@ fn pooled_failure_counts_and_sidecars_match_serial_everywhere() {
     for d in [3usize, 5, 7] {
         for boundary in Boundary::ALL {
             let block = block_for(d, boundary);
-            let serial = block.run_shots(SHOTS, SEED);
+            let serial = run(&block, &Parallelism::serial());
             let serial_rec = Recorder::attached();
-            let serial_recorded = block.run_shots_recorded(SHOTS, SEED, &serial_rec);
+            let serial_recorded = block.run(SHOTS, SEED, &Parallelism::serial(), &serial_rec);
             assert_eq!(
                 serial, serial_recorded,
                 "d{d} {boundary:?}: recording changed counts"
@@ -42,13 +48,13 @@ fn pooled_failure_counts_and_sidecars_match_serial_everywhere() {
             for threads in [1usize, 2, 3, 8] {
                 let par = Parallelism::threads(threads);
                 assert_eq!(
-                    block.run_shots_par(SHOTS, SEED, &par),
+                    run(&block, &par),
                     serial,
                     "d{d} {boundary:?} threads={threads}: failure counts diverged"
                 );
                 let rec = Recorder::attached();
                 assert_eq!(
-                    block.run_shots_recorded_par(SHOTS, SEED, &rec, &par),
+                    block.run(SHOTS, SEED, &par, &rec),
                     serial,
                     "d{d} {boundary:?} threads={threads}: recorded counts diverged"
                 );
@@ -68,11 +74,37 @@ fn pooled_multi_decoder_counts_match_serial() {
     let uf = DecoderKind::UnionFind.build(&block.graph);
     let mwpm = DecoderKind::Mwpm.build(&block.graph);
     let decoders: [&(dyn vlq_decoder::Decoder + Send + Sync); 2] = [uf.as_ref(), mwpm.as_ref()];
-    let serial = block.run_shots_with(&decoders, SHOTS, SEED);
+    // Both decoders on the identical defect sets, through the batch
+    // driver directly (the shape `compare_decoders` runs).
+    let run_both = |par: &Parallelism| {
+        let mut counts = [0u64; 2];
+        par.run_batches(
+            SHOTS,
+            &Recorder::disabled(),
+            &mut counts,
+            BlockScratch::new,
+            |scratch, batch, lanes, counts| {
+                let words = block.sample_failure_words_into(
+                    &decoders,
+                    lanes,
+                    SEED.wrapping_add(batch),
+                    scratch,
+                );
+                for (count, decoder_words) in counts.iter_mut().zip(words) {
+                    *count += decoder_words
+                        .iter()
+                        .map(|w| u64::from(w.count_ones()))
+                        .sum::<u64>();
+                }
+            },
+        );
+        counts
+    };
+    let serial = run_both(&Parallelism::serial());
     for threads in [2usize, 3] {
         let par = Parallelism::threads(threads);
         assert_eq!(
-            block.run_shots_with_par(&decoders, SHOTS, SEED, &par),
+            run_both(&par),
             serial,
             "threads={threads}: multi-decoder counts diverged"
         );
@@ -90,8 +122,7 @@ fn mwpm_counters_match_across_thread_counts() {
     );
     let run = |threads: usize| {
         let rec = Recorder::attached();
-        let failures =
-            block.run_shots_recorded_par(SHOTS, SEED, &rec, &Parallelism::threads(threads));
+        let failures = block.run(SHOTS, SEED, &Parallelism::threads(threads), &rec);
         (
             failures,
             rec.value(Metric::MwpmBlossomCalls),
@@ -116,16 +147,17 @@ fn one_thread_means_no_pool() {
 }
 
 /// A pool outliving one block and serving another (and the same block
-/// again) must still be bit-identical: per-worker scratches are keyed
-/// on block identity and rebuilt on change, never reused stale.
+/// again) must still be bit-identical: per-worker scratches re-key on
+/// block identity and rebuild their decoder scratch, never reuse it
+/// stale.
 #[test]
 fn pool_reuse_across_blocks_stays_identical() {
     let par = Parallelism::threads(2);
     let a = block_for(3, Boundary::MidCircuit);
     let b = block_for(5, Boundary::Prep);
-    let serial_a = a.run_shots(SHOTS, SEED);
-    let serial_b = b.run_shots(SHOTS, SEED);
-    assert_eq!(a.run_shots_par(SHOTS, SEED, &par), serial_a);
-    assert_eq!(b.run_shots_par(SHOTS, SEED, &par), serial_b);
-    assert_eq!(a.run_shots_par(SHOTS, SEED, &par), serial_a);
+    let serial_a = run(&a, &Parallelism::serial());
+    let serial_b = run(&b, &Parallelism::serial());
+    assert_eq!(run(&a, &par), serial_a);
+    assert_eq!(run(&b, &par), serial_b);
+    assert_eq!(run(&a, &par), serial_a);
 }

@@ -125,7 +125,7 @@ fn sharded_fig11_merges_byte_identically_and_resumes() {
         let cache =
             ResumeCache::load_jsonl_expecting(&merged.join("fig11.jsonl"), spec.base_seed).unwrap();
         let replayed = SweepEngine::with_workers(2)
-            .run_resumable(&spec, &NeverRun, &mut [], &cache)
+            .run_opts(&spec, &NeverRun, &mut [], &cache, &RunOptions::default())
             .unwrap();
         assert_eq!(replayed, full);
     }

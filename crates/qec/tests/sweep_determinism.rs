@@ -3,7 +3,7 @@
 //! 1 worker and N workers produces byte-identical records.
 
 use vlq_decoder::DecoderKind;
-use vlq_qec::run_sweep_with;
+use vlq_qec::MemoryExecutor;
 use vlq_surface::schedule::Setup;
 use vlq_sweep::{CsvSink, JsonlSink, SweepEngine, SweepSpec};
 
@@ -29,7 +29,13 @@ fn run_with_workers(workers: usize) -> (Vec<u8>, Vec<u8>, Vec<vlq_sweep::SweepRe
     };
     let mut csv = CsvSink::new(Vec::new()).unwrap();
     let mut jsonl = JsonlSink::new(Vec::new());
-    let records = run_sweep_with(&spec, &engine, &mut [&mut csv, &mut jsonl]).unwrap();
+    let records = engine
+        .run(
+            &spec,
+            &MemoryExecutor::default(),
+            &mut [&mut csv, &mut jsonl],
+        )
+        .unwrap();
     let csv_bytes = csv.into_inner();
     let jsonl_bytes = jsonl.into_inner();
     (csv_bytes, jsonl_bytes, records)
@@ -67,7 +73,9 @@ fn chunked_and_unchunked_totals_agree() {
             chunk_shots,
             ..SweepEngine::with_workers(2)
         };
-        let records = run_sweep_with(&spec, &engine, &mut []).unwrap();
+        let records = engine
+            .run(&spec, &MemoryExecutor::default(), &mut [])
+            .unwrap();
         assert!(records.iter().all(|r| r.shots == 600));
         assert!(records.iter().all(|r| r.failures <= r.shots));
     }

@@ -3,7 +3,7 @@
 //! the artifacts parsed back and checked for shape and content.
 
 use vlq_decoder::DecoderKind;
-use vlq_qec::run_sweep_with;
+use vlq_qec::MemoryExecutor;
 use vlq_surface::schedule::Setup;
 use vlq_sweep::{CsvSink, JsonlSink, RecordSink, SweepEngine, SweepSpec, RECORD_COLUMNS};
 
@@ -26,7 +26,9 @@ fn small_grid_artifacts_parse_with_expected_rows() {
         let mut csv = CsvSink::create(&csv_path).unwrap();
         let mut jsonl = JsonlSink::create(&jsonl_path).unwrap();
         let mut sinks: Vec<&mut dyn RecordSink> = vec![&mut csv, &mut jsonl];
-        let records = run_sweep_with(&spec, &SweepEngine::default(), &mut sinks).unwrap();
+        let records = SweepEngine::default()
+            .run(&spec, &MemoryExecutor::default(), &mut sinks)
+            .unwrap();
         assert_eq!(records.len(), expected_rows);
     }
 

@@ -2,14 +2,14 @@
 //! sidecar must not depend on how work was scheduled.
 //!
 //! Two contracts pinned here:
-//! - `run_shots_recorded` returns bit-identical failure counts to
-//!   `run_shots` (recording never touches RNG streams or iteration
-//!   order), and
+//! - `PreparedBlock::run` returns the same failure count with a
+//!   recorder attached as without one (recording never touches RNG
+//!   streams or iteration order), and
 //! - the deterministic JSONL report of a swept workload is
 //!   byte-identical across worker counts (every sidecar metric is a
 //!   commutative reduction of seed-deterministic per-chunk work).
 
-use vlq_qec::{run_sweep_with, BlockConfig, BlockSampler, BlockSpec, DecoderKind, PreparedBlock};
+use vlq_qec::{BlockConfig, BlockSpec, DecoderKind, MemoryExecutor, Parallelism, PreparedBlock};
 use vlq_surface::schedule::{Basis, MemorySpec, Setup};
 use vlq_sweep::{SweepEngine, SweepSpec};
 use vlq_telemetry::{Metric, Recorder};
@@ -27,7 +27,9 @@ fn probe_spec() -> SweepSpec {
 fn sidecar_with_workers(workers: usize) -> (String, Vec<vlq_sweep::SweepRecord>) {
     let recorder = Recorder::attached();
     let engine = SweepEngine::with_workers(workers).with_recorder(recorder.clone());
-    let records = run_sweep_with(&probe_spec(), &engine, &mut []).expect("no sinks");
+    let records = engine
+        .run(&probe_spec(), &MemoryExecutor::default(), &mut [])
+        .expect("no sinks");
     (recorder.deterministic_jsonl("probe", 7), records)
 }
 
@@ -56,9 +58,10 @@ fn recording_never_perturbs_failure_counts() {
     let block = PreparedBlock::prepare(
         &BlockConfig::new(BlockSpec::full(memory), 4e-3).with_decoder(DecoderKind::UnionFind),
     );
-    let plain = block.run_shots(3000, 11);
+    let serial = Parallelism::serial();
+    let plain = block.run(3000, 11, &serial, &Recorder::disabled());
     let recorder = Recorder::attached();
-    let recorded = block.run_shots_recorded(3000, 11, &recorder);
+    let recorded = block.run(3000, 11, &serial, &recorder);
     assert_eq!(plain, recorded, "recording changed the sampled failures");
     assert_eq!(recorder.value(Metric::SampleLanes), 3000);
     assert_eq!(recorder.value(Metric::BlockFailures), plain);
@@ -66,7 +69,4 @@ fn recording_never_perturbs_failure_counts() {
         .hist(Metric::DefectsPerLane)
         .expect("defect histogram recorded");
     assert_eq!(defects.count, 3000, "one histogram entry per lane");
-    // A disabled recorder takes the same path and also changes nothing.
-    let disabled = block.run_shots_recorded(3000, 11, &Recorder::disabled());
-    assert_eq!(plain, disabled);
 }

@@ -1,11 +1,11 @@
 //! The work-stealing sweep engine.
 //!
 //! Expanded grid points are split into fixed-size shot chunks, pushed
-//! onto a shared injector deque, and drained by a pool of workers that
-//! keep small local deques and steal from each other when both their
-//! deque and the injector run dry. Parallelism therefore spans
-//! *configs × shots*: a scan of many small configs saturates the pool
-//! just as well as one huge config.
+//! onto a [`StealQueue`] (a shared injector deque), and drained by a
+//! pool of workers that keep small local deques and steal from each
+//! other when both their deque and the injector run dry. Parallelism
+//! therefore spans *configs × shots*: a scan of many small configs
+//! saturates the pool just as well as one huge config.
 //!
 //! Determinism: chunk boundaries and per-chunk seeds depend only on the
 //! spec and the engine's `chunk_shots` (never on worker count or steal
@@ -15,15 +15,15 @@
 //! and emits records to sinks in expansion order, making file artifacts
 //! byte-identical across runs.
 
-use std::collections::VecDeque;
 use std::io;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Mutex, OnceLock};
+use std::sync::{mpsc, OnceLock};
 use std::time::Instant;
 
 use vlq_telemetry::{Metric, ProgressReporter, Recorder};
 
 use crate::plan::ShardPlan;
+use crate::queue::StealQueue;
 use crate::shard::ShardSpec;
 use crate::sink::{RecordSink, SweepRecord};
 use crate::spec::{SweepPoint, SweepSpec};
@@ -76,11 +76,6 @@ struct Task {
     chunk: u64,
     shots: u64,
 }
-
-/// How many tasks a worker moves from the injector to its local deque
-/// per refill. Small enough to keep late stealers fed, large enough to
-/// amortize the injector lock.
-const REFILL_BATCH: usize = 4;
 
 /// Cross-cutting options of one engine run (see
 /// [`SweepEngine::run_opts`]).
@@ -161,8 +156,7 @@ struct Shared<'a, E: SweepExecutor> {
     points: &'a [SweepPoint],
     base_seed: u64,
     prepared: Vec<OnceLock<E::Prepared>>,
-    injector: Mutex<VecDeque<Task>>,
-    locals: Vec<Mutex<VecDeque<Task>>>,
+    queue: StealQueue<Task>,
     failures: Vec<AtomicU64>,
     chunks_left: Vec<AtomicUsize>,
     recorder: &'a Recorder,
@@ -176,44 +170,12 @@ struct Shared<'a, E: SweepExecutor> {
 }
 
 impl<E: SweepExecutor> Shared<'_, E> {
-    /// Claims the next task for worker `me`: local deque first (LIFO
-    /// for cache warmth), then an injector refill, then stealing FIFO
-    /// from the other workers.
-    fn next_task(&self, me: usize) -> Option<Task> {
-        if let Some(t) = self.locals[me].lock().expect("local deque").pop_back() {
-            return Some(t);
-        }
-        {
-            let mut injector = self.injector.lock().expect("injector");
-            if !injector.is_empty() {
-                let first = injector.pop_front();
-                let mut local = self.locals[me].lock().expect("local deque");
-                for _ in 1..REFILL_BATCH {
-                    match injector.pop_front() {
-                        Some(t) => local.push_back(t),
-                        None => break,
-                    }
-                }
-                return first;
-            }
-        }
-        for off in 1..self.locals.len() {
-            let victim = (me + off) % self.locals.len();
-            if let Some(t) = self.locals[victim]
-                .lock()
-                .expect("victim deque")
-                .pop_front()
-            {
-                self.recorder.incr(Metric::SweepSteals);
-                return Some(t);
-            }
-        }
-        None
-    }
-
     fn run_worker(&self, me: usize, done: &mpsc::Sender<usize>) {
         let timing = self.recorder.is_enabled() || self.time_points;
-        while let Some(task) = self.next_task(me) {
+        while let Some((task, stolen)) = self.queue.next(me) {
+            if stolen {
+                self.recorder.incr(Metric::SweepSteals);
+            }
             let start = timing.then(Instant::now);
             let point = &self.points[task.point];
             let prepared = self.prepared[task.point].get_or_init(|| self.executor.prepare(point));
@@ -325,36 +287,14 @@ impl SweepEngine {
         )
     }
 
-    /// Runs an explicit point list (already expanded) under `base_seed`.
-    pub fn run_points<E: SweepExecutor>(
-        &self,
-        points: &[SweepPoint],
-        base_seed: u64,
-        executor: &E,
-        sinks: &mut [&mut dyn RecordSink],
-    ) -> io::Result<Vec<SweepRecord>> {
-        let entries: Vec<(usize, SweepPoint)> = points.iter().cloned().enumerate().collect();
-        self.run_entries(&entries, base_seed, executor, sinks, &|_| None)
-    }
-
-    /// Runs the spec, reusing completed points from a
-    /// [`crate::resume::ResumeCache`] (loaded from a previous run's
-    /// JSONL artifact). Cached points are
-    /// emitted without running any shots; because per-point seeds are
-    /// schedule-independent, the merged record stream — and therefore
-    /// the final artifacts — is byte-identical to a full fresh run.
-    pub fn run_resumable<E: SweepExecutor>(
-        &self,
-        spec: &SweepSpec,
-        executor: &E,
-        sinks: &mut [&mut dyn RecordSink],
-        cache: &crate::resume::ResumeCache,
-    ) -> io::Result<Vec<SweepRecord>> {
-        self.run_opts(spec, executor, sinks, cache, &RunOptions::default())
-    }
-
     /// Runs one shard of the spec, optionally resuming from `cache` and
     /// numbering points from `opts.index_offset`.
+    ///
+    /// Points found in the [`crate::resume::ResumeCache`] (loaded from
+    /// a previous run's JSONL artifact) are emitted without running any
+    /// shots; because per-point seeds are schedule-independent, the
+    /// merged record stream — and therefore the final artifacts — is
+    /// byte-identical to a full fresh run.
     ///
     /// Points are numbered globally — `index_offset` plus their
     /// position in the spec's expansion — and the shard owns exactly
@@ -372,31 +312,16 @@ impl SweepEngine {
         cache: &crate::resume::ResumeCache,
         opts: &RunOptions,
     ) -> io::Result<Vec<SweepRecord>> {
-        let entries: Vec<(usize, SweepPoint)> = spec
+        let base_seed = spec.base_seed;
+        // The points this run owns and their global indices, ascending:
+        // emission (and the returned records) follow this order.
+        let (indices, points): (Vec<usize>, Vec<SweepPoint>) = spec
             .expand()
             .into_iter()
             .enumerate()
             .map(|(i, pt)| (opts.index_offset + i, pt))
             .filter(|(g, _)| opts.owns(*g))
-            .collect();
-        self.run_entries(&entries, spec.base_seed, executor, sinks, &|pt| {
-            cache.failures_for(pt, spec.base_seed)
-        })
-    }
-
-    /// Runs `(global_index, point)` entries; the core of every `run_*`
-    /// front-end. Emission (and the returned records) follow entry
-    /// order, which all callers keep ascending in global index.
-    fn run_entries<E: SweepExecutor>(
-        &self,
-        entries: &[(usize, SweepPoint)],
-        base_seed: u64,
-        executor: &E,
-        sinks: &mut [&mut dyn RecordSink],
-        cached: &dyn Fn(&SweepPoint) -> Option<u64>,
-    ) -> io::Result<Vec<SweepRecord>> {
-        let indices: Vec<usize> = entries.iter().map(|(g, _)| *g).collect();
-        let points: Vec<SweepPoint> = entries.iter().map(|(_, pt)| pt.clone()).collect();
+            .unzip();
         let points = &points[..];
         let workers = self.workers.max(1);
         let chunk_shots = self.chunk_shots.max(1);
@@ -404,23 +329,23 @@ impl SweepEngine {
 
         // Chunk every point; zero-shot and cache-satisfied points
         // complete immediately.
-        let mut tasks: VecDeque<Task> = VecDeque::new();
+        let queue = StealQueue::new(workers);
         let mut chunks_left: Vec<AtomicUsize> = Vec::with_capacity(points.len());
-        let prefilled: Vec<Option<u64>> = points.iter().map(cached).collect();
+        let prefilled: Vec<Option<u64>> = points
+            .iter()
+            .map(|pt| cache.failures_for(pt, base_seed))
+            .collect();
         for (i, pt) in points.iter().enumerate() {
             let n_chunks = if prefilled[i].is_some() {
                 0
             } else {
                 pt.shots.div_ceil(chunk_shots)
             };
-            for chunk in 0..n_chunks {
-                let shots = chunk_shots.min(pt.shots - chunk * chunk_shots);
-                tasks.push_back(Task {
-                    point: i,
-                    chunk,
-                    shots,
-                });
-            }
+            queue.extend((0..n_chunks).map(|chunk| Task {
+                point: i,
+                chunk,
+                shots: chunk_shots.min(pt.shots - chunk * chunk_shots),
+            }));
             chunks_left.push(AtomicUsize::new(n_chunks as usize));
         }
 
@@ -430,8 +355,7 @@ impl SweepEngine {
             points,
             base_seed,
             prepared: (0..points.len()).map(|_| OnceLock::new()).collect(),
-            injector: Mutex::new(tasks),
-            locals: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
+            queue,
             failures: (0..points.len()).map(|_| AtomicU64::new(0)).collect(),
             chunks_left,
             recorder: &self.recorder,
@@ -625,7 +549,7 @@ mod tests {
         // demo_spec: d in {3,5,7} x 4 rates; records 0..6 cover d=3 and
         // half of d=5... (records 0..6 are d=3 x4 + d=5 x2).
         let resumed = engine
-            .run_resumable(
+            .run_opts(
                 &SweepSpec {
                     distances: vec![3, 7],
                     ..spec.clone()
@@ -633,6 +557,7 @@ mod tests {
                 &PanicOnCached,
                 &mut [],
                 &cache,
+                &RunOptions::default(),
             )
             .unwrap();
         assert_eq!(resumed.len(), 8);
@@ -661,7 +586,7 @@ mod tests {
             }
         }
         let replayed = engine
-            .run_resumable(&spec, &NeverRun, &mut [], &cache)
+            .run_opts(&spec, &NeverRun, &mut [], &cache, &RunOptions::default())
             .unwrap();
         assert_eq!(replayed, fresh);
     }

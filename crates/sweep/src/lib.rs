@@ -62,6 +62,7 @@ pub mod artifact;
 pub mod engine;
 pub mod merge;
 pub mod plan;
+pub mod queue;
 pub mod resume;
 pub mod shard;
 pub mod sink;
@@ -75,6 +76,7 @@ pub use merge::{
 pub use plan::{
     load_times, parse_times, PlanError, ShardPlan, TimesEntry, TimesFile, PLAN_SCHEMA, TIMES_SCHEMA,
 };
+pub use queue::StealQueue;
 pub use resume::{ResumeCache, ResumeKey};
 pub use shard::{ShardError, ShardSpec};
 pub use sink::{

@@ -182,7 +182,7 @@ impl SweepExecutor for TenantSweepExecutor {
         shots: u64,
         seed: u64,
     ) -> u64 {
-        prepared.run_failures_par(shots, seed, &self.parallelism)
+        prepared.run(shots, seed, &self.parallelism, &Recorder::disabled())
     }
 
     fn run_chunk_recorded(
@@ -193,7 +193,7 @@ impl SweepExecutor for TenantSweepExecutor {
         seed: u64,
         recorder: &Recorder,
     ) -> u64 {
-        prepared.run_failures_recorded_par(shots, seed, recorder, &self.parallelism)
+        prepared.run(shots, seed, &self.parallelism, recorder)
     }
 }
 

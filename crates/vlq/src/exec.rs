@@ -40,10 +40,11 @@
 //! interior blocks have ideal prep/readout boundaries while the
 //! program's genuine ends (first exposure after page-in, destructive
 //! measurement) charge their real boundary noise exactly once, so
-//! error scales with real exposure;
-//! [`vlq_surface::schedule::Boundary::Full`] reproduces the legacy
-//! model (every timestep resamples a whole memory experiment)
-//! bit-for-bit. At the logical level, each lane keeps
+//! error scales with real exposure. The uniform modes
+//! ([`vlq_surface::schedule::Boundary::Full`], `Prep`, `Readout`) size
+//! blocks the same way but give every block that one boundary (`Full`:
+//! each exposure a whole memory experiment, noisy prep and readout
+//! included). At the logical level, each lane keeps
 //! one Pauli frame per logical qubit; a block whose decode left a
 //! residual logical flip XORs that flip into the lane's frame, and
 //! Clifford schedule instructions propagate the frames (a transversal
@@ -60,7 +61,7 @@ use std::collections::BTreeMap;
 
 use vlq_decoder::DecoderKind;
 use vlq_math::stats::BinomialEstimate;
-use vlq_qec::{BlockConfig, BlockScratch, BlockSpec, Parallelism, PreparedBlock};
+use vlq_qec::{BlockConfig, BlockScratch, BlockSpec, Parallelism, PreparedBlock, LANES_PER_BATCH};
 use vlq_sim::{CliffordGate, FrameBatch};
 use vlq_surface::schedule::{Basis, Boundary, MemorySpec, Setup};
 use vlq_surgery::LogicalOp;
@@ -443,14 +444,13 @@ pub struct FrameExecutor {
     pub parallelism: Parallelism,
     /// Which block boundary exposures are sampled under.
     ///
-    /// [`Boundary::MidCircuit`] (the default) sizes one block to each
-    /// instruction's actual round span; interior blocks are
-    /// boundary-light while the program's genuine ends charge their
-    /// real prep/readout noise exactly once (see `exposure_boundary`),
-    /// so error scales with real exposure. [`Boundary::Full`]
-    /// reproduces the legacy behavior bit-for-bit: every exposure
-    /// resamples a whole memory experiment, prep/readout boundary
-    /// rounds included, one `d`-round block per timestep.
+    /// Every mode sizes one block to each instruction's actual round
+    /// span. Under [`Boundary::MidCircuit`] (the default) interior
+    /// blocks are boundary-light while the program's genuine ends
+    /// charge their real prep/readout noise exactly once (see
+    /// `exposure_boundary`), so error scales with real exposure; the
+    /// other modes give every block their one boundary
+    /// ([`Boundary::Full`]: noisy prep and readout on every exposure).
     pub boundary: Boundary,
 }
 
@@ -503,21 +503,14 @@ impl Executor for FrameExecutor {
     type Output = ProgramReport;
 
     fn run(&self, schedule: &Schedule) -> Result<ProgramReport, MachineError> {
-        schedule.validate()?;
-        let prepared = FramePrepared::new(schedule.clone(), self.p, self.decoder, self.boundary);
-        let failures = prepared.run_failures_par(self.shots, self.seed, &self.parallelism);
-        Ok(ProgramReport {
-            shots: self.shots,
-            failures,
-            blocks_per_shot: prepared.blocks_per_shot(),
-        })
+        self.run_recorded(schedule, &Recorder::disabled())
     }
 }
 
 impl FrameExecutor {
     /// [`Executor::run`] with telemetry: the identical report, plus
     /// per-instruction-kind block-exposure counters recorded into
-    /// `recorder` (see [`FramePrepared::run_failures_recorded`]).
+    /// `recorder` (see [`FramePrepared::run`]).
     pub fn run_recorded(
         &self,
         schedule: &Schedule,
@@ -525,8 +518,7 @@ impl FrameExecutor {
     ) -> Result<ProgramReport, MachineError> {
         schedule.validate()?;
         let prepared = FramePrepared::new(schedule.clone(), self.p, self.decoder, self.boundary);
-        let failures =
-            prepared.run_failures_recorded_par(self.shots, self.seed, recorder, &self.parallelism);
+        let failures = prepared.run(self.shots, self.seed, &self.parallelism, recorder);
         Ok(ProgramReport {
             shots: self.shots,
             failures,
@@ -540,11 +532,10 @@ impl FrameExecutor {
 /// block length the schedule needs, in both guard sectors.
 ///
 /// Shared between [`FrameExecutor`] (one-shot runs) and
-/// [`ProgramSweepExecutor`] (the engine calls `run_failures` once per
-/// shot chunk).
+/// [`ProgramSweepExecutor`] (the engine calls [`FramePrepared::run`]
+/// once per shot chunk).
 pub struct FramePrepared {
     schedule: Schedule,
-    boundary: Boundary,
     /// Dense frame-lane slot per logical qubit.
     slots: BTreeMap<LogicalId, usize>,
     /// Prepared (Z-basis, X-basis) blocks keyed by (round count,
@@ -553,20 +544,17 @@ pub struct FramePrepared {
     blocks: BTreeMap<(usize, Boundary), (PreparedBlock, PreparedBlock)>,
     /// The boundary each exposure samples under, keyed by (instruction
     /// index, operand offset); computed once at preparation so the
-    /// replay loops and the block registry can never disagree. Empty
-    /// in legacy [`Boundary::Full`] mode.
+    /// replay loop and the block registry can never disagree.
     exposure_boundaries: BTreeMap<(u64, u64), Boundary>,
     /// Process-unique id (never reused); a persistent [`FrameScratch`]
-    /// keys its per-block decode scratch to it so worker scratch can
-    /// never be reused against a different preparation's graphs.
+    /// keys its per-block scratch map to it (see [`FrameScratch`]).
     identity: u64,
 }
 
 /// Per-block sample→decode scratch of one [`FrameScratch`], keyed like
 /// [`FramePrepared::blocks`] plus the guard sector (0 = Z, 1 = X). One
-/// [`BlockScratch`] per prepared block, because decoder scratch may
-/// carry graph-keyed memoisation (see
-/// [`PreparedBlock::sample_failure_words_reusing`]).
+/// [`BlockScratch`] per prepared block, so each keeps its decoder
+/// scratch (a block scratch handed a different block rebuilds it).
 type BlockScratchMap = BTreeMap<(usize, Boundary, u8), BlockScratch>;
 
 /// Reusable working set for [`FramePrepared`]'s batch replay: the
@@ -574,14 +562,13 @@ type BlockScratchMap = BTreeMap<(usize, Boundary, u8), BlockScratch>;
 /// measured-slot flags, the measurement read-out buffer, and one
 /// [`BlockScratch`] per sampled block. Holding one scratch across
 /// batches — per worker, on the pooled path — makes the steady state
-/// allocation-free under either decoder, where the frame replay
-/// previously rebuilt its whole working set on every exposure of every
-/// batch.
+/// allocation-free under either decoder.
 ///
-/// A scratch automatically re-keys itself when it is handed to a
-/// different [`FramePrepared`] (block scratch is dropped, frame buffers
-/// are reshaped), so persistent per-worker scratch is safe across
-/// sweeps over many prepared schedules.
+/// A scratch re-keys itself when it is handed to a different
+/// [`FramePrepared`]: its block scratch map is dropped (each
+/// [`BlockScratch`] would re-key itself anyway, but the map would keep
+/// the buffers of every preparation a pool worker ever served) and its
+/// frame buffers are reshaped.
 #[derive(Default)]
 pub struct FrameScratch {
     /// Identity of the [`FramePrepared`] the block scratch is keyed to.
@@ -621,8 +608,7 @@ const BLOCK_SEED_DOMAIN: u64 = 0x626c_6f63_6b73_6565; // "blocksee"
 /// operand index for two-qubit instructions). Every coordinate passes
 /// through a full splitmix64 round, so adjacent instructions — and the
 /// two sectors / operands of one instruction — can never share a
-/// stream (the legacy derivation XORed small constants into one
-/// stream, which collides under crafted indices).
+/// stream.
 fn block_seed(batch_seed: u64, instr: u64, sector: u64, offset: u64) -> u64 {
     let mut h = splitmix64(batch_seed ^ BLOCK_SEED_DOMAIN);
     h = splitmix64(h ^ splitmix64(instr));
@@ -650,25 +636,33 @@ fn exposure_boundary(mode: Boundary, first: bool, measures: bool) -> Boundary {
     }
 }
 
+/// Blocks one instruction samples per shot: one per refresh pass, one
+/// per participant of any other instruction with a nonzero span.
+fn exposures(instr: &Instr) -> u64 {
+    match instr {
+        Instr::RefreshRound { .. } => 1,
+        _ if instr.span() > 0 => instr.num_qubits() as u64,
+        _ => 0,
+    }
+}
+
 impl FramePrepared {
     /// Builds all block experiments a schedule needs under a boundary
     /// mode.
     ///
-    /// Under [`Boundary::Full`] every exposure is a whole memory
-    /// experiment resampled per timestep (the legacy model, preserved
-    /// bit-for-bit). Under the mid-circuit default, one block is sized
-    /// to each instruction's actual round span — a refresh pass samples
-    /// exactly its `rounds`, a span-`s` operation samples one
-    /// `s * d`-round block per participant (surgery exposure windows,
-    /// idle-in-DRAM stretches, magic-state waits) — and the program's
-    /// genuine ends charge their real boundary noise via
-    /// the ends-aware exposure rule (first exposure after page-in → `Prep`,
-    /// destructive measurement → `Readout`); everything in between is
-    /// boundary-light.
+    /// One block is sized to each instruction's actual round span — a
+    /// refresh pass samples exactly its `rounds`, a span-`s` operation
+    /// samples one `s * d`-round block per participant (surgery
+    /// exposure windows, idle-in-DRAM stretches, magic-state waits).
+    /// Under the mid-circuit default the program's genuine ends charge
+    /// their real boundary noise via the ends-aware exposure rule
+    /// (first exposure after page-in → `Prep`, destructive measurement
+    /// → `Readout`) and everything in between is boundary-light; the
+    /// uniform modes (`Full`, `Prep`, `Readout`) give every block their
+    /// own boundary.
     pub fn new(schedule: Schedule, p: f64, decoder: DecoderKind, boundary: Boundary) -> Self {
         let config = *schedule.config();
         let setup = setup_for_config(&config);
-        let legacy = boundary == Boundary::Full;
         let mut slots = BTreeMap::new();
         let mut needed: std::collections::BTreeSet<(usize, Boundary)> = Default::default();
         let mut exposure_boundaries: BTreeMap<(u64, u64), Boundary> = BTreeMap::new();
@@ -679,21 +673,6 @@ impl FramePrepared {
                 let next = slots.len();
                 slots.entry(q).or_insert(next);
             });
-            if legacy {
-                // Legacy: operations expose participants one timestep
-                // (= d rounds) at a time, every block a full memory
-                // experiment.
-                match instr {
-                    Instr::RefreshRound { rounds, .. } => {
-                        needed.insert((*rounds, Boundary::Full));
-                    }
-                    _ if instr.span() > 0 => {
-                        needed.insert((config.d, Boundary::Full));
-                    }
-                    _ => {}
-                }
-                continue;
-            }
             match instr {
                 Instr::PageIn { qubit, .. } => {
                     fresh.insert(*qubit);
@@ -741,7 +720,6 @@ impl FramePrepared {
         static NEXT_IDENTITY: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
         FramePrepared {
             schedule,
-            boundary,
             slots,
             blocks,
             exposure_boundaries,
@@ -752,126 +730,42 @@ impl FramePrepared {
     /// Syndrome-block samples per shot (both sectors of one exposure
     /// count as one block).
     pub fn blocks_per_shot(&self) -> u64 {
-        let legacy = self.boundary == Boundary::Full;
-        self.schedule
-            .instrs()
-            .iter()
-            .map(|i| match i {
-                Instr::RefreshRound { .. } => 1,
-                _ if legacy => i.span() * i.num_qubits() as u64,
-                _ if i.span() > 0 => i.num_qubits() as u64,
-                _ => 0,
-            })
-            .sum()
+        self.schedule.instrs().iter().map(exposures).sum()
     }
 
-    /// Runs `shots` seeded shots and returns the number of corrupted
-    /// programs. Deterministic given `seed`, independent of batching.
-    pub fn run_failures(&self, shots: u64, seed: u64) -> u64 {
-        self.run_failures_scratch(shots, seed, &mut FrameScratch::new())
-    }
-
-    /// [`FramePrepared::run_failures`] against caller-owned scratch:
-    /// identical failure counts, with the replay's whole working set
-    /// (frames, accumulators, per-block decode scratch) reused across
-    /// batches *and* across calls — zero steady-state allocation with
-    /// the Union-Find decoder
-    /// (`crates/vlq/tests/frame_alloc_probe.rs` pins this).
-    pub fn run_failures_scratch(&self, shots: u64, seed: u64, scratch: &mut FrameScratch) -> u64 {
-        const LANES_PER_BATCH: usize = 1024;
-        let mut failures = 0u64;
-        let mut remaining = shots;
-        let mut batch_idx = 0u64;
-        while remaining > 0 {
-            let lanes = (remaining as usize).min(LANES_PER_BATCH);
-            let batch_seed = splitmix64(seed ^ splitmix64(batch_idx));
-            failures += if self.boundary == Boundary::Full {
-                self.run_batch_legacy(lanes, batch_seed, scratch)
-            } else {
-                self.run_batch(lanes, batch_seed, scratch)
-            };
-            remaining -= lanes as u64;
-            batch_idx += 1;
-        }
-        failures
-    }
-
-    /// [`FramePrepared::run_failures`] under a worker policy: the
-    /// batches (independently seeded through the same
-    /// `splitmix64(seed ^ splitmix64(batch_idx))` schedule) are claimed
-    /// work-stealing-style by the pool's workers, and the per-batch
-    /// failure counts reduce in batch order — bit-identical to the
-    /// serial loop at any worker count. Each worker replays its batches
-    /// against a persistent [`FrameScratch`] held in the pool's typed
-    /// worker-state slots, so — like the `vlq-qec` block path — the
-    /// steady state allocates nothing.
-    pub fn run_failures_par(&self, shots: u64, seed: u64, par: &Parallelism) -> u64 {
-        const LANES_PER_BATCH: u64 = 1024;
-        let Some(pool) = par.pool() else {
-            return self.run_failures(shots, seed);
-        };
-        let tasks = shots.div_ceil(LANES_PER_BATCH);
-        let mut out = [0u64];
-        pool.run_tasks(tasks, 1, &mut out, &|batch_idx, worker, slots| {
-            let lanes = (shots - batch_idx * LANES_PER_BATCH).min(LANES_PER_BATCH) as usize;
-            let batch_seed = splitmix64(seed ^ splitmix64(batch_idx));
-            let failures = pool.worker_state(worker, FrameScratch::new, |scratch| {
-                if self.boundary == Boundary::Full {
-                    self.run_batch_legacy(lanes, batch_seed, scratch)
-                } else {
-                    self.run_batch(lanes, batch_seed, scratch)
-                }
-            });
-            slots[0].store(failures, std::sync::atomic::Ordering::Relaxed);
-        });
-        out[0]
-    }
-
-    /// [`FramePrepared::run_failures`] with telemetry: the identical
-    /// failure count, plus per-instruction-kind block-exposure counters
-    /// (one replay of the schedule per batch, so the counts are a pure
-    /// function of the schedule and the batch count — deterministic for
-    /// any worker schedule).
-    pub fn run_failures_recorded(&self, shots: u64, seed: u64, recorder: &Recorder) -> u64 {
-        self.run_failures_recorded_par(shots, seed, recorder, &Parallelism::serial())
-    }
-
-    /// [`FramePrepared::run_failures_recorded`] under a worker policy.
-    /// The exposure counters are a pure function of the schedule and
-    /// the batch count, so the recorded values — like the failure
-    /// count — are identical at any worker count.
-    pub fn run_failures_recorded_par(
-        &self,
-        shots: u64,
-        seed: u64,
-        recorder: &Recorder,
-        par: &Parallelism,
-    ) -> u64 {
-        const LANES_PER_BATCH: u64 = 1024;
-        let failures = self.run_failures_par(shots, seed, par);
+    /// Runs `shots` seeded shots under a worker policy and returns the
+    /// number of corrupted programs.
+    ///
+    /// Batch `b` replays with seed `splitmix64(seed ^ splitmix64(b))`,
+    /// so the count is identical at any worker count; pool workers each
+    /// replay against one persistent [`FrameScratch`], so the steady
+    /// state allocates nothing. With `recorder` attached, each
+    /// instruction kind's block-exposure count is recorded — one replay
+    /// of the schedule per batch, so the values are a pure function of
+    /// the schedule and the batch count.
+    pub fn run(&self, shots: u64, seed: u64, par: &Parallelism, recorder: &Recorder) -> u64 {
+        let mut failures = [0u64];
+        par.run_batches(
+            shots,
+            recorder,
+            &mut failures,
+            FrameScratch::new,
+            |scratch, batch, lanes, counts| {
+                counts[0] += self.run_batch(lanes, splitmix64(seed ^ splitmix64(batch)), scratch);
+            },
+        );
         if recorder.is_enabled() {
-            let batches = shots.div_ceil(LANES_PER_BATCH);
-            self.record_block_exposures(recorder, batches);
+            self.record_block_exposures(recorder, shots.div_ceil(LANES_PER_BATCH as u64));
         }
-        failures
+        failures[0]
     }
 
     /// Adds each instruction kind's sampled block-exposure count —
-    /// mirroring the [`FramePrepared::blocks_per_shot`] accounting — to
-    /// the recorder, scaled by `batches` (each batch replays the
-    /// schedule once for all of its lanes).
+    /// the [`FramePrepared::blocks_per_shot`] accounting — to the
+    /// recorder, scaled by `batches` (each batch replays the schedule
+    /// once for all of its lanes).
     fn record_block_exposures(&self, recorder: &Recorder, batches: u64) {
-        let legacy = self.boundary == Boundary::Full;
         for instr in self.schedule.instrs() {
-            let exposures = match instr {
-                Instr::RefreshRound { .. } => 1,
-                _ if legacy => instr.span() * instr.num_qubits() as u64,
-                _ if instr.span() > 0 => instr.num_qubits() as u64,
-                _ => 0,
-            };
-            if exposures == 0 {
-                continue;
-            }
             let metric = match instr {
                 Instr::RefreshRound { .. } => Metric::ExecRefreshBlocks,
                 Instr::Logical1Q { .. } => Metric::ExecLogical1QBlocks,
@@ -886,7 +780,7 @@ impl FramePrepared {
                 Instr::MeasureLogical { .. } => Metric::ExecMeasureBlocks,
                 Instr::PageIn { .. } | Instr::PageOut { .. } | Instr::Correction { .. } => continue,
             };
-            recorder.add(metric, exposures * batches);
+            recorder.add(metric, exposures(instr) * batches);
         }
     }
 
@@ -909,24 +803,30 @@ impl FramePrepared {
         let (z_block, x_block) = &self.blocks[&(rounds, boundary)];
         // Z-basis guard failure = residual logical X error.
         let zs = blocks.entry((rounds, boundary, 0)).or_default();
-        let x_flips = z_block.sample_failure_words_reusing(
+        let x_flips = &z_block.sample_failure_words_into(
+            &[z_block.decoder()],
             lanes,
             block_seed(batch_seed, instr, 0, offset),
             zs,
-        );
+        )[0];
         frames.xor_x_words(slot, x_flips);
         let xs = blocks.entry((rounds, boundary, 1)).or_default();
-        let z_flips = x_block.sample_failure_words_reusing(
+        let z_flips = &x_block.sample_failure_words_into(
+            &[x_block.decoder()],
             lanes,
             block_seed(batch_seed, instr, 1, offset),
             xs,
-        );
+        )[0];
         frames.xor_z_words(slot, z_flips);
     }
 
-    /// The boundary-aware replay: every instruction exposes each
-    /// participant to one block sized to its actual round span.
-    fn run_batch(&self, lanes: usize, batch_seed: u64, scratch: &mut FrameScratch) -> u64 {
+    /// Replays one batch of `lanes` shots seeded `batch_seed` against
+    /// caller-owned scratch and returns how many of them corrupted the
+    /// program: every instruction exposes each participant to one block
+    /// sized to its actual round span. The result depends only on the
+    /// preparation, `lanes` and `batch_seed`; the scratch's buffers are
+    /// reused across calls.
+    pub fn run_batch(&self, lanes: usize, batch_seed: u64, scratch: &mut FrameScratch) -> u64 {
         let words = lanes.div_ceil(64).max(1);
         let n_slots = self.slots.len().max(1);
         let d = self.schedule.config().d;
@@ -1056,132 +956,6 @@ impl FramePrepared {
         failed.iter().map(|w| w.count_ones() as u64).sum()
     }
 
-    /// Exposes one qubit slot to `reps` sampled blocks of `rounds`
-    /// syndrome rounds each (the legacy [`Boundary::Full`] model,
-    /// preserved bit-for-bit including its seed derivation).
-    fn expose_legacy(
-        &self,
-        frames: &mut FrameBatch,
-        blocks: &mut BlockScratchMap,
-        slot: usize,
-        rounds: usize,
-        reps: u64,
-        lanes: usize,
-        instr_seed: u64,
-    ) {
-        let (z_block, x_block) = &self.blocks[&(rounds, Boundary::Full)];
-        for rep in 0..reps {
-            let rep_seed = splitmix64(instr_seed ^ splitmix64(0x5851_f42d ^ rep));
-            // Z-basis guard failure = residual logical X error.
-            let zs = blocks.entry((rounds, Boundary::Full, 0)).or_default();
-            let x_flips = z_block.sample_failure_words_reusing(lanes, rep_seed, zs);
-            frames.xor_x_words(slot, x_flips);
-            let xs = blocks.entry((rounds, Boundary::Full, 1)).or_default();
-            let z_flips =
-                x_block.sample_failure_words_reusing(lanes, splitmix64(rep_seed ^ 0x9e37), xs);
-            frames.xor_z_words(slot, z_flips);
-        }
-    }
-
-    /// The legacy [`Boundary::Full`] replay: every timestep of every
-    /// operation resamples a whole `d`-round memory experiment.
-    fn run_batch_legacy(&self, lanes: usize, batch_seed: u64, scratch: &mut FrameScratch) -> u64 {
-        let words = lanes.div_ceil(64).max(1);
-        let n_slots = self.slots.len().max(1);
-        scratch.rekey(self.identity);
-        let FrameScratch {
-            frames,
-            failed,
-            measured,
-            outcome,
-            blocks,
-            ..
-        } = scratch;
-        frames.reset(n_slots, lanes);
-        failed.clear();
-        failed.resize(words, 0);
-        measured.clear();
-        measured.resize(n_slots, false);
-        let slot = |q: LogicalId| self.slots[&q];
-        for (idx, instr) in self.schedule.instrs().iter().enumerate() {
-            let instr_seed = splitmix64(batch_seed ^ splitmix64(idx as u64));
-            let span = instr.span();
-            let d = self.schedule.config().d;
-            match *instr {
-                Instr::PageIn { qubit, .. } => frames.reset_qubit(slot(qubit)),
-                Instr::PageOut { qubit, .. } => frames.reset_qubit(slot(qubit)),
-                Instr::Correction { .. } => {}
-                Instr::RefreshRound { qubit, rounds, .. } => {
-                    self.expose_legacy(frames, blocks, slot(qubit), rounds, 1, lanes, instr_seed);
-                }
-                Instr::Logical1Q { qubit, gate, .. } => {
-                    if gate == LogicalGate1Q::H {
-                        frames.apply(CliffordGate::H(slot(qubit)));
-                    }
-                    self.expose_legacy(frames, blocks, slot(qubit), d, span, lanes, instr_seed);
-                }
-                Instr::TransversalCnot {
-                    control, target, ..
-                }
-                | Instr::LatticeSurgeryCnot {
-                    control, target, ..
-                } => {
-                    frames.apply(CliffordGate::Cnot(slot(control), slot(target)));
-                    self.expose_legacy(frames, blocks, slot(control), d, span, lanes, instr_seed);
-                    self.expose_legacy(
-                        frames,
-                        blocks,
-                        slot(target),
-                        d,
-                        span,
-                        lanes,
-                        splitmix64(instr_seed ^ 0x7fb5),
-                    );
-                }
-                Instr::SurgeryMerge { a, b, .. } => {
-                    frames.apply(CliffordGate::Cnot(slot(a), slot(b)));
-                    self.expose_legacy(frames, blocks, slot(a), d, span, lanes, instr_seed);
-                    self.expose_legacy(
-                        frames,
-                        blocks,
-                        slot(b),
-                        d,
-                        span,
-                        lanes,
-                        splitmix64(instr_seed ^ 0x7fb5),
-                    );
-                }
-                Instr::SurgerySplit { a, b, .. } => {
-                    self.expose_legacy(frames, blocks, slot(a), d, span, lanes, instr_seed);
-                    self.expose_legacy(
-                        frames,
-                        blocks,
-                        slot(b),
-                        d,
-                        span,
-                        lanes,
-                        splitmix64(instr_seed ^ 0x7fb5),
-                    );
-                }
-                Instr::Move { qubit, .. } | Instr::ConsumeMagic { qubit, .. } => {
-                    self.expose_legacy(frames, blocks, slot(qubit), d, span, lanes, instr_seed);
-                }
-                Instr::MeasureLogical { qubit, .. } => {
-                    self.expose_legacy(frames, blocks, slot(qubit), d, span, lanes, instr_seed);
-                    // A destructive Z readout is corrupted by the
-                    // frame's X component; Z errors are harmless here.
-                    frames.measure_z_into(slot(qubit), outcome);
-                    for (f, o) in failed.iter_mut().zip(outcome.iter()) {
-                        *f |= o;
-                    }
-                    measured[slot(qubit)] = true;
-                }
-            }
-        }
-        self.close_batch(frames, measured, failed);
-        failed.iter().map(|w| w.count_ones() as u64).sum()
-    }
-
     /// Qubits still live at the end of the program must carry the
     /// identity frame, else the prepared logical state is corrupted.
     fn close_batch(&self, frames: &FrameBatch, measured: &[bool], failed: &mut [u64]) {
@@ -1257,9 +1031,10 @@ pub fn machine_config_for_point(point: &SweepPoint, num_qubits: usize) -> Machin
 /// `run_chunk` replays seeded shot chunks.
 ///
 /// Defaults to [`Boundary::MidCircuit`] blocks — the quantitative
-/// program-level fidelity model; set `boundary` to [`Boundary::Full`]
-/// to sweep the legacy whole-memory-experiment approximation (the
-/// `prog1` binary's `--boundary` flag).
+/// program-level fidelity model; set `boundary` to a uniform mode (the
+/// `prog1` binary's `--boundary` flag) to give every block that
+/// boundary, e.g. [`Boundary::Full`] for a whole memory experiment per
+/// exposure.
 ///
 /// # Panics
 ///
@@ -1321,7 +1096,7 @@ impl SweepExecutor for ProgramSweepExecutor {
         shots: u64,
         seed: u64,
     ) -> u64 {
-        prepared.run_failures_par(shots, seed, &self.parallelism)
+        prepared.run(shots, seed, &self.parallelism, &Recorder::disabled())
     }
 
     fn run_chunk_recorded(
@@ -1332,19 +1107,20 @@ impl SweepExecutor for ProgramSweepExecutor {
         seed: u64,
         recorder: &Recorder,
     ) -> u64 {
-        prepared.run_failures_recorded_par(shots, seed, recorder, &self.parallelism)
+        prepared.run(shots, seed, &self.parallelism, recorder)
     }
 }
 
 /// A single-qubit idle-memory schedule: one logical qubit paged in and
 /// refreshed for `cycles` scheduler cycles, then measured.
 ///
-/// Replaying it through [`FrameExecutor`] with [`Boundary::Full`] runs
-/// the same Monte-Carlo blocks as `vlq_qec::run_memory_experiment` —
-/// the memory experiment is the degenerate program, which is the point
-/// of the shared execution path; the default mid-circuit boundary
-/// replays the same schedule charging only its steady-state exposure
-/// (see `docs/executors.md`).
+/// Replaying it through [`FrameExecutor`] with [`Boundary::Full`]
+/// samples every exposure as the same kind of Monte-Carlo block that
+/// `vlq_qec::run_memory_experiment` samples — the memory experiment is
+/// the degenerate program, which is the point of the shared execution
+/// path; the default mid-circuit boundary replays the same schedule
+/// charging prep and readout noise once, at its real ends (see
+/// `docs/executors.md`).
 pub fn memory_schedule(config: MachineConfig, cycles: u64) -> Schedule {
     let mut machine = crate::machine::VlqMachine::new(config);
     let q = machine.alloc().expect("empty machine has room");
@@ -1439,24 +1215,19 @@ mod tests {
                 DecoderKind::UnionFind,
                 boundary,
             );
-            let a = prepared.run_failures(300, 7);
-            let b = prepared.run_failures(300, 7);
-            assert_eq!(a, b, "{boundary}: runs must reproduce");
-            assert_ne!(
-                prepared.run_failures(300, 8),
-                a,
-                "{boundary}: seed must matter"
-            );
+            let run = |seed| prepared.run(300, seed, &Parallelism::serial(), &Recorder::disabled());
+            let a = run(7);
+            assert_eq!(a, run(7), "{boundary}: runs must reproduce");
+            assert_ne!(run(8), a, "{boundary}: seed must matter");
         }
     }
 
     #[test]
     fn mid_circuit_blocks_shrink_program_error() {
         // The whole point of the boundary redesign: replaying the same
-        // schedule with exposure-sized mid-circuit blocks must yield
-        // strictly less error than the legacy model that resamples a
-        // full memory experiment (noisy prep + readout included) per
-        // timestep.
+        // schedule with ends-aware mid-circuit blocks must yield
+        // strictly less error than giving every exposure a full memory
+        // experiment's noisy prep and readout.
         // p low enough that neither model saturates — at saturation
         // both pin near shots and the comparison is vacuous.
         let compiled = compile(&LogicalCircuit::ghz(3), MachineConfig::compact_demo()).unwrap();
@@ -1470,10 +1241,7 @@ mod tests {
                 .failures
         };
         let (mid, full) = (run(Boundary::MidCircuit), run(Boundary::Full));
-        assert!(
-            mid < full,
-            "mid-circuit {mid} failures !< legacy full {full}"
-        );
+        assert!(mid < full, "mid-circuit {mid} failures !< full {full}");
     }
 
     #[test]

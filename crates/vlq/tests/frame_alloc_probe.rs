@@ -1,11 +1,12 @@
 //! Steady-state allocation probe for the frame-replay program path.
 //!
-//! `FramePrepared::run_failures_scratch` holds one `FrameScratch`
-//! across batches (and `run_failures_par` holds one per pool worker);
-//! after the first few batches have grown every buffer — the logical
-//! Pauli frames, the failure accumulator, and one `BlockScratch` per
-//! sampled syndrome block — to its working size, further batches must
-//! allocate *nothing*, under either decoder. A counting global allocator
+//! `FramePrepared::run` holds one `FrameScratch` across batches (one
+//! per worker on the pool); the serial check drives the one-batch
+//! replay `FramePrepared::run_batch` directly. After the first few
+//! batches have grown every buffer — the logical Pauli frames, the
+//! failure accumulator, and one `BlockScratch` per sampled syndrome
+//! block — to its working size, further batches must allocate
+//! *nothing*, under either decoder. A counting global allocator
 //! makes that a hard test, which is why the probe lives in its own
 //! integration-test binary, mirroring `crates/qec/tests/alloc_probe.rs`
 //! for the memory-block path.
@@ -18,6 +19,7 @@ use vlq::program::{compile, LogicalCircuit};
 use vlq::qec::Parallelism;
 use vlq::surface::schedule::Boundary;
 use vlq::{decoder::DecoderKind, FramePrepared, FrameScratch};
+use vlq_telemetry::Recorder;
 
 struct CountingAlloc;
 
@@ -47,9 +49,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static COUNTING: CountingAlloc = CountingAlloc;
 
-fn prepared(boundary: Boundary, kind: DecoderKind) -> FramePrepared {
+fn prepared(kind: DecoderKind) -> FramePrepared {
     let compiled = compile(&LogicalCircuit::ghz(2), MachineConfig::compact_demo()).unwrap();
-    FramePrepared::new(compiled.schedule, 3e-3, kind, boundary)
+    FramePrepared::new(compiled.schedule, 3e-3, kind, Boundary::MidCircuit)
 }
 
 #[test]
@@ -59,10 +61,10 @@ fn steady_state_frame_batches_do_not_allocate() {
     }
 }
 
-/// The serial, legacy and pooled steady-state checks for one decoder.
+/// The serial and pooled steady-state checks for one decoder.
 fn probe(kind: DecoderKind) {
-    let prep = prepared(Boundary::MidCircuit, kind);
-    const SHOTS: u64 = 256;
+    let prep = prepared(kind);
+    const LANES: usize = 256;
     let mut scratch = FrameScratch::new();
 
     // Warm-up: run the probe seeds once so every buffer (frames,
@@ -72,14 +74,14 @@ fn probe(kind: DecoderKind) {
     // re-running the identical batches must allocate nothing.
     let mut warm = 0u64;
     for seed in 100..112u64 {
-        warm += prep.run_failures_scratch(SHOTS, seed, &mut scratch);
+        warm += prep.run_batch(LANES, seed, &mut scratch);
     }
 
     // Steady state: same seeds again, zero allocator calls allowed.
     let before = ALLOC_CALLS.load(Ordering::Relaxed);
     let mut steady = 0u64;
     for seed in 100..112u64 {
-        steady += prep.run_failures_scratch(SHOTS, seed, &mut scratch);
+        steady += prep.run_batch(LANES, seed, &mut scratch);
     }
     let after = ALLOC_CALLS.load(Ordering::Relaxed);
     assert_eq!(
@@ -89,7 +91,7 @@ fn probe(kind: DecoderKind) {
     );
     assert_eq!(steady, warm, "scratch reuse changed the sampled bits");
     // The batches did real work, and scratch reuse is bit-identical to
-    // the fresh-scratch entry point.
+    // a fresh scratch.
     assert!(
         warm > 0,
         "{kind}: probe batches produced no failures at all"
@@ -97,31 +99,10 @@ fn probe(kind: DecoderKind) {
     assert_eq!(
         warm,
         (100..112u64)
-            .map(|s| prep.run_failures(SHOTS, s))
+            .map(|s| prep.run_batch(LANES, s, &mut FrameScratch::new()))
             .sum::<u64>(),
-        "scratch path diverged from run_failures"
+        "scratch reuse diverged from a fresh scratch"
     );
-
-    // The legacy Boundary::Full replay shares the scratch machinery
-    // (whole-memory-experiment blocks, same per-block keying).
-    let legacy = prepared(Boundary::Full, kind);
-    let mut legacy_scratch = FrameScratch::new();
-    let mut legacy_warm = 0u64;
-    for seed in 100..106u64 {
-        legacy_warm += legacy.run_failures_scratch(SHOTS, seed, &mut legacy_scratch);
-    }
-    let before = ALLOC_CALLS.load(Ordering::Relaxed);
-    let mut legacy_steady = 0u64;
-    for seed in 100..106u64 {
-        legacy_steady += legacy.run_failures_scratch(SHOTS, seed, &mut legacy_scratch);
-    }
-    let after = ALLOC_CALLS.load(Ordering::Relaxed);
-    assert_eq!(
-        after - before,
-        0,
-        "{kind}: steady-state legacy batches allocated ({legacy_warm} warm-up / {legacy_steady} steady)"
-    );
-    assert_eq!(legacy_steady, legacy_warm);
 
     // The same contract under the in-block worker pool: pool creation
     // and warm-up may allocate (threads, queues, per-worker scratch
@@ -138,16 +119,17 @@ fn probe(kind: DecoderKind) {
     // pairing replays identical shapes.
     let par = Parallelism::threads(2);
     const POOL_SHOTS: u64 = 2048;
+    let run = |par: &Parallelism, seed| prep.run(POOL_SHOTS, seed, par, &Recorder::disabled());
     let mut pooled_warm = 0u64;
     for seed in 200..206u64 {
-        pooled_warm += prep.run_failures_par(POOL_SHOTS, seed, &par);
+        pooled_warm += run(&par, seed);
     }
     let mut settled = false;
     for _attempt in 0..32 {
         let before = ALLOC_CALLS.load(Ordering::Relaxed);
         let mut pooled = 0u64;
         for seed in 200..206u64 {
-            pooled += prep.run_failures_par(POOL_SHOTS, seed, &par);
+            pooled += run(&par, seed);
         }
         let after = ALLOC_CALLS.load(Ordering::Relaxed);
         assert_eq!(
@@ -167,7 +149,7 @@ fn probe(kind: DecoderKind) {
     assert_eq!(
         pooled,
         (200..206u64)
-            .map(|s| prep.run_failures(POOL_SHOTS, s))
+            .map(|s| run(&Parallelism::serial(), s))
             .sum::<u64>(),
         "pooled failure counts diverged from serial"
     );

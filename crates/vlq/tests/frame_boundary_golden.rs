@@ -1,54 +1,51 @@
-//! Golden pins for the `FrameExecutor` memory path under
-//! `Boundary::Full`: the boundary-aware rewrite must reproduce the
-//! pre-redesign executor (commit 33c23a3) *bit-for-bit* — same legacy
-//! per-timestep full-experiment blocks, same seed derivation, same
-//! failure counts. The mid-circuit default is a different (better)
-//! model and is covered by behavioral tests, not pins.
+//! Golden pins for the `FrameExecutor` replay under its default
+//! `Boundary::MidCircuit` mode.
+//!
+//! The pins were captured from commit d245d4e, before the frame path's
+//! batch loop moved onto the shared `Parallelism` driver: the replay
+//! must keep its per-exposure block seeds, its batch seeds and its
+//! block accounting bit-for-bit.
 
 use vlq::decoder::DecoderKind;
 use vlq::exec::{memory_schedule, Executor, FrameExecutor};
 use vlq::machine::MachineConfig;
 use vlq::program::{compile, LogicalCircuit};
-use vlq::qec::Boundary;
 
 #[test]
-fn full_boundary_ghz3_matches_pre_redesign_counts() {
+fn mid_circuit_ghz3_counts_are_pinned() {
     let compiled = compile(&LogicalCircuit::ghz(3), MachineConfig::compact_demo()).unwrap();
     let report = FrameExecutor::at_scale(5e-3)
         .with_shots(2000)
         .with_seed(17)
-        .with_boundary(Boundary::Full)
         .run(&compiled.schedule)
         .unwrap();
-    assert_eq!(report.failures, 1974);
+    assert_eq!(report.failures, 1965);
     assert_eq!(report.blocks_per_shot, 26);
 }
 
 #[test]
-fn full_boundary_memory_schedule_matches_pre_redesign_counts() {
+fn mid_circuit_memory_schedule_counts_are_pinned() {
     let schedule = memory_schedule(MachineConfig::compact_demo(), 10);
     let report = FrameExecutor::at_scale(3e-3)
         .with_shots(3000)
         .with_seed(5)
-        .with_boundary(Boundary::Full)
         .run(&schedule)
         .unwrap();
-    assert_eq!(report.failures, 1387);
+    assert_eq!(report.failures, 1301);
     assert_eq!(report.blocks_per_shot, 12);
 }
 
 #[test]
-fn full_boundary_teleport_matches_pre_redesign_counts() {
+fn mid_circuit_teleport_counts_are_pinned() {
     // Teleport exercises surgery CNOTs, magic-state consumption, and
-    // measurement — every legacy expose path.
+    // measurement: every exposure kind of the replay.
     let compiled = compile(&LogicalCircuit::teleport(), MachineConfig::compact_demo()).unwrap();
     let report = FrameExecutor::at_scale(4e-3)
         .with_shots(2000)
         .with_seed(23)
         .with_decoder(DecoderKind::Mwpm)
-        .with_boundary(Boundary::Full)
         .run(&compiled.schedule)
         .unwrap();
-    assert_eq!(report.failures, 1864);
+    assert_eq!(report.failures, 1858);
     assert_eq!(report.blocks_per_shot, 37);
 }

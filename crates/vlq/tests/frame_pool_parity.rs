@@ -3,10 +3,11 @@
 //! including the committed golden pins — because per-exposure batch
 //! seeds depend only on the batch index, never on which worker ran it.
 
-use vlq::exec::{Executor, FrameExecutor};
+use vlq::exec::{Executor, FrameExecutor, FramePrepared};
 use vlq::machine::MachineConfig;
 use vlq::program::{compile, LogicalCircuit};
-use vlq::qec::{Boundary, Parallelism};
+use vlq::qec::{Boundary, DecoderKind, Parallelism};
+use vlq_telemetry::{Metric, Recorder};
 
 #[test]
 fn pooled_frame_runs_match_serial_and_golden_pins() {
@@ -28,10 +29,39 @@ fn pooled_frame_runs_match_serial_and_golden_pins() {
                 "{boundary:?} threads={threads}: frame failure counts diverged"
             );
         }
-        if boundary == Boundary::Full {
-            // The pre-redesign golden pin (frame_boundary_golden.rs)
-            // must hold pooled as well as serial.
-            assert_eq!(serial.failures, 1974);
+        if boundary == Boundary::MidCircuit {
+            // The ghz3 golden pin (frame_boundary_golden.rs) must hold
+            // pooled as well as serial.
+            assert_eq!(serial.failures, 1965);
         }
     }
+}
+
+/// `FramePrepared::run` with a recorder attached: the failure count
+/// and the deterministic sidecar bytes are the same on the calling
+/// thread and on a three-worker pool.
+#[test]
+fn recorded_frame_runs_match_across_thread_counts() {
+    let compiled = compile(&LogicalCircuit::teleport(), MachineConfig::compact_demo()).unwrap();
+    let prepared = FramePrepared::new(
+        compiled.schedule,
+        4e-3,
+        DecoderKind::UnionFind,
+        Boundary::MidCircuit,
+    );
+    let run = |threads: usize| {
+        let recorder = Recorder::attached();
+        // Three full batches and a ragged fourth.
+        let failures = prepared.run(3500, 23, &Parallelism::threads(threads), &recorder);
+        (
+            failures,
+            recorder.value(Metric::ExecMeasureBlocks),
+            recorder.deterministic_jsonl("frame-parity", 23),
+        )
+    };
+    let serial = run(1);
+    let (failures, measure_blocks, _) = &serial;
+    assert!(*failures > 0, "the replay sampled no failures at all");
+    assert!(*measure_blocks > 0, "exposure counters were not recorded");
+    assert_eq!(run(3), serial, "threads=3 changed the run");
 }

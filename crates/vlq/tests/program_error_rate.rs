@@ -227,6 +227,11 @@ fn chunk_seeding_is_schedule_independent() {
     )
     .expect("compiles");
     let prepared = FramePrepared::new(compiled.schedule, pt.p, pt.decoder, Boundary::MidCircuit);
-    let direct = prepared.run_failures(200, pt.chunk_seed(11, 0));
+    let direct = prepared.run(
+        200,
+        pt.chunk_seed(11, 0),
+        &vlq::qec::Parallelism::serial(),
+        &vlq_telemetry::Recorder::disabled(),
+    );
     assert_eq!(records[0].failures, direct);
 }

@@ -18,7 +18,7 @@
 use std::time::Instant;
 
 use vlq::decoder::DecoderKind;
-use vlq::qec::{config_for_point, run_memory_experiment, run_sweep_with};
+use vlq::qec::{config_for_point, run_memory_experiment, MemoryExecutor};
 use vlq::surface::schedule::Setup;
 use vlq::sweep::{SweepEngine, SweepSpec};
 
@@ -51,7 +51,9 @@ fn main() {
 
     // 2. Engine, 1 worker: same schedule shape, engine overhead only.
     let t0 = Instant::now();
-    let recs1 = run_sweep_with(&spec, &SweepEngine::serial(), &mut []).unwrap();
+    let recs1 = SweepEngine::serial()
+        .run(&spec, &MemoryExecutor::default(), &mut [])
+        .unwrap();
     let t_one = t0.elapsed();
     println!("sweep engine, 1 worker:      {t_one:>8.2?}");
 
@@ -65,7 +67,9 @@ fn main() {
                 .unwrap_or(1)
         });
     let t0 = Instant::now();
-    let recs_n = run_sweep_with(&spec, &SweepEngine::with_workers(workers), &mut []).unwrap();
+    let recs_n = SweepEngine::with_workers(workers)
+        .run(&spec, &MemoryExecutor::default(), &mut [])
+        .unwrap();
     let t_many = t0.elapsed();
     println!("sweep engine, {workers} worker(s):   {t_many:>8.2?}");
 
