@@ -114,10 +114,10 @@ fn bench_graph_build(c: &mut Criterion) {
 
 /// Scratch-reusing `decode_batch` vs the per-lane `decode` loop it
 /// replaced, over the (d, p) perf-trajectory grid (Union-Find on random
-/// defect lists), plus MWPM's batch path on sampled syndromes at
-/// fig11's d=7, p=5e-3 point, where shots average about 15 defects.
+/// lists of at most 6 defects), plus both batch paths on sampled fig11
+/// syndromes: MWPM at d=7, p=5e-3 (about 15 defects per shot) and
+/// Union-Find at d=7, p=8e-3, the fig11-uf benchmark's heaviest point.
 fn bench_decode_batch(c: &mut Criterion) {
-    use vlq_decoder::UnionFindDecoder;
     let mut group = c.benchmark_group("decode-batch");
     for d in [3usize, 5, 7, 9] {
         for p in [1e-3, 5e-3] {
@@ -158,6 +158,13 @@ fn bench_decode_batch(c: &mut Criterion) {
         let mut scratch = mwpm.make_scratch();
         let mut out = vec![0u64; lanes.div_ceil(64)];
         b.iter(|| mwpm.decode_batch(&lists, &mut scratch, &mut out))
+    });
+    let (g, lists) = sampled_defects(7, 8e-3, lanes);
+    let uf = UnionFindDecoder::new(&g);
+    group.bench_with_input(BenchmarkId::new("uf-batch", "d7-p8e-3"), &7, |b, _| {
+        let mut scratch = uf.make_scratch();
+        let mut out = vec![0u64; lanes.div_ceil(64)];
+        b.iter(|| uf.decode_batch(&lists, &mut scratch, &mut out))
     });
     group.finish();
 }

@@ -1,21 +1,25 @@
-//! Weighted Union-Find decoder (Delfosse-Nickerson style).
+//! The "union-find" decoder: first-contact cluster growth with greedy
+//! pairing.
 //!
-//! Clusters grow outward from defects in weight units; odd clusters keep
-//! growing until they merge with another odd cluster or touch the
-//! boundary. Once every cluster is neutral, defects are paired *within*
-//! their cluster by shortest paths, which determines the predicted
-//! logical flip. Union-Find trades a little accuracy for near-linear
-//! decoding time; the `decoder` Criterion bench and the `fig11
-//! --decoder uf` ablation quantify the trade against exact MWPM.
+//! 1. **Multi-source first-contact growth.** One heap grows every
+//!    defect's cluster in order of path weight; the first front to reach
+//!    a node claims it. Reaching another cluster's node merges the two
+//!    at once and records the contact; reaching the boundary makes a
+//!    cluster neutral.
+//! 2. **Global stop** once no odd, boundary-free cluster remains.
+//! 3. **Greedy pairing along the contacts,** cheapest first; leftover
+//!    defects go to the boundary.
 //!
-//! # Scratch reuse
+//! This is not Delfosse–Nickerson union-find (arXiv:1709.06218), and it
+//! has no threshold: on shared baseline syndromes at p = 5e-3, MWPM's
+//! logical error rate falls from 1.13e-1 at d = 3 to 2.29e-2 at d = 11
+//! while this decoder's rises from 1.20e-1 to 3.77e-1. ROADMAP.md's item
+//! "A real union-find decoder" tracks its replacement.
 //!
-//! Every per-decode array lives in a [`UfScratch`] sized to the graph.
-//! [`UnionFindDecoder::decode_with`] resets only the entries dirtied by
-//! the previous decode (the touched-node list), so a steady-state decode
-//! costs O(nodes reached), not O(graph), and allocates nothing. The
-//! one-shot [`Decoder::decode`] path builds a fresh scratch per call and
-//! is bit-identical.
+//! State is flat: CSR arcs with the boundary as node `n`, node records
+//! reset through a touched list, one contact list, and boundary parities
+//! built once in [`UnionFindDecoder::new`]. `docs/perf.md` ("Union-find
+//! hot path") argues why it decodes exactly like the code it replaced.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -25,97 +29,109 @@ use vlq_telemetry::{Metric, Recorder};
 use crate::graph::{DecodingGraph, BOUNDARY};
 use crate::{Decoder, DecoderScratch};
 
-/// Per-node `(neighbor, weight, flips_observable)` contact lists recorded
-/// while growing clusters.
-type GrowthForest = Vec<Vec<(usize, f64, bool)>>;
+/// An unclaimed node's owner, and a non-defect's list position.
+const NONE: u32 = u32::MAX;
 
-/// The static decoding-graph adjacency list: per-node
-/// `(neighbor, weight, flips_observable)` entries. Same shape as a
-/// [`GrowthForest`], but fixed at construction rather than per decode.
-type AdjacencyList = Vec<Vec<(usize, f64, bool)>>;
-
-/// The Union-Find decoder.
-#[derive(Clone, Debug)]
-pub struct UnionFindDecoder {
-    adjacency: AdjacencyList,
-    num_nodes: usize,
+/// One directed edge of the CSR adjacency.
+#[derive(Clone, Copy, Debug)]
+struct Arc {
+    w: f64,
+    /// Head node; the boundary is node `n`.
+    to: u32,
+    /// Whether the edge flips the logical observable.
+    obs: bool,
 }
 
-/// Reusable working set for [`UnionFindDecoder::decode_with`]: the
-/// union-find arrays, the growth front, the contact forest, and the
-/// pairing buffers, all sized to the graph (index `num_nodes` is the
-/// virtual boundary node).
+/// The union-find decoder.
+#[derive(Clone, Debug)]
+pub struct UnionFindDecoder {
+    num_nodes: usize,
+    /// Node `v`'s arcs are `arcs[first[v]..first[v + 1]]`, in
+    /// [`DecodingGraph::adjacency`] order. The boundary node has none.
+    first: Vec<u32>,
+    arcs: Vec<Arc>,
+    /// Observable parity of each node's shortest path to the boundary
+    /// (false when the boundary is unreachable).
+    boundary_parity: Vec<bool>,
+}
+
+/// Per-node decode state. `parity` and `boundary` are read at cluster
+/// roots only.
+#[derive(Clone, Copy, Debug)]
+struct Node {
+    /// Growth distance from the owning defect.
+    dist: f64,
+    /// Union-find parent; set when the node is claimed.
+    parent: u32,
+    /// The defect whose front claimed the node, or [`NONE`].
+    owner: u32,
+    /// A defect's first position in the defect list, or [`NONE`].
+    pos: u32,
+    /// Defect-count parity of the cluster.
+    parity: bool,
+    /// Whether the cluster has reached the boundary.
+    boundary: bool,
+    /// Observable parity of the growth path from the owner.
+    path_parity: bool,
+    /// A defect not yet paired.
+    unpaired: bool,
+}
+
+impl Node {
+    const FREE: Node = Node {
+        dist: f64::INFINITY,
+        parent: NONE,
+        owner: NONE,
+        pos: NONE,
+        parity: false,
+        boundary: false,
+        path_parity: false,
+        unpaired: false,
+    };
+}
+
+/// One cluster merge: the defects whose fronts met, and their path.
+#[derive(Clone, Copy, Debug)]
+struct Contact {
+    /// Pairing order, unique: the path distance's bits, then the first
+    /// list position of `lo` (high half) and the contact's index (low).
+    key: (u64, u64),
+    lo: u32,
+    hi: u32,
+    /// Observable parity of the defect-to-defect path.
+    parity: bool,
+}
+
+/// Reusable working set for [`UnionFindDecoder::decode_with`], sized to
+/// the graph (node `num_nodes` is the virtual boundary).
 #[derive(Debug)]
 pub struct UfScratch {
     num_nodes: usize,
-    // Union-find state.
-    parent: Vec<usize>,
-    /// Defect-count parity per root.
-    parity: Vec<bool>,
-    /// Whether the cluster has absorbed the boundary.
-    boundary: Vec<bool>,
-    // Growth state.
-    owner: Vec<usize>,
-    dist: Vec<f64>,
-    /// Observable parity of the growth path from the owner defect.
-    path_parity: Vec<bool>,
-    contacts: GrowthForest,
-    heap: BinaryHeap<GrowItem>,
-    /// Number of clusters that are still odd and boundary-free,
-    /// maintained incrementally by [`UfScratch::union`]. Zero exactly
-    /// when every defect's cluster is neutral (a cluster with odd
-    /// parity always contains a defect), so growth can stop without
-    /// re-scanning the defect list after every popped node.
+    nodes: Vec<Node>,
+    heap: BinaryHeap<Front>,
+    /// Every merge of the current decode, in the order it happened.
+    contacts: Vec<Contact>,
+    /// Clusters that are odd and boundary-free: zero exactly when every
+    /// cluster is neutral, so growth stops without a defect re-scan.
     odd_clusters: usize,
     /// Nodes dirtied by the current decode; reset walks only these.
-    touched: Vec<usize>,
-    // Pairing state.
-    roots: Vec<(usize, usize)>,
-    pairs: Vec<(usize, usize, f64, bool)>,
-    /// Per-node "still unpaired" flags; all false between clusters.
-    unpaired: Vec<bool>,
-    // Dijkstra-to-boundary fallback (rare; full reset per use).
-    bp_dist: Vec<f64>,
-    bp_parity: Vec<bool>,
-    bp_heap: BinaryHeap<GrowItem>,
-    /// Memoized `boundary_parity` answers (0 = unknown, 1 = false,
-    /// 2 = true). A pure function of the graph and the source node, so
-    /// this survives across decodes — deliberately NOT touched by
-    /// `reset` — and heavy-load batches answer the fallback once per
-    /// node instead of once per defect.
-    bp_memo: Vec<u8>,
+    touched: Vec<u32>,
     /// Telemetry sink (disabled by default: one branch per record).
     recorder: Recorder,
 }
 
 impl UfScratch {
-    /// Fresh scratch for a graph with `num_nodes` detector nodes.
-    ///
-    /// Heap, contact, and pairing buffers get small up-front capacities:
-    /// their sizes depend on the defect load, and first-touch growth
-    /// would otherwise trickle allocations across many steady-state
-    /// decodes before every node's buffer has been exercised.
-    pub fn new(num_nodes: usize) -> Self {
-        let n = num_nodes;
+    /// Fresh scratch for a graph with `n` detector nodes. Buffers start
+    /// at their bound for distinct defects (a node is touched and pushed
+    /// at most once, a contact merges two clusters): decodes never grow them.
+    pub fn new(n: usize) -> Self {
         UfScratch {
-            num_nodes,
-            parent: (0..=n).collect(),
-            parity: vec![false; n + 1],
-            boundary: (0..=n).map(|i| i == n).collect(),
-            owner: vec![usize::MAX; n + 1],
-            dist: vec![f64::INFINITY; n + 1],
-            path_parity: vec![false; n + 1],
-            contacts: (0..=n).map(|_| Vec::with_capacity(8)).collect(),
-            heap: BinaryHeap::with_capacity(2 * (n + 1)),
+            num_nodes: n,
+            nodes: vec![Node::FREE; n + 1],
+            heap: BinaryHeap::with_capacity(n + 1),
+            contacts: Vec::with_capacity(n),
             odd_clusters: 0,
             touched: Vec::with_capacity(n + 1),
-            roots: Vec::with_capacity(16),
-            pairs: Vec::with_capacity(16),
-            unpaired: vec![false; n + 1],
-            bp_dist: vec![f64::INFINITY; n + 1],
-            bp_parity: vec![false; n + 1],
-            bp_heap: BinaryHeap::with_capacity(n + 1),
-            bp_memo: vec![0; n + 1],
             recorder: Recorder::disabled(),
         }
     }
@@ -125,90 +141,115 @@ impl UfScratch {
         self.recorder = recorder.clone();
     }
 
-    /// Restores the invariant state by undoing only the entries the
-    /// previous decode touched.
+    /// Frees only the records the previous decode touched.
     fn reset(&mut self) {
-        let n = self.num_nodes;
-        for k in 0..self.touched.len() {
-            let t = self.touched[k];
-            self.parent[t] = t;
-            self.parity[t] = false;
-            self.boundary[t] = t == n;
-            self.owner[t] = usize::MAX;
-            self.dist[t] = f64::INFINITY;
-            self.path_parity[t] = false;
-            self.contacts[t].clear();
+        for &t in &self.touched {
+            self.nodes[t as usize] = Node::FREE;
         }
         self.touched.clear();
         self.heap.clear();
+        self.contacts.clear();
         self.odd_clusters = 0;
     }
 
-    fn find(&mut self, x: usize) -> usize {
-        if self.parent[x] != x {
-            let root = self.find(self.parent[x]);
-            self.parent[x] = root;
+    /// The root of `x`'s cluster, compressing the path to it.
+    fn find(&mut self, x: u32) -> u32 {
+        let mut root = x;
+        while self.nodes[root as usize].parent != root {
+            root = self.nodes[root as usize].parent;
         }
-        self.parent[x]
+        let mut x = x;
+        while x != root {
+            x = std::mem::replace(&mut self.nodes[x as usize].parent, root);
+        }
+        root
     }
 
-    fn union(&mut self, a: usize, b: usize) {
-        let ra = self.find(a);
-        let rb = self.find(b);
-        if ra == rb {
-            return;
-        }
-        let odd = |p: bool, bd: bool| usize::from(p && !bd);
-        let before =
-            odd(self.parity[ra], self.boundary[ra]) + odd(self.parity[rb], self.boundary[rb]);
-        self.parent[rb] = ra;
-        let p = self.parity[ra] ^ self.parity[rb];
-        self.parity[ra] = p;
-        let bd = self.boundary[ra] || self.boundary[rb];
-        self.boundary[ra] = bd;
+    /// Hangs root `other` below root `root`.
+    fn merge(&mut self, root: u32, other: u32) {
+        let odd = |n: &Node| usize::from(n.parity && !n.boundary);
+        let (a, b) = (self.nodes[root as usize], self.nodes[other as usize]);
+        self.nodes[other as usize].parent = root;
+        let merged = &mut self.nodes[root as usize];
+        merged.parity = a.parity ^ b.parity;
+        merged.boundary = a.boundary || b.boundary;
         // Every still-odd root is counted, so the subtraction is safe.
-        self.odd_clusters -= before;
-        self.odd_clusters += odd(p, bd);
-    }
-}
-
-/// Stable sort that avoids `slice::sort_by`'s merge-buffer allocation
-/// for the typical small case (keeping the batch decode loop
-/// allocation-free) and falls back to it for the rare large cluster
-/// where O(len²) insertion would dominate. Any two stable sorts produce
-/// the identical permutation, so the cutover never changes results.
-fn stable_sort_by<T: Copy>(items: &mut [T], less: impl Fn(&T, &T) -> bool) {
-    const INSERTION_CUTOFF: usize = 32;
-    if items.len() > INSERTION_CUTOFF {
-        items.sort_by(|a, b| {
-            if less(a, b) {
-                Ordering::Less
-            } else if less(b, a) {
-                Ordering::Greater
-            } else {
-                Ordering::Equal
-            }
-        });
-        return;
-    }
-    for i in 1..items.len() {
-        let item = items[i];
-        let mut j = i;
-        while j > 0 && less(&item, &items[j - 1]) {
-            items[j] = items[j - 1];
-            j -= 1;
-        }
-        items[j] = item;
+        self.odd_clusters -= odd(&a) + odd(&b);
+        self.odd_clusters += odd(merged);
     }
 }
 
 impl UnionFindDecoder {
     /// Builds a decoder for a sector graph.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an edge weight is negative, NaN or infinite (growth
+    /// orders distances by their bits, exact only for finite weights
+    /// ≥ 0), or if node or arc ids do not fit below [`NONE`].
     pub fn new(graph: &DecodingGraph) -> Self {
-        UnionFindDecoder {
-            adjacency: graph.adjacency(),
-            num_nodes: graph.num_nodes(),
+        let n = graph.num_nodes();
+        let (mut first, mut arcs) = (Vec::with_capacity(n + 2), Vec::new());
+        for list in graph.adjacency() {
+            first.push(arcs.len() as u32);
+            for (to, w, obs) in list {
+                assert!(w.is_finite() && w >= 0.0, "UF weight {w} not in [0, inf)");
+                let to = if to == BOUNDARY { n } else { to } as u32;
+                arcs.push(Arc { w, to, obs });
+            }
         }
+        assert!(n.max(arcs.len()) < NONE as usize, "graph too large");
+        first.extend([arcs.len() as u32; 2]);
+        let mut decoder = UnionFindDecoder {
+            num_nodes: n,
+            first,
+            arcs,
+            boundary_parity: Vec::new(),
+        };
+        decoder.boundary_parity = decoder.boundary_parities();
+        decoder
+    }
+
+    fn arcs_of(&self, node: usize) -> &[Arc] {
+        &self.arcs[self.first[node] as usize..self.first[node + 1] as usize]
+    }
+
+    /// Each node's observable parity along its shortest path to the
+    /// boundary: Dijkstra from the node, stopping at the boundary's
+    /// first pop, ties broken by heap order. The buffers are shared and
+    /// reset through the nodes each search reached.
+    fn boundary_parities(&self) -> Vec<bool> {
+        let n = self.num_nodes;
+        let (mut dist, mut parity) = (vec![f64::INFINITY; n + 1], vec![false; n + 1]);
+        let (mut reached, mut heap) = (Vec::new(), BinaryHeap::new());
+        let mut search = |src: usize| {
+            for v in reached.drain(..) {
+                (dist[v], parity[v]) = (f64::INFINITY, false);
+            }
+            heap.clear();
+            dist[src] = 0.0;
+            reached.push(src);
+            heap.push(Front::new(0.0, src as u32, src as u32));
+            while let Some(front) = heap.pop() {
+                let (d, node) = (f64::from_bits(front.dist_bits), front.node as usize);
+                if node == n {
+                    return parity[n];
+                }
+                if d > dist[node] {
+                    continue;
+                }
+                for arc in self.arcs_of(node) {
+                    let (to, nd) = (arc.to as usize, d + arc.w);
+                    if nd < dist[to] {
+                        reached.push(to);
+                        (dist[to], parity[to]) = (nd, parity[node] ^ arc.obs);
+                        heap.push(Front::new(nd, arc.to, front.src));
+                    }
+                }
+            }
+            false
+        };
+        (0..n).map(&mut search).collect()
     }
 
     /// [`Decoder::decode`] against caller-owned scratch: bit-identical
@@ -228,218 +269,116 @@ impl UnionFindDecoder {
         }
         scratch.reset();
         let (growth_steps, odd_peak) = self.grow(defects, scratch);
-        if scratch.recorder.is_enabled() {
-            scratch.recorder.add(Metric::UfGrowthSteps, growth_steps);
-            scratch
-                .recorder
-                .add(Metric::UfTouchedNodes, scratch.touched.len() as u64);
-            scratch
-                .recorder
-                .gauge_max(Metric::UfOddClusterPeak, odd_peak);
+        let recorder = &scratch.recorder;
+        if recorder.is_enabled() {
+            recorder.add(Metric::UfGrowthSteps, growth_steps);
+            recorder.add(Metric::UfTouchedNodes, scratch.touched.len() as u64);
+            recorder.gauge_max(Metric::UfOddClusterPeak, odd_peak);
         }
         self.pair_and_predict(defects, scratch)
     }
 
-    /// Grows clusters until all are neutral, recording for every node
-    /// reached the defect it was reached from with path parity (the
-    /// growth forest lands in `scratch.contacts`). Returns the number
-    /// of growth steps (heap pops) and the peak odd-cluster count, for
-    /// telemetry.
-    fn grow(&self, defects: &[usize], scratch: &mut UfScratch) -> (u64, u64) {
-        let n = self.num_nodes;
-        let boundary_node = n;
-        // Multi-source Dijkstra-style growth: each defect grows a region;
-        // when two regions meet (edge fully covered from both sides, here
-        // approximated by first contact), the clusters merge.
-        for &d in defects {
-            scratch.touched.push(d);
-            scratch.parity[d] = true;
-            scratch.owner[d] = d;
-            scratch.dist[d] = 0.0;
-            scratch.odd_clusters += 1;
-            scratch.heap.push(GrowItem {
-                dist: 0.0,
-                node: d,
-                src: d,
-            });
+    /// Grows clusters until all are neutral, recording every merge in
+    /// `s.contacts`. Returns the number of growth steps (heap pops) and
+    /// the peak odd-cluster count, for telemetry.
+    fn grow(&self, defects: &[usize], s: &mut UfScratch) -> (u64, u64) {
+        let boundary = self.num_nodes as u32;
+        for (i, &d) in defects.iter().enumerate() {
+            let d = u32::try_from(d).expect("defect index fits a u32");
+            s.touched.push(d);
+            let node = &mut s.nodes[d as usize];
+            if node.owner == NONE {
+                *node = Node {
+                    dist: 0.0,
+                    parent: d,
+                    owner: d,
+                    pos: i as u32,
+                    parity: true,
+                    unpaired: true,
+                    ..Node::FREE
+                };
+            }
+            s.odd_clusters += 1;
+            s.heap.push(Front::new(0.0, d, d));
         }
         let mut growth_steps = 0u64;
-        let mut odd_peak = scratch.odd_clusters as u64;
-        while let Some(GrowItem {
-            dist: dcur,
-            node,
-            src,
-        }) = scratch.heap.pop()
-        {
+        let mut odd_peak = s.odd_clusters as u64;
+        while let Some(front) = s.heap.pop() {
             growth_steps += 1;
-            odd_peak = odd_peak.max(scratch.odd_clusters as u64);
-            if scratch.owner[node] != src && scratch.owner[node] != usize::MAX {
-                continue;
-            }
-            if node == boundary_node {
-                continue;
-            }
-            for &(nb, w, obs) in &self.adjacency[node] {
-                let nbi = if nb == BOUNDARY { boundary_node } else { nb };
-                let nd = dcur + w;
-                if scratch.owner[nbi] == usize::MAX {
-                    scratch.touched.push(nbi);
-                    scratch.owner[nbi] = src;
-                    scratch.dist[nbi] = nd;
-                    scratch.path_parity[nbi] = scratch.path_parity[node] ^ obs;
-                    scratch.union(src, nbi);
-                    if nbi != boundary_node {
-                        scratch.heap.push(GrowItem {
-                            dist: nd,
-                            node: nbi,
-                            src,
+            odd_peak = odd_peak.max(s.odd_clusters as u64);
+            let (dcur, src) = (f64::from_bits(front.dist_bits), front.src);
+            // Every merge below keeps this root, so it is found once.
+            let root = s.find(src);
+            let path_parity = s.nodes[front.node as usize].path_parity;
+            for arc in self.arcs_of(front.node as usize) {
+                let nd = dcur + arc.w;
+                let reached = &mut s.nodes[arc.to as usize];
+                let owner = reached.owner;
+                if owner == NONE {
+                    // An unowned record is untouched, so FREE but for
+                    // the fields a claim sets.
+                    reached.dist = nd;
+                    reached.parent = root;
+                    reached.owner = src;
+                    reached.path_parity = path_parity ^ arc.obs;
+                    s.touched.push(arc.to);
+                    if arc.to != boundary {
+                        s.heap.push(Front::new(nd, arc.to, src));
+                    } else if !s.nodes[root as usize].boundary {
+                        // The only claim that can neutralise a cluster.
+                        s.nodes[root as usize].boundary = true;
+                        s.odd_clusters -= usize::from(s.nodes[root as usize].parity);
+                    }
+                } else if owner != src {
+                    let dist = nd + reached.dist;
+                    let parity = path_parity ^ arc.obs ^ reached.path_parity;
+                    let other = s.find(owner);
+                    if other != root {
+                        s.merge(root, other);
+                        let (lo, hi) = (src.min(owner), src.max(owner));
+                        let order = u64::from(s.nodes[lo as usize].pos) << 32;
+                        s.contacts.push(Contact {
+                            key: (dist.to_bits(), order | s.contacts.len() as u64),
+                            lo,
+                            hi,
+                            parity,
                         });
                     }
-                } else if scratch.find(scratch.owner[nbi]) != scratch.find(src) {
-                    // Two regions touch: merge their clusters and record
-                    // the contact (total path defect->defect parity).
-                    let contact_parity = scratch.path_parity[node] ^ obs ^ scratch.path_parity[nbi];
-                    let contact_dist = nd + scratch.dist[nbi];
-                    let other = scratch.owner[nbi];
-                    scratch.union(src, other);
-                    scratch.contacts[src].push((other, contact_dist, contact_parity));
-                    scratch.contacts[other].push((src, contact_dist, contact_parity));
                 }
             }
-            // Stop early if every defect's cluster is neutral. The
-            // incrementally maintained odd-cluster count hits zero at
-            // exactly the same pop as the original per-defect
-            // `is_neutral` re-scan, without the O(defects) walk.
-            if scratch.odd_clusters == 0 {
+            if s.odd_clusters == 0 {
                 break;
             }
-        }
-        // Boundary contact: a region that reached the boundary records a
-        // contact to the virtual boundary defect for its owner.
-        if scratch.owner[boundary_node] != usize::MAX {
-            let d = scratch.owner[boundary_node];
-            let bc = (
-                boundary_node,
-                scratch.dist[boundary_node],
-                scratch.path_parity[boundary_node],
-            );
-            scratch.contacts[d].push(bc);
         }
         (growth_steps, odd_peak)
     }
 
-    /// Predicts the logical flip by pairing defects within clusters along
-    /// the recorded contact forest.
-    fn pair_and_predict(&self, defects: &[usize], scratch: &mut UfScratch) -> bool {
-        let boundary_node = self.num_nodes;
-        // Group defects by cluster root: stable-sorted (root, defect)
-        // pairs give the same ascending-root, insertion-ordered grouping
-        // a BTreeMap<root, Vec<defect>> would, without the tree.
-        scratch.roots.clear();
-        for &d in defects {
-            let r = scratch.find(d);
-            scratch.roots.push((r, d));
-        }
-        stable_sort_by(&mut scratch.roots, |a, b| a.0 < b.0);
+    /// Predicts the logical flip: pairs defects greedily along the
+    /// contacts, cheapest first, and sends the rest to the boundary.
+    fn pair_and_predict(&self, defects: &[usize], s: &mut UfScratch) -> bool {
+        s.contacts.sort_unstable_by_key(|c| c.key);
         let mut flip = false;
-        let mut i = 0;
-        while i < scratch.roots.len() {
-            let mut j = i + 1;
-            while j < scratch.roots.len() && scratch.roots[j].0 == scratch.roots[i].0 {
-                j += 1;
+        for c in &s.contacts {
+            let (lo, hi) = (c.lo as usize, c.hi as usize);
+            if s.nodes[lo].unpaired && s.nodes[hi].unpaired {
+                s.nodes[lo].unpaired = false;
+                s.nodes[hi].unpaired = false;
+                flip ^= c.parity;
             }
-            // Pair members greedily along contact edges (spanning-tree
-            // peeling): repeatedly take the cheapest contact between two
-            // unpaired members; leftovers go to the boundary contact.
-            scratch.pairs.clear();
-            for k in i..j {
-                let m = scratch.roots[k].1;
-                scratch.unpaired[m] = true;
-                for &(other, d, p) in &scratch.contacts[m] {
-                    if other != boundary_node && m < other {
-                        scratch.pairs.push((m, other, d, p));
-                    }
-                }
+        }
+        // The defect whose front claimed the boundary goes there along
+        // that front; any other leftover along its shortest path.
+        let boundary = s.nodes[self.num_nodes];
+        for &d in defects {
+            if std::mem::take(&mut s.nodes[d].unpaired) {
+                flip ^= if d as u32 == boundary.owner {
+                    boundary.path_parity
+                } else {
+                    self.boundary_parity[d]
+                };
             }
-            stable_sort_by(&mut scratch.pairs, |a, b| {
-                a.2.partial_cmp(&b.2).unwrap_or(Ordering::Equal) == Ordering::Less
-            });
-            for idx in 0..scratch.pairs.len() {
-                let (a, b, _, p) = scratch.pairs[idx];
-                if scratch.unpaired[a] && scratch.unpaired[b] {
-                    scratch.unpaired[a] = false;
-                    scratch.unpaired[b] = false;
-                    flip ^= p;
-                }
-            }
-            // Remaining defects: send to boundary via their recorded (or
-            // nearest) boundary parity.
-            for k in i..j {
-                let m = scratch.roots[k].1;
-                if scratch.unpaired[m] {
-                    scratch.unpaired[m] = false;
-                    let recorded = scratch.contacts[m]
-                        .iter()
-                        .find(|(other, _, _)| *other == boundary_node)
-                        .map(|&(_, _, p)| p);
-                    match recorded {
-                        Some(p) => flip ^= p,
-                        // Fall back to a direct Dijkstra to the boundary.
-                        None => flip ^= self.boundary_parity(m, scratch),
-                    }
-                }
-            }
-            i = j;
         }
         flip
-    }
-
-    /// Dijkstra fallback: observable parity of the shortest path from a
-    /// node to the boundary. Pure in the graph and `src`, so answers are
-    /// memoized in the scratch across decodes.
-    fn boundary_parity(&self, src: usize, scratch: &mut UfScratch) -> bool {
-        match scratch.bp_memo[src] {
-            1 => return false,
-            2 => return true,
-            _ => {}
-        }
-        let parity = self.boundary_parity_dijkstra(src, scratch);
-        scratch.bp_memo[src] = if parity { 2 } else { 1 };
-        parity
-    }
-
-    fn boundary_parity_dijkstra(&self, src: usize, scratch: &mut UfScratch) -> bool {
-        let n = self.num_nodes;
-        scratch.bp_dist.fill(f64::INFINITY);
-        scratch.bp_parity.fill(false);
-        scratch.bp_heap.clear();
-        scratch.bp_dist[src] = 0.0;
-        scratch.bp_heap.push(GrowItem {
-            dist: 0.0,
-            node: src,
-            src,
-        });
-        while let Some(GrowItem { dist: d, node, .. }) = scratch.bp_heap.pop() {
-            if node == n {
-                return scratch.bp_parity[n];
-            }
-            if d > scratch.bp_dist[node] {
-                continue;
-            }
-            for &(nb, w, obs) in &self.adjacency[node] {
-                let nbi = if nb == BOUNDARY { n } else { nb };
-                if d + w < scratch.bp_dist[nbi] {
-                    scratch.bp_dist[nbi] = d + w;
-                    scratch.bp_parity[nbi] = scratch.bp_parity[node] ^ obs;
-                    scratch.bp_heap.push(GrowItem {
-                        dist: d + w,
-                        node: nbi,
-                        src,
-                    });
-                }
-            }
-        }
-        false
     }
 }
 
@@ -480,47 +419,50 @@ impl Decoder for UnionFindDecoder {
     }
 }
 
-struct GrowItem {
-    dist: f64,
-    node: usize,
-    src: usize,
+/// A growth-front heap entry, ordered by distance alone, smallest first.
+/// Distances are sums of finite weights ≥ 0, and for those the bit
+/// patterns order exactly like the values, ties included, so the heap
+/// pops in the order a float-keyed heap would.
+#[derive(Clone, Copy, Debug)]
+struct Front {
+    dist_bits: u64,
+    node: u32,
+    src: u32,
 }
 
-impl PartialEq for GrowItem {
-    fn eq(&self, other: &Self) -> bool {
-        self.dist == other.dist
+impl Front {
+    fn new(dist: f64, node: u32, src: u32) -> Self {
+        Front {
+            dist_bits: dist.to_bits(),
+            node,
+            src,
+        }
     }
 }
-impl Eq for GrowItem {}
-impl PartialOrd for GrowItem {
+
+impl PartialEq for Front {
+    fn eq(&self, other: &Self) -> bool {
+        self.dist_bits == other.dist_bits
+    }
+}
+impl Eq for Front {}
+impl PartialOrd for Front {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for GrowItem {
+impl Ord for Front {
     fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .dist
-            .partial_cmp(&self.dist)
-            .unwrap_or(Ordering::Equal)
-    }
-}
-
-impl std::fmt::Debug for GrowItem {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("GrowItem")
-            .field("dist", &self.dist)
-            .field("node", &self.node)
-            .field("src", &self.src)
-            .finish()
+        other.dist_bits.cmp(&self.dist_bits)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::DecodingGraph;
     use crate::mwpm::MwpmDecoder;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
     use vlq_arch::params::HardwareParams;
     use vlq_circuit::noise::NoiseModel;
     use vlq_surface::schedule::{memory_circuit, Basis, MemorySpec, Setup};
@@ -545,11 +487,7 @@ mod tests {
         let uf = UnionFindDecoder::new(&g);
         let mw = MwpmDecoder::new(&g);
         for (&(a, b), _) in g.iter_edges() {
-            let defects: Vec<usize> = if b == crate::graph::BOUNDARY {
-                vec![a]
-            } else {
-                vec![a, b]
-            };
+            let defects: Vec<usize> = if b == BOUNDARY { vec![a] } else { vec![a, b] };
             assert_eq!(
                 uf.decode(&defects),
                 mw.decode(&defects),
@@ -560,8 +498,6 @@ mod tests {
 
     #[test]
     fn mostly_agrees_with_mwpm_on_random_sparse_defects() {
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
         let g = graph_for(5, 2e-3);
         let uf = UnionFindDecoder::new(&g);
         let mw = MwpmDecoder::new(&g);
@@ -591,8 +527,6 @@ mod tests {
     /// as a fresh scratch per decode (the touched-list reset is exact).
     #[test]
     fn reused_scratch_matches_fresh_scratch() {
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
         let g = graph_for(5, 2e-3);
         let uf = UnionFindDecoder::new(&g);
         let mut rng = SmallRng::seed_from_u64(17);
@@ -607,13 +541,8 @@ mod tests {
                 }
             }
             defects.sort_unstable();
-            let fresh = uf.decode(&defects);
-            let hot = if defects.is_empty() {
-                false
-            } else {
-                uf.decode_with(&defects, &mut reused)
-            };
-            assert_eq!(fresh, hot, "defects {defects:?}");
+            let hot = uf.decode_with(&defects, &mut reused);
+            assert_eq!(uf.decode(&defects), hot, "defects {defects:?}");
         }
     }
 }

@@ -396,64 +396,6 @@ impl Recorder {
         })
     }
 
-    /// Atomically moves everything recorded here into `target`, leaving
-    /// this recorder zeroed. Counters and histogram contents are added,
-    /// max-gauges folded with `max` — exactly the commutative reductions
-    /// sharing one storage would have performed, so drain-merging
-    /// per-worker recorders (in any order) produces values identical to
-    /// all workers recording into one shared recorder. Allocation-free:
-    /// the in-block thread pool calls this after every job without
-    /// violating the alloc-probe contract. Draining a disabled recorder
-    /// is a no-op; draining into a disabled target still resets the
-    /// source (the values are deliberately dropped).
-    pub fn drain_into(&self, target: &Recorder) {
-        let Some(src) = self.inner.as_deref() else {
-            return;
-        };
-        let dst = target.inner.as_deref();
-        for metric in Metric::ALL {
-            match metric.kind() {
-                MetricKind::Counter => {
-                    let v = src.scalars[metric.index()].swap(0, Ordering::Relaxed);
-                    if let Some(dst) = dst {
-                        if v != 0 {
-                            dst.scalars[metric.index()].fetch_add(v, Ordering::Relaxed);
-                        }
-                    }
-                }
-                MetricKind::GaugeMax => {
-                    let v = src.scalars[metric.index()].swap(0, Ordering::Relaxed);
-                    if let Some(dst) = dst {
-                        if v != 0 {
-                            dst.scalars[metric.index()].fetch_max(v, Ordering::Relaxed);
-                        }
-                    }
-                }
-                MetricKind::Histogram => {
-                    let slot = metric.hist_slot().expect("histogram metric has a slot");
-                    let s = &src.hists[slot];
-                    let d = dst.map(|d| &d.hists[slot]);
-                    for i in 0..NUM_BUCKETS {
-                        let v = s.buckets[i].swap(0, Ordering::Relaxed);
-                        if let Some(d) = d {
-                            if v != 0 {
-                                d.buckets[i].fetch_add(v, Ordering::Relaxed);
-                            }
-                        }
-                    }
-                    let count = s.count.swap(0, Ordering::Relaxed);
-                    let sum = s.sum.swap(0, Ordering::Relaxed);
-                    if let Some(d) = d {
-                        if count != 0 {
-                            d.count.fetch_add(count, Ordering::Relaxed);
-                            d.sum.fetch_add(sum, Ordering::Relaxed);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
     /// The machine-readable report: a JSONL document with one header
     /// line (schema tag, binary name, seed) and one row per
     /// *deterministic* metric, in [`Metric::ALL`] order. Every
@@ -646,8 +588,8 @@ fn sidecar_u64_field(line: &str, key: &str) -> Option<u64> {
 /// the single document one shared recorder would have produced: headers
 /// must agree byte-for-byte (same schema, binary, seed), counters and
 /// histogram contents are summed, max-gauges folded with `max` — the
-/// same commutative reductions [`Recorder::drain_into`] performs, just
-/// across process boundaries via the serialized report. Because every
+/// same commutative reductions recorders sharing one storage perform,
+/// just across process boundaries via the serialized report. Because every
 /// deterministic metric is schedule-independent, merging the sidecars
 /// of a clean sharded run reproduces the unsharded run's sidecar
 /// byte-for-byte.
@@ -956,65 +898,6 @@ mod tests {
         for m in Metric::ALL {
             assert!(m.name().contains('.'), "{} is not layer-dotted", m);
         }
-    }
-
-    #[test]
-    fn drain_into_matches_shared_recording_and_resets_the_source() {
-        // Shared-storage reference: both "workers" record into one.
-        let shared = Recorder::attached();
-        shared.add(Metric::SweepShots, 100);
-        shared.add(Metric::SweepShots, 23);
-        shared.gauge_max(Metric::UfOddClusterPeak, 4);
-        shared.gauge_max(Metric::UfOddClusterPeak, 9);
-        shared.observe(Metric::DefectsPerLane, 3);
-        shared.observe(Metric::DefectsPerLane, 0);
-
-        // Per-worker recorders drained into one target.
-        let target = Recorder::attached();
-        let (w0, w1) = (Recorder::attached(), Recorder::attached());
-        w0.add(Metric::SweepShots, 100);
-        w1.add(Metric::SweepShots, 23);
-        w0.gauge_max(Metric::UfOddClusterPeak, 4);
-        w1.gauge_max(Metric::UfOddClusterPeak, 9);
-        w0.observe(Metric::DefectsPerLane, 3);
-        w1.observe(Metric::DefectsPerLane, 0);
-        w0.drain_into(&target);
-        w1.drain_into(&target);
-
-        assert_eq!(
-            target.deterministic_jsonl("unit", 1),
-            shared.deterministic_jsonl("unit", 1)
-        );
-        // The sources are fully reset: a second drain adds nothing.
-        assert_eq!(w0.value(Metric::SweepShots), 0);
-        assert!(w0.hist(Metric::DefectsPerLane).unwrap().count == 0);
-        w0.drain_into(&target);
-        assert_eq!(
-            target.deterministic_jsonl("unit", 1),
-            shared.deterministic_jsonl("unit", 1)
-        );
-    }
-
-    #[test]
-    fn drain_into_handles_disabled_endpoints() {
-        // Disabled source: no-op.
-        let target = Recorder::attached();
-        Recorder::disabled().drain_into(&target);
-        assert_eq!(target.value(Metric::SweepShots), 0);
-        // Disabled target: values dropped, source still reset.
-        let src = Recorder::attached();
-        src.add(Metric::SweepShots, 7);
-        src.drain_into(&Recorder::disabled());
-        assert_eq!(src.value(Metric::SweepShots), 0);
-        // Draining a recorder into its own storage keeps the values.
-        let rec = Recorder::attached();
-        rec.add(Metric::SweepShots, 5);
-        rec.gauge_max(Metric::UfOddClusterPeak, 3);
-        rec.observe(Metric::DefectsPerLane, 2);
-        rec.drain_into(&rec.clone());
-        assert_eq!(rec.value(Metric::SweepShots), 5);
-        assert_eq!(rec.value(Metric::UfOddClusterPeak), 3);
-        assert_eq!(rec.hist(Metric::DefectsPerLane).unwrap().count, 1);
     }
 
     #[test]
