@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use vlq_arch::HardwareParams;
-use vlq_circuit::exec::{sample_batch_into, SampleScratch};
+use vlq_circuit::exec::{SampleScratch, SampleTape};
 use vlq_circuit::noise::NoiseModel;
 use vlq_decoder::{Decoder, DecodingGraph, MwpmDecoder, UnionFindDecoder};
 use vlq_surface::schedule::{memory_circuit, Basis, Boundary, MemorySpec, Setup};
@@ -46,7 +46,7 @@ fn sampled_defects(d: usize, p: f64, lanes: usize) -> (DecodingGraph, Vec<Vec<us
     let noisy = noise.apply_window(&mc.circuit, start, end);
     let graph = DecodingGraph::build(&noisy, mc.guard_detectors());
     let mut scratch = SampleScratch::new();
-    sample_batch_into(&noisy, lanes, &mut SmallRng::seed_from_u64(1), &mut scratch);
+    SampleTape::compile(&noisy).sample_into(lanes, &mut SmallRng::seed_from_u64(1), &mut scratch);
     let mut lists = Vec::new();
     scratch
         .result

@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use vlq_arch::HardwareParams;
-use vlq_circuit::exec::{sample_batch, sample_batch_into, SampleScratch};
+use vlq_circuit::exec::{sample_batch, SampleScratch, SampleTape};
 use vlq_circuit::noise::NoiseModel;
 use vlq_surface::schedule::{memory_circuit, Basis, MemorySpec, Setup};
 
@@ -38,8 +38,9 @@ fn bench_sampling(c: &mut Criterion) {
     group.finish();
 }
 
-/// Scratch-reusing sampling (`sample_batch_into`, the batch driver's
-/// steady state) against the allocating `sample_batch` wrapper.
+/// A tape compiled once, sampled into reused scratch (the batch
+/// driver's steady state), against the `sample_batch` wrapper, which
+/// compiles and allocates on every call.
 fn bench_sampling_scratch(c: &mut Criterion) {
     let mut group = c.benchmark_group("frame-sample-scratch");
     for d in [3usize, 5] {
@@ -50,8 +51,8 @@ fn bench_sampling_scratch(c: &mut Criterion) {
         group.throughput(Throughput::Elements(lanes as u64));
         group.bench_with_input(BenchmarkId::new("reused", d), &d, |b, _| {
             let mut rng = SmallRng::seed_from_u64(7);
-            let mut scratch = SampleScratch::new();
-            b.iter(|| sample_batch_into(&noisy, lanes, &mut rng, &mut scratch))
+            let (tape, mut scratch) = (SampleTape::compile(&noisy), SampleScratch::new());
+            b.iter(|| tape.sample_into(lanes, &mut rng, &mut scratch))
         });
         group.bench_with_input(BenchmarkId::new("allocating", d), &d, |b, _| {
             let mut rng = SmallRng::seed_from_u64(7);

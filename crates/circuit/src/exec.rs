@@ -2,9 +2,10 @@
 //!
 //! Four ways to run a [`Circuit`]:
 //!
-//! * [`sample_batch`] — Monte-Carlo: runs 64-shot-per-word Pauli-frame
-//!   batches and reduces measurements to detection events and observable
-//!   flips.
+//! * [`SampleTape`] — Monte-Carlo: a noisy circuit compiled once, then
+//!   sampled in 64-shot-per-word Pauli-frame batches whose measurements
+//!   reduce to detection events and observable flips ([`sample_batch`]
+//!   compiles and samples once).
 //! * [`FaultSensitivity`] — deterministic: one backward pass over the
 //!   circuit yields the detectors/observable every single fault flips
 //!   (used to build matching graphs).
@@ -19,7 +20,7 @@
 use rand::Rng;
 use vlq_pauli::Pauli;
 use vlq_sim::tableau::MeasureOutcome;
-use vlq_sim::{CliffordGate, FrameBatch, SingleFrame, Tableau};
+use vlq_sim::{BernoulliRate, CliffordGate, FrameBatch, SingleFrame, Tableau};
 
 use crate::ir::{Circuit, Instruction};
 
@@ -113,16 +114,17 @@ pub fn for_each_set_lane(words: &[u64], mut visit: impl FnMut(usize)) {
     }
 }
 
-/// Reusable working memory for [`sample_batch_into`]: the frame batch,
-/// the measurement records, and the reduced detector/observable
+/// Reusable working memory for [`SampleTape::sample_into`]: the frame
+/// batch, the measurement records, and the reduced detector/observable
 /// accumulators. Owning one across batches makes steady-state sampling
 /// allocation-free (buffers are cleared and refilled, never dropped).
 #[derive(Debug, Default)]
 pub struct SampleScratch {
-    frames: Option<FrameBatch>,
-    records: Vec<Vec<u64>>,
+    frames: FrameBatch,
+    /// Measurement records, one run of lane words per record.
+    records: Vec<u64>,
     /// The last batch's reduced result (valid after
-    /// [`sample_batch_into`] returns; accumulators are reused).
+    /// [`SampleTape::sample_into`] returns; accumulators are reused).
     pub result: BatchResult,
 }
 
@@ -133,87 +135,156 @@ impl SampleScratch {
     }
 }
 
-/// Runs `n_lanes` Monte-Carlo shots of a noisy circuit.
+/// One step of a [`SampleTape`].
+#[derive(Clone, Copy, Debug)]
+enum Op {
+    /// H, S, CNOT, CZ or SWAP (S† runs as S; iSWAP is expanded).
+    Gate(CliffordGate),
+    /// Appends the qubit's X plane to the records, flips it at the
+    /// readout rate, then draws the qubit's Z gauge.
+    Measure(usize, Option<BernoulliRate>),
+    Reset(usize),
+    Noise1(usize, BernoulliRate),
+    Noise2(usize, usize, BernoulliRate),
+}
+
+/// A noisy circuit compiled for repeated bit-parallel frame sampling.
 ///
-/// Noise instructions must already be present (see
-/// [`crate::noise::NoiseModel::apply`]); `Idle` markers are ignored if
-/// they survived (they carry no sampled noise).
+/// Compiling drops `Idle` markers, Pauli gates (no-ops on frames) and
+/// channels with p ≤ 0, runs S† as S, expands iSWAP into S(a), S(b),
+/// CZ(a, b), SWAP(a, b) ([`FrameBatch::apply`]'s order), computes each
+/// channel's `ln(1 - p)` once, and copies the detector and observable
+/// record lists. Sampling a tape draws the same RNG values in the same
+/// order, and packs the same bits, as replaying the circuit instruction
+/// by instruction; `docs/perf.md` ("Frame replay hot path") gives the
+/// argument rule by rule.
+#[derive(Clone, Debug)]
+pub struct SampleTape {
+    num_qubits: usize,
+    num_records: usize,
+    ops: Vec<Op>,
+    detectors: Vec<Vec<usize>>,
+    observables: Vec<Vec<usize>>,
+}
+
+impl SampleTape {
+    /// Compiles a noisy circuit (see [`crate::noise::NoiseModel::apply`]).
+    pub fn compile(circuit: &Circuit) -> Self {
+        use CliffordGate::*;
+        let mut ops = Vec::with_capacity(circuit.instructions.len());
+        for inst in &circuit.instructions {
+            match *inst {
+                Instruction::Gate { gate, .. } => match gate {
+                    X(_) | Y(_) | Z(_) => {}
+                    SDag(q) => ops.push(Op::Gate(S(q))),
+                    ISwap(a, b) => ops.extend([S(a), S(b), Cz(a, b), Swap(a, b)].map(Op::Gate)),
+                    H(_) | S(_) | Cnot(..) | Cz(..) | Swap(..) => ops.push(Op::Gate(gate)),
+                },
+                Instruction::Measure { qubit, flip_prob } => {
+                    // A flip probability that is not > 0 (NaN included)
+                    // never reached the record-noise draw.
+                    let flip = if flip_prob > 0.0 {
+                        BernoulliRate::of(flip_prob)
+                    } else {
+                        None
+                    };
+                    ops.push(Op::Measure(qubit, flip));
+                }
+                Instruction::Reset { qubit } => ops.push(Op::Reset(qubit)),
+                Instruction::Idle { .. } => {}
+                Instruction::Noise1 { qubit, p } => {
+                    ops.extend(BernoulliRate::of(p).map(|rate| Op::Noise1(qubit, rate)));
+                }
+                Instruction::Noise2 { a, b, p } => {
+                    ops.extend(BernoulliRate::of(p).map(|rate| Op::Noise2(a, b, rate)));
+                }
+            }
+        }
+        SampleTape {
+            num_qubits: circuit.num_qubits,
+            num_records: circuit.num_measurements(),
+            ops,
+            detectors: circuit
+                .detectors
+                .iter()
+                .map(|d| d.measurements.clone())
+                .collect(),
+            observables: circuit.observables.clone(),
+        }
+    }
+
+    /// Runs `n_lanes` Monte-Carlo shots into `scratch.result`. The
+    /// result depends only on the tape, `n_lanes` and the RNG stream,
+    /// never on the scratch's history.
+    pub fn sample_into<R: Rng + ?Sized>(
+        &self,
+        n_lanes: usize,
+        rng: &mut R,
+        scratch: &mut SampleScratch,
+    ) {
+        let w = n_lanes.div_ceil(64).max(1);
+        let SampleScratch {
+            frames,
+            records,
+            result,
+        } = scratch;
+        frames.reset(self.num_qubits, n_lanes);
+        records.clear();
+        records.resize(self.num_records * w, 0);
+        let mut next = records.chunks_exact_mut(w);
+        for op in &self.ops {
+            match *op {
+                Op::Gate(gate) => frames.apply(gate),
+                Op::Measure(qubit, flip) => {
+                    let rec = next.next().expect("one record per measurement");
+                    rec.copy_from_slice(frames.x_words(qubit));
+                    if let Some(rate) = flip {
+                        FrameBatch::apply_record_noise(rec, n_lanes, rate, rng);
+                    }
+                    // Measurement projection gauge: randomize the frame's
+                    // Z component on the measured qubit (harmless for our
+                    // measure-then-reset ancillas, required in general).
+                    frames.randomize_z(qubit, rng);
+                }
+                Op::Reset(qubit) => frames.reset_qubit(qubit),
+                Op::Noise1(qubit, rate) => frames.apply_1q_noise(qubit, rate, rng),
+                Op::Noise2(a, b, rate) => frames.apply_2q_noise(a, b, rate, rng),
+            }
+        }
+        self.reduce(n_lanes, records, result);
+    }
+
+    /// XORs each detector's and observable's records into `out`.
+    fn reduce(&self, n_lanes: usize, records: &[u64], out: &mut BatchResult) {
+        let w = n_lanes.div_ceil(64).max(1);
+        out.n_lanes = n_lanes;
+        out.detectors.resize_with(self.detectors.len(), Vec::new);
+        out.observables
+            .resize_with(self.observables.len(), Vec::new);
+        let accs = out.detectors.iter_mut().chain(out.observables.iter_mut());
+        for (acc, reads) in accs.zip(self.detectors.iter().chain(&self.observables)) {
+            acc.clear();
+            acc.resize(w, 0);
+            for &m in reads {
+                for (a, r) in acc.iter_mut().zip(&records[m * w..(m + 1) * w]) {
+                    *a ^= r;
+                }
+            }
+        }
+    }
+}
+
+/// Runs `n_lanes` Monte-Carlo shots of a noisy circuit: compiles a
+/// [`SampleTape`] and samples it into a fresh [`SampleScratch`]. Callers
+/// that sample one circuit repeatedly keep the tape and a scratch.
 pub fn sample_batch<R: Rng + ?Sized>(
     circuit: &Circuit,
     n_lanes: usize,
     rng: &mut R,
 ) -> BatchResult {
     let mut scratch = SampleScratch::new();
-    sample_batch_into(circuit, n_lanes, rng, &mut scratch);
+    SampleTape::compile(circuit).sample_into(n_lanes, rng, &mut scratch);
     scratch.result
-}
-
-/// [`sample_batch`] into caller-owned scratch: identical RNG stream and
-/// bit-identical `scratch.result`, but steady-state calls reuse every
-/// buffer instead of reallocating per batch.
-pub fn sample_batch_into<R: Rng + ?Sized>(
-    circuit: &Circuit,
-    n_lanes: usize,
-    rng: &mut R,
-    scratch: &mut SampleScratch,
-) {
-    let frames = match &mut scratch.frames {
-        Some(f) if f.num_qubits() == circuit.num_qubits && f.num_lanes() == n_lanes => {
-            f.clear();
-            f
-        }
-        slot => slot.insert(FrameBatch::new(circuit.num_qubits, n_lanes)),
-    };
-    let records = &mut scratch.records;
-    let mut used = 0usize;
-    for inst in &circuit.instructions {
-        match *inst {
-            Instruction::Gate { gate, .. } => frames.apply(gate),
-            Instruction::Measure { qubit, flip_prob } => {
-                if used == records.len() {
-                    records.push(Vec::new());
-                }
-                let rec = &mut records[used];
-                used += 1;
-                frames.measure_z_into(qubit, rec);
-                if flip_prob > 0.0 {
-                    FrameBatch::apply_record_noise(rec, n_lanes, flip_prob, rng);
-                }
-                // Measurement projection gauge: randomize the frame's Z
-                // component on the measured qubit (harmless for our
-                // measure-then-reset ancillas, required in general).
-                frames.randomize_z(qubit, rng);
-            }
-            Instruction::Reset { qubit } => frames.reset_qubit(qubit),
-            Instruction::Idle { .. } => {}
-            Instruction::Noise1 { qubit, p } => frames.apply_1q_noise(qubit, p, rng),
-            Instruction::Noise2 { a, b, p } => frames.apply_2q_noise(a, b, p, rng),
-        }
-    }
-    reduce_records(circuit, n_lanes, &records[..used], &mut scratch.result);
-}
-
-fn reduce_records(circuit: &Circuit, n_lanes: usize, records: &[Vec<u64>], out: &mut BatchResult) {
-    let words = n_lanes.div_ceil(64).max(1);
-    let xor_into = |acc: &mut Vec<u64>, measurements: &[usize]| {
-        acc.clear();
-        acc.resize(words, 0);
-        for &m in measurements {
-            for (a, b) in acc.iter_mut().zip(&records[m]) {
-                *a ^= b;
-            }
-        }
-    };
-    out.n_lanes = n_lanes;
-    out.detectors.resize_with(circuit.detectors.len(), Vec::new);
-    for (acc, det) in out.detectors.iter_mut().zip(&circuit.detectors) {
-        xor_into(acc, &det.measurements);
-    }
-    out.observables
-        .resize_with(circuit.observables.len(), Vec::new);
-    for (acc, obs) in out.observables.iter_mut().zip(&circuit.observables) {
-        xor_into(acc, obs);
-    }
 }
 
 /// A place in the circuit where a fault can occur.
@@ -1006,5 +1077,23 @@ mod tests {
             (rate - expected).abs() < 0.01,
             "rate {rate} vs expected {expected}"
         );
+    }
+
+    /// A tape reused across lane counts and circuits answers like a
+    /// fresh compile into fresh scratch, on every gate variant.
+    #[test]
+    fn reused_tape_and_scratch_match_fresh_sampling() {
+        let mut scratch = SampleScratch::new();
+        for seed in 0..8 {
+            let c = random_noisy_circuit(seed);
+            let tape = SampleTape::compile(&c);
+            for lanes in [1usize, 64, 200] {
+                let mut rng = SmallRng::seed_from_u64(seed + 100);
+                tape.sample_into(lanes, &mut rng, &mut scratch);
+                let fresh = sample_batch(&c, lanes, &mut SmallRng::seed_from_u64(seed + 100));
+                assert_eq!(scratch.result.detectors, fresh.detectors, "seed {seed}");
+                assert_eq!(scratch.result.observables, fresh.observables, "seed {seed}");
+            }
+        }
     }
 }

@@ -11,7 +11,8 @@
 //! 4. [`exec::FaultSensitivity`] derives every single fault's effect from
 //!    one backward pass, to build the decoder's matching graph (in
 //!    `vlq-decoder`; [`exec::propagate_fault`] is its reference oracle);
-//! 5. [`exec::sample_batch`] runs bit-parallel Monte Carlo shots.
+//! 5. [`exec::SampleTape`] compiles the noisy circuit once and runs
+//!    bit-parallel Monte Carlo shots from it.
 
 pub mod exec;
 pub mod ir;

@@ -20,6 +20,13 @@
 //! reset through a touched list, one contact list, and boundary parities
 //! built once in [`UnionFindDecoder::new`]. `docs/perf.md` ("Union-find
 //! hot path") argues why it decodes exactly like the code it replaced.
+//!
+//! [`UnionFindDecoder::new`] also decodes every single-edge syndrome once
+//! with the growth code below: `[v]` for each node with a boundary edge,
+//! and `[a, b]` with `a < b` for each interior edge. Those defect lists
+//! are then answered from the table, with the same prediction and the
+//! same telemetry counters; every other list grows. `docs/perf.md`
+//! ("Frame replay hot path") gives the numbers.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -53,6 +60,19 @@ pub struct UnionFindDecoder {
     /// Observable parity of each node's shortest path to the boundary
     /// (false when the boundary is unreachable).
     boundary_parity: Vec<bool>,
+    /// Parallel to `arcs`: for an arc from `a` to a higher node `b` (the
+    /// boundary included), the decode of the single-edge syndrome `[a, b]`
+    /// (`[a]` when `b` is the boundary). Unused for arcs to lower nodes.
+    known: Vec<Known>,
+}
+
+/// One decode's prediction and its three telemetry counters.
+#[derive(Clone, Copy, Debug, Default)]
+struct Known {
+    flip: bool,
+    growth_steps: u32,
+    touched: u32,
+    odd_peak: u32,
 }
 
 /// Per-node decode state. `parity` and `boundary` are read at cluster
@@ -186,7 +206,7 @@ impl UnionFindDecoder {
     ///
     /// Panics if an edge weight is negative, NaN or infinite (growth
     /// orders distances by their bits, exact only for finite weights
-    /// ≥ 0), or if node or arc ids do not fit below [`NONE`].
+    /// ≥ 0), or if node or arc ids do not fit below `u32::MAX`.
     pub fn new(graph: &DecodingGraph) -> Self {
         let n = graph.num_nodes();
         let (mut first, mut arcs) = (Vec::with_capacity(n + 2), Vec::new());
@@ -205,9 +225,49 @@ impl UnionFindDecoder {
             first,
             arcs,
             boundary_parity: Vec::new(),
+            known: Vec::new(),
         };
         decoder.boundary_parity = decoder.boundary_parities();
+        decoder.known = decoder.single_edge_decodes();
         decoder
+    }
+
+    /// Grows and pairs every single-edge syndrome once (one growth step
+    /// each): the table [`UnionFindDecoder::decode_with`] answers from.
+    fn single_edge_decodes(&self) -> Vec<Known> {
+        let mut scratch = UfScratch::new(self.num_nodes);
+        let mut known = vec![Known::default(); self.arcs.len()];
+        for a in 0..self.num_nodes {
+            for i in self.first[a] as usize..self.first[a + 1] as usize {
+                let b = self.arcs[i].to as usize;
+                if b > a {
+                    let pair = [a, b];
+                    let defects = if b == self.num_nodes {
+                        &pair[..1]
+                    } else {
+                        &pair
+                    };
+                    known[i] = self.grow_and_pair(defects, &mut scratch);
+                }
+            }
+        }
+        known
+    }
+
+    /// The table's decode of `defects`, if it is a single-edge syndrome:
+    /// `[v]` for a node with a boundary edge, or `[a, b]` with `a < b`
+    /// joined by an edge. Unsorted or repeated lists, non-edge pairs and
+    /// longer lists are not in the table: their pairing depends on list
+    /// order, or they take more than one growth step.
+    fn single_edge(&self, defects: &[usize]) -> Option<Known> {
+        let (a, b) = match *defects {
+            [v] => (v, self.num_nodes),
+            [a, b] if a < b && b < self.num_nodes => (a, b),
+            _ => return None,
+        };
+        let arcs = self.first[a] as usize..self.first[a + 1] as usize;
+        let i = arcs.into_iter().find(|&i| self.arcs[i].to as usize == b)?;
+        self.known.get(i).copied()
     }
 
     fn arcs_of(&self, node: usize) -> &[Arc] {
@@ -267,15 +327,31 @@ impl UnionFindDecoder {
         if defects.is_empty() {
             return false;
         }
-        scratch.reset();
-        let (growth_steps, odd_peak) = self.grow(defects, scratch);
+        let known = match self.single_edge(defects) {
+            Some(known) => known,
+            None => self.grow_and_pair(defects, scratch),
+        };
         let recorder = &scratch.recorder;
         if recorder.is_enabled() {
-            recorder.add(Metric::UfGrowthSteps, growth_steps);
-            recorder.add(Metric::UfTouchedNodes, scratch.touched.len() as u64);
-            recorder.gauge_max(Metric::UfOddClusterPeak, odd_peak);
+            recorder.add(Metric::UfGrowthSteps, known.growth_steps.into());
+            recorder.add(Metric::UfTouchedNodes, known.touched.into());
+            recorder.gauge_max(Metric::UfOddClusterPeak, known.odd_peak.into());
         }
-        self.pair_and_predict(defects, scratch)
+        known.flip
+    }
+
+    /// Decodes a non-empty defect list by growth and pairing.
+    fn grow_and_pair(&self, defects: &[usize], scratch: &mut UfScratch) -> Known {
+        scratch.reset();
+        let (growth_steps, odd_peak) = self.grow(defects, scratch);
+        let touched = scratch.touched.len() as u64;
+        let count = |v: u64| u32::try_from(v).expect("decode counters fit a u32");
+        Known {
+            flip: self.pair_and_predict(defects, scratch),
+            growth_steps: count(growth_steps),
+            touched: count(touched),
+            odd_peak: count(odd_peak),
+        }
     }
 
     /// Grows clusters until all are neutral, recording every merge in
@@ -465,7 +541,8 @@ mod tests {
     use rand::{Rng, SeedableRng};
     use vlq_arch::params::HardwareParams;
     use vlq_circuit::noise::NoiseModel;
-    use vlq_surface::schedule::{memory_circuit, Basis, MemorySpec, Setup};
+    use vlq_surface::schedule::{memory_circuit, Basis, Boundary, MemorySpec, Setup};
+    use vlq_telemetry::Recorder;
 
     fn graph_for(d: usize, p: f64) -> DecodingGraph {
         let spec = MemorySpec::standard(Setup::Baseline, d, 1, Basis::Z);
@@ -543,6 +620,110 @@ mod tests {
             defects.sort_unstable();
             let hot = uf.decode_with(&defects, &mut reused);
             assert_eq!(uf.decode(&defects), hot, "defects {defects:?}");
+        }
+    }
+
+    /// The guard-sector graph of a memory block.
+    fn block_graph(spec: MemorySpec, noise: NoiseModel, boundary: Boundary) -> DecodingGraph {
+        let mc = memory_circuit(spec, &noise.hw);
+        let (start, end) = mc.noise_window(boundary);
+        DecodingGraph::build(
+            &noise.apply_window(&mc.circuit, start, end),
+            mc.guard_detectors(),
+        )
+    }
+
+    /// `uf_golden.rs`'s random-list graphs, then prog1's block shapes.
+    fn table_test_graphs() -> Vec<DecodingGraph> {
+        let mut graphs = Vec::new();
+        let setups = [
+            Setup::Baseline,
+            Setup::NaturalInterleaved,
+            Setup::CompactInterleaved,
+        ];
+        for setup in setups {
+            for d in [3usize, 5] {
+                for boundary in [Boundary::Full, Boundary::MidCircuit] {
+                    let spec = MemorySpec::standard(setup, d, 3, Basis::Z);
+                    graphs.push(block_graph(
+                        spec,
+                        NoiseModel::baseline_at_scale(5e-3),
+                        boundary,
+                    ));
+                }
+            }
+        }
+        for rounds in [1usize, 3, 6] {
+            for boundary in [Boundary::Prep, Boundary::Readout, Boundary::MidCircuit] {
+                for basis in [Basis::Z, Basis::X] {
+                    let mut spec = MemorySpec::standard(Setup::CompactInterleaved, 3, 4, basis);
+                    spec.rounds = rounds;
+                    graphs.push(block_graph(
+                        spec,
+                        NoiseModel::memory_at_scale(2e-3),
+                        boundary,
+                    ));
+                }
+            }
+        }
+        graphs
+    }
+
+    /// One `decode_with` call's flip and the three counters it recorded.
+    fn decode_recorded(
+        dec: &UnionFindDecoder,
+        defects: &[usize],
+        scratch: &mut UfScratch,
+    ) -> (bool, [u64; 3]) {
+        let recorder = Recorder::attached();
+        scratch.set_recorder(&recorder);
+        let flip = dec.decode_with(defects, scratch);
+        let counters = [
+            Metric::UfGrowthSteps,
+            Metric::UfTouchedNodes,
+            Metric::UfOddClusterPeak,
+        ]
+        .map(|m| recorder.value(m));
+        (flip, counters)
+    }
+
+    /// Every single-edge syndrome answered from the table decodes exactly
+    /// as growth does (a twin decoder with an empty table), on the flip
+    /// and on all three counters; the unsorted and repeated forms of each
+    /// edge, and every single node, take the growth path and agree too.
+    #[test]
+    fn single_edge_table_matches_growth() {
+        for graph in table_test_graphs() {
+            let n = graph.num_nodes();
+            let dec = UnionFindDecoder::new(&graph);
+            let grower = UnionFindDecoder {
+                known: Vec::new(),
+                ..dec.clone()
+            };
+            let (mut fast, mut slow) = (UfScratch::new(n), UfScratch::new(n));
+            let mut answered = 0;
+            let mut lists: Vec<Vec<usize>> = (0..n).map(|v| vec![v]).collect();
+            for (&(a, b), _) in graph.iter_edges() {
+                if b != BOUNDARY {
+                    lists.extend([vec![a, b], vec![b, a], vec![a, a]]);
+                }
+            }
+            for list in &lists {
+                let in_table = dec.single_edge(list).is_some();
+                let edge = match **list {
+                    [v] => graph.iter_edges().any(|(&key, _)| key == (v, BOUNDARY)),
+                    [a, b] => a < b,
+                    _ => unreachable!(),
+                };
+                assert_eq!(in_table, edge, "table scope on {list:?}");
+                answered += usize::from(in_table);
+                assert_eq!(
+                    decode_recorded(&dec, list, &mut fast),
+                    decode_recorded(&grower, list, &mut slow),
+                    "{list:?}"
+                );
+            }
+            assert_eq!(answered, graph.num_edges(), "one table entry per edge");
         }
     }
 }

@@ -15,7 +15,7 @@
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use vlq_circuit::exec::{sample_batch_into, SampleScratch};
+use vlq_circuit::exec::{SampleScratch, SampleTape};
 use vlq_circuit::noise::NoiseModel;
 use vlq_decoder::{Decoder, DecodingGraph, MwpmDecoder, MwpmScratch};
 use vlq_surface::schedule::{memory_circuit, Basis, Boundary, MemorySpec, Setup};
@@ -64,8 +64,7 @@ fn sampled_point(d: usize, p: f64, seed: u64) -> (DecodingGraph, Vec<Vec<usize>>
     let noisy = noise.apply_window(&mc.circuit, start, end);
     let graph = DecodingGraph::build(&noisy, mc.guard_detectors());
     let mut scratch = SampleScratch::new();
-    sample_batch_into(
-        &noisy,
+    SampleTape::compile(&noisy).sample_into(
         LANES,
         &mut SmallRng::seed_from_u64(seed),
         &mut scratch,

@@ -17,7 +17,7 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use vlq_circuit::exec::{sample_batch_into, SampleScratch};
+use vlq_circuit::exec::{SampleScratch, SampleTape};
 use vlq_circuit::ir::Circuit;
 use vlq_circuit::noise::NoiseModel;
 use vlq_decoder::{Decoder, DecodingGraph, UfScratch, UnionFindDecoder};
@@ -78,8 +78,7 @@ fn fig11_uf_grid_decodes_match_golden() {
         for p in [2e-3, 5e-3, 8e-3] {
             let (graph, noisy, guard) = block(Setup::Baseline, d, 10, p, Boundary::Full);
             let mut sample = SampleScratch::new();
-            sample_batch_into(
-                &noisy,
+            SampleTape::compile(&noisy).sample_into(
                 LANES,
                 &mut SmallRng::seed_from_u64(seed),
                 &mut sample,

@@ -65,7 +65,7 @@ pub mod threshold;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use vlq_circuit::exec::{sample_batch_into, SampleScratch};
+use vlq_circuit::exec::{SampleScratch, SampleTape};
 use vlq_circuit::ir::Circuit;
 use vlq_circuit::noise::NoiseModel;
 use vlq_decoder::{Decoder, DecoderScratch, DecodingGraph};
@@ -308,8 +308,9 @@ impl BlockScratch {
     }
 }
 
-/// A block prepared for repeated seeded sampling: the noisy circuit,
-/// the guard-sector decoding graph, and the configured decoder.
+/// A block prepared for repeated seeded sampling: the noisy circuit and
+/// its compiled sampling tape, the guard-sector decoding graph, and the
+/// configured decoder.
 ///
 /// This is the shared execution core of the crate: memory experiments
 /// ([`PreparedExperiment`], a [`Boundary::Full`] wrapper) sum the
@@ -326,6 +327,8 @@ pub struct PreparedBlock {
     pub graph: DecodingGraph,
     /// The boundary the noise window was built from.
     pub boundary: Boundary,
+    /// `noisy`, compiled once for sampling.
+    tape: SampleTape,
     decoder: Box<dyn Decoder + Send + Sync>,
     guard: Vec<usize>,
     /// Process-unique id (never reused, unlike addresses), the block
@@ -340,6 +343,7 @@ impl PreparedBlock {
         let memory = memory_circuit(cfg.spec.memory, &cfg.noise.hw);
         let (start, end) = memory.noise_window(cfg.spec.boundary);
         let noisy = cfg.noise.apply_window(&memory.circuit, start, end);
+        let tape = SampleTape::compile(&noisy);
         let guard: Vec<usize> = memory.guard_detectors().to_vec();
         let graph = DecodingGraph::build(&noisy, &guard);
         let decoder = cfg.decoder.build(&graph);
@@ -348,6 +352,7 @@ impl PreparedBlock {
             noisy,
             graph,
             boundary: cfg.spec.boundary,
+            tape,
             decoder,
             guard,
             identity: NEXT_IDENTITY.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
@@ -380,7 +385,7 @@ impl PreparedBlock {
         let mut rng = SmallRng::seed_from_u64(seed);
         {
             let _span = scratch.recorder.span(Metric::SampleNanos);
-            sample_batch_into(&self.noisy, lanes, &mut rng, &mut scratch.sample);
+            self.tape.sample_into(lanes, &mut rng, &mut scratch.sample);
         }
         // Word-scan the guard detectors once into per-lane defect lists
         // (replaces a per-lane × per-detector bit-probe loop).

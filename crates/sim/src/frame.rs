@@ -8,8 +8,9 @@
 //!
 //! Two engines share the same gate semantics:
 //!
-//! * [`FrameBatch`] — bit-parallel over 64 shots per machine word; used
-//!   for Monte-Carlo sampling.
+//! * [`FrameBatch`] — bit-parallel over 64 shots per machine word; the
+//!   engine under Monte-Carlo sampling (`vlq_circuit::exec::SampleTape`
+//!   drives it) and under program replay's logical frames.
 //! * [`SingleFrame`] — one scalar frame; propagates an individual fault
 //!   deterministically (the reference oracle for the backward
 //!   fault-sensitivity pass that builds the decoder's matching graph).
@@ -23,25 +24,51 @@ use vlq_pauli::Pauli;
 
 use crate::CliffordGate;
 
-/// Visits the lanes selected by independent Bernoulli(p) draws, using
-/// geometric skipping so the cost is proportional to the number of hits
-/// rather than the number of lanes.
-pub fn for_each_bernoulli_hit<R: Rng + ?Sized>(
+/// A per-lane Bernoulli rate, compiled once per noise channel.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum BernoulliRate {
+    /// p ≥ 1: every lane is hit, with no draws.
+    Always,
+    /// 0 < p < 1: geometric skips, with `ln_q = ln(1 - p)` computed once.
+    Skip {
+        /// `ln(1 - p)`.
+        ln_q: f64,
+    },
+}
+
+impl BernoulliRate {
+    /// The rate of probability `p`, or `None` for p ≤ 0: a channel that
+    /// never fires and draws nothing.
+    pub fn of(p: f64) -> Option<Self> {
+        if p <= 0.0 {
+            None
+        } else if p >= 1.0 {
+            Some(BernoulliRate::Always)
+        } else {
+            Some(BernoulliRate::Skip {
+                ln_q: (1.0 - p).ln(),
+            })
+        }
+    }
+}
+
+/// Visits the lanes selected by independent Bernoulli draws at `rate`,
+/// in increasing order, using geometric skipping so the cost is
+/// proportional to the number of hits rather than the number of lanes.
+#[inline]
+fn for_each_bernoulli_hit<R: Rng + ?Sized>(
     rng: &mut R,
-    p: f64,
+    rate: BernoulliRate,
     n_lanes: usize,
     mut visit: impl FnMut(usize),
 ) {
-    if p <= 0.0 || n_lanes == 0 {
+    if n_lanes == 0 {
         return;
     }
-    if p >= 1.0 {
-        for i in 0..n_lanes {
-            visit(i);
-        }
-        return;
-    }
-    let ln_q = (1.0 - p).ln();
+    let ln_q = match rate {
+        BernoulliRate::Always => return (0..n_lanes).for_each(visit),
+        BernoulliRate::Skip { ln_q } => ln_q,
+    };
     let mut i = 0usize;
     loop {
         // u in (0, 1] so ln(u) is finite and <= 0.
@@ -59,6 +86,12 @@ pub fn for_each_bernoulli_hit<R: Rng + ?Sized>(
     }
 }
 
+/// All ones when `on`, else zero: the word mask of a conditional flip.
+#[inline]
+fn mask(on: bool) -> u64 {
+    0u64.wrapping_sub(u64::from(on))
+}
+
 /// A batch of Pauli frames, 64 shots per `u64` word.
 ///
 /// # Examples
@@ -74,10 +107,9 @@ pub fn for_each_bernoulli_hit<R: Rng + ?Sized>(
 /// ```
 #[derive(Clone, Debug)]
 pub struct FrameBatch {
-    n_qubits: usize,
     n_lanes: usize,
     words_per_qubit: usize,
-    /// X bit-planes, `n_qubits * words_per_qubit` words.
+    /// X bit-planes, `words_per_qubit` words per qubit.
     x: Vec<u64>,
     /// Z bit-planes.
     z: Vec<u64>,
@@ -103,7 +135,6 @@ impl FrameBatch {
     pub fn new(n_qubits: usize, n_lanes: usize) -> Self {
         let words_per_qubit = n_lanes.div_ceil(64).max(1);
         FrameBatch {
-            n_qubits,
             n_lanes,
             words_per_qubit,
             x: vec![0; n_qubits * words_per_qubit],
@@ -118,7 +149,6 @@ impl FrameBatch {
     /// allocation once the batch has reached its high-water size.
     pub fn reset(&mut self, n_qubits: usize, n_lanes: usize) {
         let words_per_qubit = n_lanes.div_ceil(64).max(1);
-        self.n_qubits = n_qubits;
         self.n_lanes = n_lanes;
         self.words_per_qubit = words_per_qubit;
         let len = n_qubits * words_per_qubit;
@@ -126,22 +156,6 @@ impl FrameBatch {
         self.x.resize(len, 0);
         self.z.clear();
         self.z.resize(len, 0);
-    }
-
-    /// Number of qubits.
-    pub fn num_qubits(&self) -> usize {
-        self.n_qubits
-    }
-
-    /// Number of shot lanes.
-    pub fn num_lanes(&self) -> usize {
-        self.n_lanes
-    }
-
-    /// Clears every frame back to identity.
-    pub fn clear(&mut self) {
-        self.x.fill(0);
-        self.z.fill(0);
     }
 
     #[inline]
@@ -297,71 +311,67 @@ impl FrameBatch {
         }
     }
 
-    /// Depolarizing noise on one qubit: with probability `p` per lane,
-    /// multiplies a uniformly random non-identity Pauli into the frame.
-    pub fn apply_1q_noise<R: Rng + ?Sized>(&mut self, qubit: usize, p: f64, rng: &mut R) {
+    /// Depolarizing noise on one qubit: at `rate` per lane, multiplies
+    /// a uniformly random non-identity Pauli into the frame.
+    pub fn apply_1q_noise<R: Rng + ?Sized>(
+        &mut self,
+        qubit: usize,
+        rate: BernoulliRate,
+        rng: &mut R,
+    ) {
         let n = self.n_lanes;
-        let w = self.words_per_qubit;
+        let base = qubit * self.words_per_qubit;
         // All skip draws happen before any Pauli draw (see `hits` docs).
         self.hits.clear();
         let hits = &mut self.hits;
-        for_each_bernoulli_hit(rng, p, n, |lane| hits.push(lane));
+        for_each_bernoulli_hit(rng, rate, n, |lane| hits.push(lane));
         for &lane in &self.hits {
+            // 0, 1, 2 = X, Z, Y.
             let which = rng.random_range(0..3u8);
-            let idx = qubit * w + lane / 64;
-            let bit = 1u64 << (lane % 64);
-            match which {
-                0 => self.x[idx] ^= bit, // X
-                1 => self.z[idx] ^= bit, // Z
-                _ => {
-                    self.x[idx] ^= bit; // Y
-                    self.z[idx] ^= bit;
-                }
-            }
+            let (idx, bit) = (base + lane / 64, 1u64 << (lane % 64));
+            self.x[idx] ^= bit & mask(which != 1);
+            self.z[idx] ^= bit & mask(which != 0);
         }
     }
 
-    /// Two-qubit depolarizing noise: with probability `p` per lane,
-    /// multiplies a uniformly random non-identity two-qubit Pauli (1 of
-    /// 15) into the frame.
-    pub fn apply_2q_noise<R: Rng + ?Sized>(&mut self, a: usize, b: usize, p: f64, rng: &mut R) {
+    /// Two-qubit depolarizing noise: at `rate` per lane, multiplies a
+    /// uniformly random non-identity two-qubit Pauli (1 of 15) into the
+    /// frame.
+    pub fn apply_2q_noise<R: Rng + ?Sized>(
+        &mut self,
+        a: usize,
+        b: usize,
+        rate: BernoulliRate,
+        rng: &mut R,
+    ) {
         let n = self.n_lanes;
         let w = self.words_per_qubit;
+        let (a, b) = (a * w, b * w);
         // All skip draws happen before any Pauli draw (see `hits` docs).
         self.hits.clear();
         let hits = &mut self.hits;
-        for_each_bernoulli_hit(rng, p, n, |lane| hits.push(lane));
+        for_each_bernoulli_hit(rng, rate, n, |lane| hits.push(lane));
         for &lane in &self.hits {
-            // 1..16 encodes (pa, pb) != (I, I) via two 2-bit fields.
+            // Bits 0-3 of 1..16 are x_a, z_a, x_b, z_b; never all clear,
+            // so the pair is never (I, I).
             let code = rng.random_range(1..16u8);
-            let pa = code & 0b11;
-            let pb = code >> 2;
-            let word = lane / 64;
-            let bit = 1u64 << (lane % 64);
-            if pa & 0b01 != 0 {
-                self.x[a * w + word] ^= bit;
-            }
-            if pa & 0b10 != 0 {
-                self.z[a * w + word] ^= bit;
-            }
-            if pb & 0b01 != 0 {
-                self.x[b * w + word] ^= bit;
-            }
-            if pb & 0b10 != 0 {
-                self.z[b * w + word] ^= bit;
-            }
+            let (word, bit) = (lane / 64, 1u64 << (lane % 64));
+            self.x[a + word] ^= bit & mask(code & 1 != 0);
+            self.z[a + word] ^= bit & mask(code & 2 != 0);
+            self.x[b + word] ^= bit & mask(code & 4 != 0);
+            self.z[b + word] ^= bit & mask(code & 8 != 0);
         }
     }
 
-    /// XORs Bernoulli(p) flips into a measurement record (classical
-    /// readout error).
+    /// XORs Bernoulli flips at `rate` into a measurement record
+    /// (classical readout error).
     pub fn apply_record_noise<R: Rng + ?Sized>(
         record: &mut [u64],
         n_lanes: usize,
-        p: f64,
+        rate: BernoulliRate,
         rng: &mut R,
     ) {
-        for_each_bernoulli_hit(rng, p, n_lanes, |lane| {
+        for_each_bernoulli_hit(rng, rate, n_lanes, |lane| {
             record[lane / 64] ^= 1u64 << (lane % 64);
         });
     }
@@ -646,6 +656,10 @@ mod tests {
         assert_eq!(a.x_words(1), &[0, 0, 0]);
     }
 
+    fn rate(p: f64) -> BernoulliRate {
+        BernoulliRate::of(p).unwrap()
+    }
+
     #[test]
     fn bernoulli_hit_statistics() {
         let mut rng = SmallRng::seed_from_u64(42);
@@ -654,7 +668,7 @@ mod tests {
         let mut count = 0usize;
         let reps = 20;
         for _ in 0..reps {
-            for_each_bernoulli_hit(&mut rng, p, n, |_| count += 1);
+            for_each_bernoulli_hit(&mut rng, rate(p), n, |_| count += 1);
         }
         let mean = count as f64 / reps as f64;
         let expected = p * n as f64; // 500
@@ -669,12 +683,16 @@ mod tests {
     fn bernoulli_edge_cases() {
         let mut rng = SmallRng::seed_from_u64(1);
         let mut hits = vec![];
-        for_each_bernoulli_hit(&mut rng, 0.0, 100, |i| hits.push(i));
-        assert!(hits.is_empty());
-        for_each_bernoulli_hit(&mut rng, 1.0, 5, |i| hits.push(i));
+        assert_eq!(BernoulliRate::of(0.0), None, "p = 0 never fires");
+        assert_eq!(BernoulliRate::of(1.0), Some(BernoulliRate::Always));
+        for_each_bernoulli_hit(&mut rng, BernoulliRate::Always, 5, |i| hits.push(i));
         assert_eq!(hits, vec![0, 1, 2, 3, 4]);
-        for_each_bernoulli_hit(&mut rng, 0.5, 0, |i| hits.push(i));
+        for_each_bernoulli_hit(&mut rng, rate(0.5), 0, |i| hits.push(i));
         assert_eq!(hits.len(), 5);
+        // Neither call drew from the stream.
+        use rand::Rng;
+        let fresh = SmallRng::seed_from_u64(1).random::<u64>();
+        assert_eq!(rng.random::<u64>(), fresh);
     }
 
     #[test]
@@ -682,7 +700,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(3);
         let lanes = 64 * 2000;
         let mut fb = FrameBatch::new(1, lanes);
-        fb.apply_1q_noise(0, 0.01, &mut rng);
+        fb.apply_1q_noise(0, rate(0.01), &mut rng);
         let errors = (0..lanes).filter(|&l| fb.pauli(0, l) != Pauli::I).count();
         let expected = 0.01 * lanes as f64;
         assert!(
@@ -705,7 +723,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(5);
         let lanes = 64 * 1000;
         let mut fb = FrameBatch::new(2, lanes);
-        fb.apply_2q_noise(0, 1, 0.05, &mut rng);
+        fb.apply_2q_noise(0, 1, rate(0.05), &mut rng);
         let mut pair_kinds = std::collections::HashSet::new();
         for l in 0..lanes {
             let pair = (fb.pauli(0, l), fb.pauli(1, l));
@@ -719,15 +737,16 @@ mod tests {
 
     /// Pins the exact RNG draw order of the noise channels: captured
     /// from the pre-scratch-buffer implementation (hits collected into
-    /// a fresh `Vec` per call). The reusable buffer must not change a
-    /// single bit or consume a single extra draw.
+    /// a fresh `Vec` per call). The reusable buffer, the precomputed
+    /// `ln(1 - p)` and the masked injection must not change a single bit
+    /// or consume a single extra draw.
     #[test]
     fn noise_golden_rng_stream_is_unchanged() {
         let mut fb = FrameBatch::new(3, 130);
         let mut rng = SmallRng::seed_from_u64(1234);
-        fb.apply_1q_noise(0, 0.07, &mut rng);
-        fb.apply_2q_noise(1, 2, 0.05, &mut rng);
-        fb.apply_1q_noise(2, 0.3, &mut rng);
+        fb.apply_1q_noise(0, rate(0.07), &mut rng);
+        fb.apply_2q_noise(1, 2, rate(0.05), &mut rng);
+        fb.apply_1q_noise(2, rate(0.3), &mut rng);
         assert_eq!(fb.x_words(0), &[134742016, 4328521920, 0]);
         assert_eq!(fb.z_words(0), &[524288, 137438953536, 0]);
         assert_eq!(fb.x_words(1), &[4398046511120, 25165824, 0]);
@@ -773,7 +792,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(9);
         let lanes = 6400;
         let mut record = vec![0u64; lanes / 64];
-        FrameBatch::apply_record_noise(&mut record, lanes, 0.1, &mut rng);
+        FrameBatch::apply_record_noise(&mut record, lanes, rate(0.1), &mut rng);
         let flips: u32 = record.iter().map(|w| w.count_ones()).sum();
         assert!(flips > 400 && flips < 900, "flips {flips}");
     }

@@ -20,7 +20,7 @@ pub mod frame;
 pub mod statevector;
 pub mod tableau;
 
-pub use frame::{FrameBatch, SingleFrame};
+pub use frame::{BernoulliRate, FrameBatch, SingleFrame};
 pub use statevector::StateVector;
 pub use tableau::Tableau;
 
