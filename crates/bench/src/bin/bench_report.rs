@@ -11,7 +11,7 @@
 //! grid point before timing.
 //!
 //! `--threads N` adds the cross-core axis: every point also proves the
-//! in-block sample pool bit-identical to the serial path, and the d=9
+//! in-call batch workers bit-identical to the serial path, and the d=9
 //! rows gain a `multicore` section timing serial vs pooled at a
 //! thread-independent shot count. Schema v2 records the worker count
 //! and machine core count as provenance, and `--check` rejects
@@ -41,7 +41,7 @@ const USAGE: &str = "usage: bench-report [--out PATH] [--reps N] [--shots N] [--
   --reps N     timing repetitions per point (median reported)
   --shots N    shots per repetition
   --seed S     base seed (default 2020)
-  --threads N  in-block sample-pool workers (default 1; `auto` resolves to
+  --threads N  in-call batch workers (default 1; `auto` resolves to
                available_parallelism, and the resolved count is what lands in
                the report's provenance). With N >= 2 every point proves the
                pooled path bit-identical to serial, and the d=9 rows gain a

@@ -13,8 +13,8 @@
 
 use vlq_bench::{
     engine_from_args, finish_telemetry, parse_f64_list, plan_from_args, resume_cache_from_args,
-    resumed_points, sci, shard_from_args, telemetry_from_args, threads_from_args, usage_exit, Args,
-    MetaBuilder, OutSinks,
+    resumed_points, sci, shard_from_args, telemetry_from_args, usage_exit, Args, MetaBuilder,
+    OutSinks,
 };
 use vlq_qec::{estimate_threshold, DecoderKind, MemoryExecutor, ThresholdScan};
 use vlq_surface::schedule::{Basis, Setup};
@@ -23,9 +23,9 @@ use vlq_sweep::{RunOptions, SweepSpec};
 const USAGE: &str = "\
 usage: fig11 [--trials N] [--dmax D] [--k K] [--seed S]
              [--decoder mwpm|uf|all] [--setup NAME|all] [--basis z|x]
-             [--rates P1,P2,...] [--workers N] [--threads N|auto] [--out DIR]
-             [--resume] [--shard I/N] [--plan PATH] [--times PATH]
-             [--telemetry PATH] [--quiet]
+             [--rates P1,P2,...] [--workers N] [--out DIR] [--resume]
+             [--shard I/N] [--plan PATH] [--times PATH] [--telemetry PATH]
+             [--quiet]
   --decoder  decoder(s) to scan (default mwpm; `all` runs the ablation)
   --setup    one of baseline|natural-aao|natural-int|compact-aao|compact-int|all
   --rates    comma-separated physical error rates (default: 8 rates, 8e-4..1.6e-2)
@@ -39,12 +39,8 @@ usage: fig11 [--trials N] [--dmax D] [--k K] [--seed S]
              the stride rule (needs --shard; seeds and bytes are unchanged)
   --times    record per-point wall times (nanos) to PATH in the
              vlq-sweep-times-v1 format the time-based planner calibrates from
-  --threads  in-block sample-pool workers per chunk (default 1; `auto` uses
-             available_parallelism; results and sidecars are bit-identical
-             at any value)
   --telemetry  write a vlq-telemetry JSONL sidecar to PATH and print a runtime
-               summary to stderr (sidecar is byte-stable across --workers and
-               --threads)";
+               summary to stderr (sidecar is byte-stable across --workers)";
 
 fn main() {
     let args = Args::parse_validated(
@@ -59,7 +55,6 @@ fn main() {
             "basis",
             "rates",
             "workers",
-            "threads",
             "out",
             "shard",
             "plan",
@@ -139,7 +134,7 @@ fn main() {
 
     let (recorder, telemetry_path) = telemetry_from_args(&args);
     let engine = engine_from_args(&args, USAGE).with_recorder(recorder.clone());
-    let executor = MemoryExecutor::with_parallelism(threads_from_args(&args, USAGE));
+    let executor = MemoryExecutor::default();
     let shard = shard_from_args(&args, USAGE);
     let plan = plan_from_args(&args, USAGE, shard);
     let opts = RunOptions {

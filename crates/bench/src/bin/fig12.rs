@@ -11,8 +11,7 @@
 
 use vlq_bench::{
     engine_from_args, finish_telemetry, plan_from_args, resume_cache_from_args, resumed_points,
-    sci, shard_from_args, telemetry_from_args, threads_from_args, usage_exit, Args, MetaBuilder,
-    OutSinks,
+    sci, shard_from_args, telemetry_from_args, usage_exit, Args, MetaBuilder, OutSinks,
 };
 use vlq_qec::{sensitivity_spec, DecoderKind, Knob, MemoryExecutor};
 use vlq_surface::schedule::Setup;
@@ -20,9 +19,9 @@ use vlq_sweep::{RunOptions, SweepRecord};
 
 const USAGE: &str = "\
 usage: fig12 [--panel NAME|all] [--trials N] [--dmax D] [--seed S]
-             [--extended] [--workers N] [--threads N|auto] [--out DIR]
-             [--resume] [--shard I/N] [--plan PATH] [--times PATH]
-             [--telemetry PATH] [--quiet]
+             [--extended] [--workers N] [--out DIR] [--resume]
+             [--shard I/N] [--plan PATH] [--times PATH] [--telemetry PATH]
+             [--quiet]
   --panel    one of sc-sc-error|load-store-error|sc-mode-error|cavity-t1|
              transmon-t1|load-store-duration|cavity-size|all
   --extended push the cavity-size panel past the paper's plotted range
@@ -35,12 +34,8 @@ usage: fig12 [--panel NAME|all] [--trials N] [--dmax D] [--seed S]
              this shard runs the points the plan assigns it (needs --shard)
   --times    record per-point wall times (nanos) to PATH in the
              vlq-sweep-times-v1 format the time-based planner calibrates from
-  --threads  in-block sample-pool workers per chunk (default 1; `auto` uses
-             available_parallelism; results and sidecars are bit-identical
-             at any value)
   --telemetry  write a vlq-telemetry JSONL sidecar to PATH and print a runtime
-               summary to stderr (sidecar is byte-stable across --workers and
-               --threads)";
+               summary to stderr (sidecar is byte-stable across --workers)";
 
 fn values_for(knob: Knob, extended: bool) -> Vec<f64> {
     match knob {
@@ -71,7 +66,6 @@ fn main() {
             "dmax",
             "seed",
             "workers",
-            "threads",
             "out",
             "shard",
             "plan",
@@ -111,7 +105,7 @@ fn main() {
 
     let (recorder, telemetry_path) = telemetry_from_args(&args);
     let engine = engine_from_args(&args, USAGE).with_recorder(recorder.clone());
-    let executor = MemoryExecutor::with_parallelism(threads_from_args(&args, USAGE));
+    let executor = MemoryExecutor::default();
     let shard = shard_from_args(&args, USAGE);
     let plan = plan_from_args(&args, USAGE, shard);
     // Read the previous artifact (if resuming) before the sinks

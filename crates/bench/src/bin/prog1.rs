@@ -21,17 +21,16 @@ use vlq::surface::schedule::{Basis, Boundary, Setup};
 use vlq::sweep::{RunOptions, SweepRecord, SweepSpec};
 use vlq_bench::{
     engine_from_args, finish_telemetry, parse_f64_list, plan_from_args, resume_cache_from_args,
-    resumed_points, sci, shard_from_args, telemetry_from_args, threads_from_args, usage_exit, Args,
-    MetaBuilder, OutSinks,
+    resumed_points, sci, shard_from_args, telemetry_from_args, usage_exit, Args, MetaBuilder,
+    OutSinks,
 };
 
 const USAGE: &str = "\
 usage: prog1 [--trials N] [--dmax D] [--k K] [--seed S]
              [--programs P1,P2,...] [--setup NAME|all] [--decoder mwpm|uf]
              [--boundary mid-circuit|full|prep|readout] [--rates P1,P2,...]
-             [--workers N] [--threads N|auto] [--out DIR] [--resume]
-             [--shard I/N] [--plan PATH] [--times PATH]
-             [--telemetry PATH] [--quiet]
+             [--workers N] [--out DIR] [--resume] [--shard I/N]
+             [--plan PATH] [--times PATH] [--telemetry PATH] [--quiet]
   --programs  registered workloads (default ghz4,teleport,adder2;
               ghz<N>/adder<N> accept any width)
   --setup     one of baseline|natural-aao|natural-int|compact-aao|compact-int|all
@@ -52,12 +51,8 @@ usage: prog1 [--trials N] [--dmax D] [--k K] [--seed S]
               the stride rule (needs --shard; seeds and bytes are unchanged)
   --times     record per-point wall times (nanos) to PATH in the
               vlq-sweep-times-v1 format the time-based planner calibrates from
-  --threads   in-block sample-pool workers per chunk (default 1; `auto` uses
-              available_parallelism; results and sidecars are bit-identical
-              at any value)
   --telemetry  write a vlq-telemetry JSONL sidecar to PATH and print a runtime
-               summary to stderr (sidecar is byte-stable across --workers and
-               --threads)";
+               summary to stderr (sidecar is byte-stable across --workers)";
 
 fn main() {
     let args = Args::parse_validated(
@@ -73,7 +68,6 @@ fn main() {
             "boundary",
             "rates",
             "workers",
-            "threads",
             "out",
             "shard",
             "plan",
@@ -177,7 +171,6 @@ fn main() {
 
     let (recorder, telemetry_path) = telemetry_from_args(&args);
     let engine = engine_from_args(&args, USAGE).with_recorder(recorder.clone());
-    let par = threads_from_args(&args, USAGE);
     let shard = shard_from_args(&args, USAGE);
     let plan = plan_from_args(&args, USAGE, shard);
     let opts = RunOptions {
@@ -208,7 +201,7 @@ fn main() {
     let mut meta = MetaBuilder::new(seed, shard).with_plan(opts.plan.as_ref());
     meta.absorb(&spec);
     out.write_meta(&meta.build());
-    let executor = ProgramSweepExecutor::new(boundary).with_parallelism(par);
+    let executor = ProgramSweepExecutor::new(boundary);
     let records = engine
         .run_opts(&spec, &executor, &mut out.as_dyn(), &cache, &opts)
         .expect("sweep artifacts");

@@ -71,7 +71,7 @@ usage: sweep-launch --bin fig11|fig12|prog1|tenants1 --out DIR
   --quiet         suppress supervisor stderr notes and the runtime
                   summary
   Everything after a bare `--` is forwarded to every child verbatim
-  (seeds, rates, trials, threads...). The supervisor appends its own
+  (seeds, rates, trials, workers...). The supervisor appends its own
   --out/--shard/--resume/--quiet after it, which therefore win.";
 
 /// The artifact stem a child writes: fixed per binary, except prog1's

@@ -25,8 +25,8 @@ use vlq::sweep::artifact::{Table, Value};
 use vlq::sweep::{RunOptions, SweepPoint, SweepRecord, SweepSpec};
 use vlq_bench::{
     engine_from_args, finish_telemetry, parse_f64_list, plan_from_args, resume_cache_from_args,
-    resumed_points, sci, shard_from_args, telemetry_from_args, threads_from_args, usage_exit, Args,
-    MetaBuilder, OutSinks,
+    resumed_points, sci, shard_from_args, telemetry_from_args, usage_exit, Args, MetaBuilder,
+    OutSinks,
 };
 use vlq_telemetry::Recorder;
 use vlq_tenant::{
@@ -38,8 +38,8 @@ const USAGE: &str = "\
 usage: tenants1 [--trials N] [--tenants N1,N2,...] [--policies P1,P2,...|all]
                 [--dmax D] [--k K] [--seed S] [--setup NAME|all]
                 [--decoder mwpm|uf] [--rates P1,P2,...] [--workers N]
-                [--threads N|auto] [--out DIR] [--resume] [--shard I/N]
-                [--plan PATH] [--times PATH] [--telemetry PATH] [--quiet]
+                [--out DIR] [--resume] [--shard I/N] [--plan PATH]
+                [--times PATH] [--telemetry PATH] [--quiet]
   --tenants   concurrent-program counts to scan (default 2,3; each >= 1;
               slots cycle ghz3,teleport,adder1 with slot 0 the deadline
               tenant)
@@ -62,13 +62,9 @@ usage: tenants1 [--trials N] [--tenants N1,N2,...] [--policies P1,P2,...|all]
               stays stride-sharded; seeds and bytes are unchanged)
   --times     record per-point wall times (nanos) to PATH in the
               vlq-sweep-times-v1 format the time-based planner calibrates from
-  --threads   in-block sample-pool workers per chunk (default 1; `auto` uses
-              available_parallelism; results and sidecars are bit-identical
-              at any value)
   --telemetry  write a vlq-telemetry JSONL sidecar to PATH plus per-tenant
                sidecars (<PATH minus .jsonl>-tenant<i>.jsonl) for the most
-               contended cell; all sidecars are byte-stable across --workers
-               and --threads";
+               contended cell; all sidecars are byte-stable across --workers";
 
 /// The machine a report cell merges onto (same shape the sweep executor
 /// uses for its grid points).
@@ -132,7 +128,6 @@ fn main() {
             "decoder",
             "rates",
             "workers",
-            "threads",
             "out",
             "shard",
             "plan",
@@ -245,7 +240,6 @@ fn main() {
 
     let (recorder, telemetry_path) = telemetry_from_args(&args);
     let engine = engine_from_args(&args, USAGE).with_recorder(recorder.clone());
-    let par = threads_from_args(&args, USAGE);
     let shard = shard_from_args(&args, USAGE);
     let plan = plan_from_args(&args, USAGE, shard);
     let opts = RunOptions {
@@ -317,7 +311,7 @@ fn main() {
             });
     }
 
-    let executor = TenantSweepExecutor::default().with_parallelism(par);
+    let executor = TenantSweepExecutor::default();
     let records = engine
         .run_opts(&spec, &executor, &mut out.as_dyn(), &cache, &opts)
         .expect("sweep artifacts");

@@ -168,7 +168,8 @@ pub fn usage_exit(usage: &str, error: &str) -> ! {
 }
 
 /// Builds the sweep engine a Monte-Carlo binary should use from its
-/// `--workers` / `--quiet` flags (shared by fig11 and fig12).
+/// `--workers` / `--quiet` flags (shared by fig11, fig12, prog1 and
+/// tenants1). `--workers` is a sweep's only worker count.
 pub fn engine_from_args(args: &Args, usage: &str) -> vlq_sweep::SweepEngine {
     let mut engine = match args.pairs_get("workers") {
         Some(_) => {
@@ -202,22 +203,6 @@ pub fn count_from_args(args: &Args, usage: &str, key: &str) -> Option<usize> {
         usage_exit(usage, &format!("--{key} must be >= 1"));
     }
     Some(n)
-}
-
-/// Parses the `--threads N|auto` flag into an in-block worker policy
-/// ([`vlq_qec::Parallelism`]): absent or `1` means serial; `N >= 2`
-/// attaches a shared sample pool spreading each chunk's 1024-lane
-/// batches across `N` workers; `auto` resolves via
-/// `std::thread::available_parallelism` (the resolved value is noted on
-/// stderr). Results and deterministic telemetry are bit-identical
-/// either way, so `--threads` composes freely with `--workers`,
-/// `--shard`, and `--resume`. Exits 2 (usage) on `--threads 0` or a
-/// non-numeric value other than `auto`.
-pub fn threads_from_args(args: &Args, usage: &str) -> vlq_qec::Parallelism {
-    match count_from_args(args, usage, "threads") {
-        Some(threads) => vlq_qec::Parallelism::threads(threads),
-        None => vlq_qec::Parallelism::serial(),
-    }
 }
 
 /// Parses the `--telemetry PATH` flag: an attached recorder (plus the
@@ -363,8 +348,9 @@ pub fn plan_from_args(
 }
 
 /// The optional `--out` CSV + JSON-lines sink pair of a Monte-Carlo
-/// binary (shared by fig11 and fig12), plus the optional `--times`
-/// wall-time sink feeding the `--shard-by time` cost model.
+/// binary (shared by fig11, fig12, prog1 and tenants1), plus the
+/// optional `--times` wall-time sink feeding the `--shard-by time` cost
+/// model.
 pub struct OutSinks {
     /// The `--out` directory, if given.
     pub dir: Option<std::path::PathBuf>,

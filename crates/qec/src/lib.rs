@@ -56,6 +56,8 @@
 //! assert!(failures <= 256);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod lambda;
 pub mod orchestrate;
 pub mod pool;
@@ -75,7 +77,7 @@ use vlq_telemetry::{Metric, Recorder};
 
 pub use lambda::{lambda_scan, mean_lambda, LambdaPoint};
 pub use orchestrate::{config_for_point, MemoryExecutor};
-pub use pool::{Parallelism, SamplePool, LANES_PER_BATCH};
+pub use pool::{Parallelism, LANES_PER_BATCH};
 pub use sensitivity::{sensitivity_spec, sensitivity_sweep, Knob, SensitivityPoint};
 pub use threshold::{estimate_threshold, threshold_scan, threshold_spec, ScanPoint, ThresholdScan};
 
@@ -274,8 +276,9 @@ impl BlockConfig {
 /// so the scratch re-keys itself whenever it is handed a different
 /// (block, decoder list) than it was built for: the decoder scratch is
 /// then rebuilt. Same block, same decoders — the steady state — reuses
-/// everything, which is what lets pool workers keep one scratch across
-/// jobs.
+/// everything, which is what lets a caller of
+/// [`PreparedBlock::sample_failure_words_into`] keep one scratch across
+/// blocks.
 #[derive(Debug, Default)]
 pub struct BlockScratch {
     /// Identity of the (block, decoder list) the decoder scratch was

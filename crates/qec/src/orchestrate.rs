@@ -60,13 +60,14 @@ pub fn config_for_point(pt: &SweepPoint) -> ExperimentConfig {
 
 /// [`SweepExecutor`] running this crate's memory experiments.
 ///
-/// Point-level parallelism comes from the engine (`--workers`);
-/// `parallelism` additionally spreads each chunk's batches over the
-/// in-block sample pool (`--threads`). Both axes preserve bit-identical
-/// records and sidecars, so they compose freely.
+/// A sweep's parallelism comes from the engine's workers (`--workers`):
+/// a default-sized chunk is one [`crate::LANES_PER_BATCH`]-lane batch,
+/// which the batch driver cannot split, so `MemoryExecutor::default()`
+/// samples every chunk serially.
 #[derive(Clone, Debug, Default)]
 pub struct MemoryExecutor {
-    /// In-block worker policy every chunk is sampled under.
+    /// Batch-driver worker policy every chunk is sampled under (serial
+    /// by default; counts and sidecars are identical at any value).
     pub parallelism: Parallelism,
 }
 

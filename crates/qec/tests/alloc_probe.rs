@@ -1,17 +1,16 @@
 //! Steady-state allocation probe for the batched sample→decode path.
 //!
 //! `PreparedBlock::run` holds one `BlockScratch` across batches (one
-//! per worker on the pool); after the first few batches have grown
-//! every buffer to its working size, further batches must allocate
-//! *nothing*, under either decoder. The serial check drives the
-//! one-batch kernel directly.
+//! per worker); after the first few batches have grown every buffer to
+//! its working size, further batches must allocate *nothing*, under
+//! either decoder. The check drives the one-batch kernel directly.
 //! A counting global allocator makes that a hard test, which is why the
 //! probe lives in its own integration-test binary with a single test.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use vlq_qec::{BlockConfig, BlockScratch, BlockSpec, DecoderKind, Parallelism, PreparedBlock};
+use vlq_qec::{BlockConfig, BlockScratch, BlockSpec, DecoderKind, PreparedBlock};
 use vlq_surface::schedule::{Basis, MemorySpec, Setup};
 use vlq_telemetry::{Metric, Recorder};
 
@@ -50,7 +49,7 @@ fn steady_state_batches_do_not_allocate() {
     }
 }
 
-/// The serial and pooled steady-state checks for one decoder kind.
+/// The steady-state check for one decoder kind.
 fn probe(kind: DecoderKind) {
     let memory = MemorySpec::standard(Setup::Baseline, 5, 1, Basis::Z);
     let block =
@@ -109,54 +108,5 @@ fn probe(kind: DecoderKind) {
     assert!(
         recorder.value(work) > 0,
         "{kind}: recorder saw no decoder work"
-    );
-
-    // The same contract with the sample pool attached: pool creation and
-    // warm-up may allocate (threads, injector, per-worker scratch
-    // growth), but re-running identical pooled batches must not — the
-    // pool reuses its queues and per-worker partial counts, workers park
-    // on a condvar, and every worker holds its scratch at the high-water
-    // mark. Work
-    // stealing does not guarantee a given worker touches a batch on any
-    // given pass (under load one worker can sit a pass out and first
-    // grow its scratch later), so warm-up repeats until a full pass
-    // allocates nothing — per-worker growth converges once every worker
-    // has participated, while per-batch allocation never does, which
-    // the attempt bound turns into a failure.
-    let par = Parallelism::threads(2);
-    let run = |par: &Parallelism, seed| block.run(POOL_SHOTS, seed, par, &Recorder::disabled());
-    const POOL_SHOTS: u64 = 2048;
-    let mut pooled_warm = 0u64;
-    for seed in 200..204u64 {
-        pooled_warm += run(&par, seed);
-    }
-    let mut settled = false;
-    for _attempt in 0..32 {
-        let before = ALLOC_CALLS.load(Ordering::Relaxed);
-        let mut pooled = 0u64;
-        for seed in 200..204u64 {
-            pooled += run(&par, seed);
-        }
-        let after = ALLOC_CALLS.load(Ordering::Relaxed);
-        assert_eq!(
-            pooled, pooled_warm,
-            "{kind}: pooled runs were not deterministic"
-        );
-        if after == before {
-            settled = true;
-            break;
-        }
-    }
-    assert!(
-        settled,
-        "{kind}: pooled batches kept allocating after 32 warm passes ({pooled_warm} failures/pass)"
-    );
-    let pooled = pooled_warm;
-    assert_eq!(
-        pooled,
-        (200..204u64)
-            .map(|s| run(&Parallelism::serial(), s))
-            .sum::<u64>(),
-        "{kind}: pooled failure counts diverged from serial"
     );
 }

@@ -1,6 +1,6 @@
-//! The sample pool's bit-identity contract, property-style.
+//! The batch driver's bit-identity contract, property-style.
 //!
-//! `PreparedBlock::run` on a pool must return the exact failure count
+//! `PreparedBlock::run` on workers must return the exact failure count
 //! of the serial path — and, with a recorder attached, the
 //! byte-identical deterministic telemetry sidecar — at *any* worker
 //! count, for every `Boundary` mode, across distances. The batches are
@@ -11,7 +11,7 @@
 //! `crates/sweep/tests/sharding.rs`.
 
 use vlq_decoder::DecoderKind;
-use vlq_qec::{BlockConfig, BlockScratch, BlockSpec, Parallelism, PreparedBlock};
+use vlq_qec::{BlockConfig, BlockScratch, BlockSpec, Parallelism, PreparedBlock, LANES_PER_BATCH};
 use vlq_surface::schedule::{Basis, Boundary, MemorySpec, Setup};
 use vlq_telemetry::{Metric, Recorder};
 
@@ -113,7 +113,7 @@ fn pooled_multi_decoder_counts_match_serial() {
 
 /// MWPM's deterministic counters (one matcher call per non-empty
 /// defect list, and the edges handed to the matcher) must come out the
-/// same whether the shots run serially (`--threads 1`) or on the pool.
+/// same whether the shots run serially (`--threads 1`) or on workers.
 #[test]
 fn mwpm_counters_match_across_thread_counts() {
     let memory = MemorySpec::standard(Setup::Baseline, 5, 1, Basis::Z);
@@ -139,17 +139,33 @@ fn mwpm_counters_match_across_thread_counts() {
 
 #[test]
 fn one_thread_means_no_pool() {
-    assert!(Parallelism::threads(1).pool().is_none());
-    assert!(Parallelism::threads(0).pool().is_none());
-    assert!(Parallelism::serial().pool().is_none());
+    assert_eq!(Parallelism::threads(1).workers(), 1);
+    assert_eq!(Parallelism::threads(0).workers(), 1);
     assert_eq!(Parallelism::serial().workers(), 1);
     assert_eq!(Parallelism::threads(4).workers(), 4);
 }
 
-/// A pool outliving one block and serving another (and the same block
-/// again) must still be bit-identical: per-worker scratches re-key on
-/// block identity and rebuild their decoder scratch, never reuse it
-/// stale.
+/// The `# Panics` contract of `run_batches`: a batch that panics on a
+/// worker panics the call, rather than hanging or returning the other
+/// batches' partial count.
+#[test]
+#[should_panic(expected = "batch 2 failed")]
+fn a_panicking_batch_panics_the_call() {
+    let mut counts = [0u64];
+    Parallelism::threads(2).run_batches(
+        4 * LANES_PER_BATCH as u64,
+        &Recorder::disabled(),
+        &mut counts,
+        || (),
+        |_, batch, lanes, counts| {
+            assert_ne!(batch, 2, "batch 2 failed");
+            counts[0] += lanes as u64;
+        },
+    );
+}
+
+/// One `Parallelism` serving one block, then another, then the first
+/// again must match the serial count every time.
 #[test]
 fn pool_reuse_across_blocks_stays_identical() {
     let par = Parallelism::threads(2);

@@ -3,7 +3,7 @@
 //! 1 worker and N workers produces byte-identical records.
 
 use vlq_decoder::DecoderKind;
-use vlq_qec::MemoryExecutor;
+use vlq_qec::{MemoryExecutor, LANES_PER_BATCH};
 use vlq_surface::schedule::Setup;
 use vlq_sweep::{CsvSink, JsonlSink, SweepEngine, SweepSpec};
 
@@ -39,6 +39,12 @@ fn run_with_workers(workers: usize) -> (Vec<u8>, Vec<u8>, Vec<vlq_sweep::SweepRe
     let csv_bytes = csv.into_inner();
     let jsonl_bytes = jsonl.into_inner();
     (csv_bytes, jsonl_bytes, records)
+}
+
+// A sweep chunk is one batch, which is why a sweep has one worker knob.
+#[test]
+fn a_sweep_chunk_is_one_batch() {
+    assert_eq!(SweepEngine::default().chunk_shots, LANES_PER_BATCH as u64);
 }
 
 #[test]

@@ -256,6 +256,7 @@ impl FrameBatch {
     /// bits beyond `n_lanes` in the final partial word are masked off —
     /// a stray tail Z would propagate through H/CZ/iSWAP into the X
     /// planes and corrupt failure-word popcounts.
+    #[inline]
     pub fn randomize_z<R: Rng + ?Sized>(&mut self, qubit: usize, rng: &mut R) {
         let n = self.n_lanes;
         let r = self.range(qubit);
@@ -313,6 +314,7 @@ impl FrameBatch {
 
     /// Depolarizing noise on one qubit: at `rate` per lane, multiplies
     /// a uniformly random non-identity Pauli into the frame.
+    #[inline]
     pub fn apply_1q_noise<R: Rng + ?Sized>(
         &mut self,
         qubit: usize,
@@ -337,6 +339,7 @@ impl FrameBatch {
     /// Two-qubit depolarizing noise: at `rate` per lane, multiplies a
     /// uniformly random non-identity two-qubit Pauli (1 of 15) into the
     /// frame.
+    #[inline]
     pub fn apply_2q_noise<R: Rng + ?Sized>(
         &mut self,
         a: usize,

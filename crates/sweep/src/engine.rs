@@ -402,6 +402,7 @@ impl SweepEngine {
                 self.recorder.add(Metric::SweepFailures, record.failures);
                 if let Err(e) = emitter.complete(i, record, 0) {
                     io_result = Err(e);
+                    shared.queue.clear();
                     return;
                 }
                 completed += 1;
@@ -424,8 +425,9 @@ impl SweepEngine {
                 }
                 if let Err(e) = emitter.complete(point_idx, record, nanos) {
                     io_result = Err(e);
-                    // Workers keep draining tasks; their sends fail
-                    // silently once the receiver drops.
+                    // Drop the unclaimed chunks: each worker stops
+                    // after the chunk it holds.
+                    shared.queue.clear();
                     return;
                 }
                 completed += 1;
@@ -700,6 +702,59 @@ mod tests {
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0].index, 11);
         assert_eq!(recs[0].point.d, 5);
+    }
+
+    #[test]
+    fn failing_sink_stops_the_sweep() {
+        use std::sync::atomic::AtomicBool;
+        use std::time::Duration;
+
+        /// Fails its first write, raising `failed`.
+        struct FailingSink<'f>(&'f AtomicBool);
+        impl RecordSink for FailingSink<'_> {
+            fn write(&mut self, _record: &SweepRecord) -> io::Result<()> {
+                self.0.store(true, Ordering::Release);
+                Err(io::Error::other("sink full"))
+            }
+        }
+        /// Counts chunks. Every chunk after the first waits until the
+        /// sink has failed (plus a grace period for the engine to act
+        /// on the error), so the count does not race the failure.
+        struct GatedExecutor<'f> {
+            failed: &'f AtomicBool,
+            ran: AtomicUsize,
+        }
+        impl SweepExecutor for GatedExecutor<'_> {
+            type Prepared = ();
+            fn prepare(&self, _point: &SweepPoint) {}
+            fn run_chunk(&self, _p: &(), _pt: &SweepPoint, _shots: u64, _seed: u64) -> u64 {
+                if self.ran.fetch_add(1, Ordering::SeqCst) > 0 {
+                    while !self.failed.load(Ordering::Acquire) {
+                        std::thread::yield_now();
+                    }
+                    std::thread::sleep(Duration::from_millis(50));
+                }
+                0
+            }
+        }
+
+        // 200 one-chunk points.
+        let spec = SweepSpec::new()
+            .error_rates((1..=200).map(|i| f64::from(i) * 1e-5))
+            .shots(10);
+        let failed = AtomicBool::new(false);
+        let executor = GatedExecutor {
+            failed: &failed,
+            ran: AtomicUsize::new(0),
+        };
+        let mut sink = FailingSink(&failed);
+        let result = SweepEngine::serial().run(&spec, &executor, &mut [&mut sink]);
+        assert!(result.is_err(), "the sink error was swallowed");
+        let ran = executor.ran.load(Ordering::SeqCst);
+        assert!(
+            ran <= 2,
+            "{ran} of 200 chunks ran: the sweep outlived its sink"
+        );
     }
 
     #[test]

@@ -1,12 +1,13 @@
-//! The work-stealing task queue shared by the sweep engine and the
-//! in-block sample pool (`vlq_qec::SamplePool`).
+//! The work-stealing task queue shared by the sweep engine (grid-point
+//! chunks) and the batch driver's scoped workers
+//! (`vlq_qec::Parallelism::run_batches`, the batches of one run).
 //!
 //! One shared injector deque feeds small per-worker local deques. A
 //! worker pops its own deque LIFO (the task it queued last is the one
 //! whose data is warmest), refills from the injector in batches of
 //! [`REFILL_BATCH`], and when both run dry steals FIFO from the other
-//! workers in ring order. Buffers keep their capacity across fills, so
-//! a long-lived queue allocates nothing in steady state.
+//! workers in ring order. Each run builds its own queue and drops it
+//! when its workers join.
 
 use std::collections::VecDeque;
 use std::sync::Mutex;
@@ -72,21 +73,13 @@ impl<T> StealQueue<T> {
         None
     }
 
-    /// Drops every queued task (a worker abandoning a failed job).
+    /// Drops every queued task (a run abandoning its remaining work);
+    /// workers stop after the task they hold.
     pub fn clear(&self) {
         self.injector.lock().expect("injector").clear();
         for local in &self.locals {
             local.lock().expect("local deque").clear();
         }
-    }
-
-    /// Whether no task is queued anywhere.
-    pub fn is_empty(&self) -> bool {
-        self.injector.lock().expect("injector").is_empty()
-            && self
-                .locals
-                .iter()
-                .all(|l| l.lock().expect("local deque").is_empty())
     }
 }
 
@@ -106,7 +99,6 @@ mod tests {
         // Refills move REFILL_BATCH tasks at a time: the first is run
         // at once, the rest pop LIFO from the local deque.
         assert_eq!(seen, vec![0, 3, 2, 1, 4, 7, 6, 5, 8, 9]);
-        assert!(q.is_empty());
     }
 
     #[test]
@@ -119,7 +111,6 @@ mod tests {
         assert_eq!(q.next(1), Some((1, true)));
         assert_eq!(q.next(0), Some((3, false)));
         q.clear();
-        assert!(q.is_empty());
         assert_eq!(q.next(1), None);
     }
 }

@@ -130,32 +130,18 @@ pub fn merge_standard_mix(
 pub struct TenantSweepExecutor {
     /// Block boundary every exposure is sampled under.
     pub boundary: Boundary,
-    /// In-block worker policy every chunk is replayed under.
-    pub parallelism: Parallelism,
 }
 
 impl Default for TenantSweepExecutor {
     fn default() -> Self {
-        TenantSweepExecutor {
-            boundary: Boundary::MidCircuit,
-            parallelism: Parallelism::serial(),
-        }
+        Self::new(Boundary::MidCircuit)
     }
 }
 
 impl TenantSweepExecutor {
     /// An executor sampling under `boundary`.
     pub fn new(boundary: Boundary) -> Self {
-        TenantSweepExecutor {
-            boundary,
-            ..Self::default()
-        }
-    }
-
-    /// Sets the in-block worker policy.
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = parallelism;
-        self
+        TenantSweepExecutor { boundary }
     }
 }
 
@@ -182,7 +168,7 @@ impl SweepExecutor for TenantSweepExecutor {
         shots: u64,
         seed: u64,
     ) -> u64 {
-        prepared.run(shots, seed, &self.parallelism, &Recorder::disabled())
+        prepared.run(shots, seed, &Parallelism::serial(), &Recorder::disabled())
     }
 
     fn run_chunk_recorded(
@@ -193,7 +179,7 @@ impl SweepExecutor for TenantSweepExecutor {
         seed: u64,
         recorder: &Recorder,
     ) -> u64 {
-        prepared.run(shots, seed, &self.parallelism, recorder)
+        prepared.run(shots, seed, &Parallelism::serial(), recorder)
     }
 }
 

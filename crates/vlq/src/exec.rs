@@ -546,7 +546,7 @@ pub struct FramePrepared {
     /// index, operand offset); computed once at preparation so the
     /// replay loop and the block registry can never disagree.
     exposure_boundaries: BTreeMap<(u64, u64), Boundary>,
-    /// Process-unique id (never reused); a persistent [`FrameScratch`]
+    /// Process-unique id (never reused); a reused [`FrameScratch`]
     /// keys its per-block scratch map to it (see [`FrameScratch`]).
     identity: u64,
 }
@@ -561,14 +561,15 @@ type BlockScratchMap = BTreeMap<(usize, Boundary, u8), BlockScratch>;
 /// logical Pauli frames, the per-lane failure accumulator, the
 /// measured-slot flags, the measurement read-out buffer, and one
 /// [`BlockScratch`] per sampled block. Holding one scratch across
-/// batches — per worker, on the pooled path — makes the steady state
-/// allocation-free under either decoder.
+/// batches — one per worker of [`FramePrepared::run`] — makes the
+/// steady state allocation-free under either decoder.
 ///
 /// A scratch re-keys itself when it is handed to a different
-/// [`FramePrepared`]: its block scratch map is dropped (each
-/// [`BlockScratch`] would re-key itself anyway, but the map would keep
-/// the buffers of every preparation a pool worker ever served) and its
-/// frame buffers are reshaped.
+/// [`FramePrepared`] (a caller may reuse one across preparations
+/// through [`FramePrepared::run_batch`]): its block scratch map is
+/// dropped (each [`BlockScratch`] would re-key itself anyway, but the
+/// map would keep the buffers of every preparation the scratch ever
+/// served) and its frame buffers are reshaped.
 #[derive(Default)]
 pub struct FrameScratch {
     /// Identity of the [`FramePrepared`] the block scratch is keyed to.
@@ -737,8 +738,8 @@ impl FramePrepared {
     /// number of corrupted programs.
     ///
     /// Batch `b` replays with seed `splitmix64(seed ^ splitmix64(b))`,
-    /// so the count is identical at any worker count; pool workers each
-    /// replay against one persistent [`FrameScratch`], so the steady
+    /// so the count is identical at any worker count; each worker
+    /// replays its batches against one [`FrameScratch`], so its steady
     /// state allocates nothing. With `recorder` attached, each
     /// instruction kind's block-exposure count is recorded — one replay
     /// of the schedule per batch, so the values are a pure function of
@@ -1045,32 +1046,18 @@ pub fn machine_config_for_point(point: &SweepPoint, num_qubits: usize) -> Machin
 pub struct ProgramSweepExecutor {
     /// Block boundary every exposure is sampled under.
     pub boundary: Boundary,
-    /// In-block worker policy every chunk is replayed under.
-    pub parallelism: Parallelism,
 }
 
 impl Default for ProgramSweepExecutor {
     fn default() -> Self {
-        ProgramSweepExecutor {
-            boundary: Boundary::MidCircuit,
-            parallelism: Parallelism::serial(),
-        }
+        Self::new(Boundary::MidCircuit)
     }
 }
 
 impl ProgramSweepExecutor {
     /// An executor sampling under `boundary`.
     pub fn new(boundary: Boundary) -> Self {
-        ProgramSweepExecutor {
-            boundary,
-            ..Self::default()
-        }
-    }
-
-    /// Sets the in-block worker policy.
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = parallelism;
-        self
+        ProgramSweepExecutor { boundary }
     }
 }
 
@@ -1096,7 +1083,7 @@ impl SweepExecutor for ProgramSweepExecutor {
         shots: u64,
         seed: u64,
     ) -> u64 {
-        prepared.run(shots, seed, &self.parallelism, &Recorder::disabled())
+        prepared.run(shots, seed, &Parallelism::serial(), &Recorder::disabled())
     }
 
     fn run_chunk_recorded(
@@ -1107,7 +1094,7 @@ impl SweepExecutor for ProgramSweepExecutor {
         seed: u64,
         recorder: &Recorder,
     ) -> u64 {
-        prepared.run(shots, seed, &self.parallelism, recorder)
+        prepared.run(shots, seed, &Parallelism::serial(), recorder)
     }
 }
 
