@@ -33,15 +33,21 @@ fn random_defects(g: &DecodingGraph, count: usize, rng: &mut SmallRng) -> Vec<us
     defects
 }
 
-/// fig11's guard-sector graph at (d, p) (baseline, basis Z,
+/// fig11's guard-sector graph of `setup` at (d, p) (basis Z, k = 10,
 /// `Boundary::Full`) and the defect lists of one sampled `lanes`-lane
 /// batch on it.
-fn sampled_defects(d: usize, p: f64, lanes: usize) -> (DecodingGraph, Vec<Vec<usize>>) {
-    let noise = NoiseModel::baseline_at_scale(p);
-    let mc = memory_circuit(
-        MemorySpec::standard(Setup::Baseline, d, 10, Basis::Z),
-        &noise.hw,
-    );
+fn sampled_defects(
+    setup: Setup,
+    d: usize,
+    p: f64,
+    lanes: usize,
+) -> (DecodingGraph, Vec<Vec<usize>>) {
+    let noise = if setup.uses_memory() {
+        NoiseModel::memory_at_scale(p)
+    } else {
+        NoiseModel::baseline_at_scale(p)
+    };
+    let mc = memory_circuit(MemorySpec::standard(setup, d, 10, Basis::Z), &noise.hw);
     let (start, end) = mc.noise_window(Boundary::Full);
     let noisy = noise.apply_window(&mc.circuit, start, end);
     let graph = DecodingGraph::build(&noisy, mc.guard_detectors());
@@ -115,8 +121,10 @@ fn bench_graph_build(c: &mut Criterion) {
 /// Scratch-reusing `decode_batch` vs the per-lane `decode` loop it
 /// replaced, over the (d, p) perf-trajectory grid (Union-Find on random
 /// lists of at most 6 defects), plus both batch paths on sampled fig11
-/// syndromes: MWPM at d=7, p=5e-3 (about 15 defects per shot) and
-/// Union-Find at d=7, p=8e-3, the fig11-uf benchmark's heaviest point.
+/// syndromes: MWPM at d=7, p=5e-3 (about 15 defects per shot), MWPM at
+/// paper scale on compact-int d=9, p=2e-3 (about 48 defects per shot)
+/// and Union-Find at d=7, p=8e-3, the fig11-uf benchmark's heaviest
+/// point.
 fn bench_decode_batch(c: &mut Criterion) {
     let mut group = c.benchmark_group("decode-batch");
     for d in [3usize, 5, 7, 9] {
@@ -152,14 +160,19 @@ fn bench_decode_batch(c: &mut Criterion) {
         }
     }
     let lanes = 256usize;
-    let (g, lists) = sampled_defects(7, 5e-3, lanes);
-    let mwpm = MwpmDecoder::new(&g);
-    group.bench_with_input(BenchmarkId::new("mwpm-batch", "d7-p5e-3"), &7, |b, _| {
-        let mut scratch = mwpm.make_scratch();
-        let mut out = vec![0u64; lanes.div_ceil(64)];
-        b.iter(|| mwpm.decode_batch(&lists, &mut scratch, &mut out))
-    });
-    let (g, lists) = sampled_defects(7, 8e-3, lanes);
+    for (setup, d, p, id) in [
+        (Setup::Baseline, 7, 5e-3, "d7-p5e-3"),
+        (Setup::CompactInterleaved, 9, 2e-3, "d9-compact-int-p2e-3"),
+    ] {
+        let (g, lists) = sampled_defects(setup, d, p, lanes);
+        let mwpm = MwpmDecoder::new(&g);
+        group.bench_with_input(BenchmarkId::new("mwpm-batch", id), &d, |b, _| {
+            let mut scratch = mwpm.make_scratch();
+            let mut out = vec![0u64; lanes.div_ceil(64)];
+            b.iter(|| mwpm.decode_batch(&lists, &mut scratch, &mut out))
+        });
+    }
+    let (g, lists) = sampled_defects(Setup::Baseline, 7, 8e-3, lanes);
     let uf = UnionFindDecoder::new(&g);
     group.bench_with_input(BenchmarkId::new("uf-batch", "d7-p8e-3"), &7, |b, _| {
         let mut scratch = uf.make_scratch();

@@ -3,9 +3,10 @@
 //! A faithful Rust port of the Galil / van Rantwijk primal-dual
 //! implementation in the formulation used by NetworkX's
 //! `max_weight_matching` (node-pair label edges rather than endpoint
-//! indices). With `max_cardinality = true` and transformed weights
-//! `w' = C - w` it yields the *minimum-weight perfect matching* the
-//! surface-code MWPM decoder needs (see [`crate::mwpm`]).
+//! indices). The surface-code MWPM decoder calls it with
+//! `max_cardinality = false` on a gain instance whose maximum-weight
+//! matching is the minimum-weight way to pair defects or send them to
+//! the boundary (see [`crate::mwpm`]).
 //!
 //! Weights are `i64`; callers scale float weights (the decoder multiplies
 //! log-odds weights by 2^20 and rounds). Vertex duals are stored doubled
@@ -51,22 +52,8 @@ pub fn max_weight_matching(
     max_cardinality: bool,
 ) -> Vec<Option<usize>> {
     let mut matcher = Matcher::new();
-    matcher.solve(edges, max_cardinality, false);
-    matcher
-        .mate
-        .iter()
-        .map(|&u| (u != NONE).then_some(u))
-        .collect()
-}
-
-/// Minimum-weight perfect matching via weight inversion.
-///
-/// Returns `mate[v] = u` for every vertex, or `None` if no perfect
-/// matching exists. One-shot form: builds a fresh workspace per call.
-pub fn min_weight_perfect_matching(edges: &[(usize, usize, i64)]) -> Option<Vec<usize>> {
-    Matcher::new()
-        .min_weight_perfect_matching(edges)
-        .map(<[usize]>::to_vec)
+    matcher.max_weight_matching(edges, max_cardinality);
+    (0..matcher.mate.len()).map(|v| matcher.mate(v)).collect()
 }
 
 /// One blossom's slot. Slots are reused across blossoms and across
@@ -133,26 +120,13 @@ impl Matcher {
         Matcher::default()
     }
 
-    /// Minimum-weight perfect matching via weight inversion, in this
-    /// workspace.
-    ///
-    /// Returns `mate[v] = u` for every vertex, or `None` if no perfect
-    /// matching exists. The slice borrows the workspace.
-    pub(crate) fn min_weight_perfect_matching(
+    /// [`max_weight_matching`] in this workspace: loads `edges` and
+    /// runs the search. Read the result with [`Matcher::mate`].
+    pub(crate) fn max_weight_matching(
         &mut self,
         edges: &[(usize, usize, i64)],
-    ) -> Option<&[usize]> {
-        self.solve(edges, true, true);
-        if self.mate.contains(&NONE) {
-            None
-        } else {
-            Some(&self.mate)
-        }
-    }
-
-    /// Loads `edges` (weights inverted to `max + 1 - w` when `invert`)
-    /// and runs the search; the result is left in `self.mate`.
-    fn solve(&mut self, edges: &[(usize, usize, i64)], max_cardinality: bool, invert: bool) {
+        max_cardinality: bool,
+    ) {
         let mut n = 0usize;
         for &(i, j, _) in edges {
             assert_ne!(i, j, "self-loop in matching graph");
@@ -164,8 +138,6 @@ impl Matcher {
         }
         self.n = n;
         self.max_cardinality = max_cardinality;
-        let top = edges.iter().map(|e| e.2).max().unwrap_or(0);
-        let weight = |w: i64| if invert { top + 1 - w } else { w };
 
         self.wt.clear();
         self.wt.resize(n * n, ABSENT);
@@ -174,7 +146,6 @@ impl Matcher {
         self.adj_start.resize(n + 1, 0);
         let mut maxweight = 0i64;
         for &(i, j, w) in edges {
-            let w = weight(w);
             let fresh = self.wt[i * n + j] == ABSENT;
             self.wt[i * n + j] = w;
             self.wt[j * n + i] = w;
@@ -223,6 +194,12 @@ impl Matcher {
         self.free_blossoms.clear();
         reset(&mut self.bestedgeto, nodes, None);
         self.run();
+    }
+
+    /// The vertex the last search matched `v` to; `None` when `v` is
+    /// unmatched or not a vertex of that instance.
+    pub(crate) fn mate(&self, v: usize) -> Option<usize> {
+        self.mate.get(v).copied().filter(|&u| u != NONE)
     }
 
     /// 2 * slack of edge (v, w); only valid outside blossoms.
@@ -1163,64 +1140,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn min_weight_perfect_on_complete_graphs() {
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = SmallRng::seed_from_u64(77);
-        for _ in 0..150 {
-            let n = 2 * rng.random_range(1..5usize);
-            let mut edges = Vec::new();
-            for u in 0..n {
-                for v in (u + 1)..n {
-                    edges.push((u, v, rng.random_range(1..100i64)));
-                }
-            }
-            let mate = min_weight_perfect_matching(&edges).expect("complete graph");
-            assert_eq!(mate.len(), n);
-            for (v, &u) in mate.iter().enumerate() {
-                assert_eq!(mate[u], v);
-            }
-            let total: i64 = edges
-                .iter()
-                .filter(|&&(u, v, _)| mate[u] == v)
-                .map(|e| e.2)
-                .sum();
-            // Brute-force the minimum-weight perfect matching.
-            fn recur(
-                edges: &[(usize, usize, i64)],
-                idx: usize,
-                used: &mut Vec<bool>,
-                count: usize,
-                weight: i64,
-                n: usize,
-                best: &mut Option<i64>,
-            ) {
-                if idx == edges.len() {
-                    if count == n / 2 {
-                        *best = Some(best.map_or(weight, |b: i64| b.min(weight)));
-                    }
-                    return;
-                }
-                recur(edges, idx + 1, used, count, weight, n, best);
-                let (u, v, w) = edges[idx];
-                if !used[u] && !used[v] {
-                    used[u] = true;
-                    used[v] = true;
-                    recur(edges, idx + 1, used, count + 1, weight + w, n, best);
-                    used[u] = false;
-                    used[v] = false;
-                }
-            }
-            let mut used = vec![false; n];
-            let mut best = None;
-            recur(&edges, 0, &mut used, 0, 0, n, &mut best);
-            assert_eq!(total, best.unwrap());
-        }
-    }
-
-    /// One workspace reused across instances that grow, shrink, and
-    /// sometimes have no perfect matching must answer exactly as a
+    /// One workspace reused across instances that grow, shrink, leave
+    /// vertices unmatched or have no edges must answer exactly as a
     /// fresh workspace does each time: no state leaks between calls.
     #[test]
     fn reused_workspace_matches_fresh() {
@@ -1229,7 +1150,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(2303);
         let mut matcher = Matcher::new();
         for trial in 0..300 {
-            let n = 2 * rng.random_range(1..13usize);
+            let n = rng.random_range(1..25usize);
             let mut edges = Vec::new();
             for u in 0..n {
                 for v in (u + 1)..n {
@@ -1238,15 +1159,14 @@ mod tests {
                     }
                 }
             }
-            let fresh = min_weight_perfect_matching(&edges);
-            let reused = matcher.min_weight_perfect_matching(&edges);
-            assert_eq!(reused, fresh.as_deref(), "trial {trial}, edges {edges:?}");
+            let max_cardinality = trial % 3 == 0;
+            let mut fresh = max_weight_matching(&edges, max_cardinality);
+            matcher.max_weight_matching(&edges, max_cardinality);
+            // Past the instance's last endpoint, the reused workspace must
+            // report nothing left over from a larger instance.
+            fresh.resize(n, None);
+            let reused: Vec<Option<usize>> = (0..n).map(|v| matcher.mate(v)).collect();
+            assert_eq!(reused, fresh, "trial {trial}, edges {edges:?}");
         }
-    }
-
-    #[test]
-    fn perfect_matching_impossible() {
-        let edges = [(0, 1, 1), (1, 2, 1), (0, 2, 1)];
-        assert!(min_weight_perfect_matching(&edges).is_none());
     }
 }

@@ -8,8 +8,12 @@
 //!    detectors (and logical observables) it flips — read from one
 //!    backward sensitivity pass — with edge weights `ln((1-p)/p)`.
 //! 2. [`mwpm`] decodes a defect set by Dijkstra distances on that graph
-//!    followed by exact minimum-weight perfect matching ([`blossom`]) —
-//!    the paper's "usual maximum likelihood \[matching\] decoder".
+//!    followed by an exact minimum-weight matching — the paper's "usual
+//!    maximum likelihood \[matching\] decoder". It is solved as a
+//!    maximum-weight matching ([`blossom`]) on the defects alone, where
+//!    two defects join with the weight saved by pairing them instead of
+//!    sending both to the boundary, and unmatched defects go to the
+//!    boundary.
 //! 3. [`unionfind`] is the fast alternative prog1 and tenants1 use by
 //!    default: multi-source first-contact growth, a global stop once no
 //!    odd cluster remains, and greedy pairing along the contacts. It is

@@ -1,12 +1,15 @@
-//! Minimum-weight perfect-matching decoder.
+//! Minimum-weight matching decoder.
 //!
 //! Decodes a defect set on a [`DecodingGraph`]: Dijkstra shortest paths
 //! give the pairwise defect distances (and each defect's distance to the
 //! virtual boundary, plus the logical-observable parity along those
-//! paths); exact minimum-weight perfect matching over the defects plus
-//! mirrored boundary copies (the standard construction) selects the most
-//! likely error. The decoder reports only what the harness needs: the
-//! predicted logical flip.
+//! paths). The most likely error pairs some defects along shortest paths
+//! and sends the rest to the boundary, at least total weight. That
+//! choice is solved exactly as a maximum-weight matching on the defects
+//! alone: two defects join with the weight saved by pairing them rather
+//! than sending both to the boundary, and a defect the matching leaves
+//! unmatched goes to the boundary (see `gain_instance`). The decoder
+//! reports only what the harness needs: the predicted logical flip.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -20,6 +23,10 @@ use crate::{Decoder, DecoderScratch};
 /// Fixed-point scale when converting float weights to integers for the
 /// exact matcher.
 const WEIGHT_SCALE: f64 = (1u64 << 20) as f64;
+
+/// Largest gain handed to the matcher. It compares doubled weights with
+/// sums of doubled duals, so a few such terms must add up inside `i64`.
+const MAX_GAIN: i64 = i64::MAX / 64;
 
 /// The MWPM decoder (the paper's maximum-likelihood matching decoder).
 ///
@@ -37,7 +44,7 @@ pub struct MwpmDecoder {
 }
 
 /// Reusable working set for [`MwpmDecoder::decode_detailed_with`]: the
-/// defects' scaled boundary weights, the matching-instance edge buffer
+/// defects' scaled boundary weights, the gain instance's edge buffer
 /// and the blossom matcher's workspace, all refilled per decode. Once
 /// they have grown to the largest defect count seen, decoding allocates
 /// nothing.
@@ -70,8 +77,8 @@ pub struct MwpmOutcome {
     /// Total weight of the chosen matching (sum of shortest-path
     /// log-odds weights).
     pub weight: f64,
-    /// The same total in the fixed-point units the matcher minimises:
-    /// every matched edge's weight times 2^20, rounded.
+    /// The same total in the fixed-point units the matching minimises:
+    /// every chosen path's weight times 2^20, rounded.
     pub scaled_weight: i64,
 }
 
@@ -86,14 +93,37 @@ struct ShortestPaths {
 impl MwpmDecoder {
     /// Builds a decoder for a sector graph, precomputing all-pairs
     /// shortest paths.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an edge weight is negative or not finite, or too large
+    /// for exact integer matching on this many detectors (see
+    /// `max_path_weight`; no real decoding graph comes near).
     pub fn new(graph: &DecodingGraph) -> Self {
+        Self::with_adjacency(graph.adjacency())
+    }
+
+    /// [`MwpmDecoder::new`] on a graph given as adjacency lists, with
+    /// [`BOUNDARY`] marking boundary edges.
+    fn with_adjacency(adjacency: Vec<Vec<(usize, f64, bool)>>) -> Self {
+        let n = adjacency.len();
+        let mut heaviest = 0.0f64;
+        for &(_, w, _) in adjacency.iter().flatten() {
+            assert!(w.is_finite() && w >= 0.0, "MWPM weight {w} not in [0, inf)");
+            heaviest = heaviest.max(w);
+        }
+        // A shortest path has at most n edges; twice their weight bound
+        // leaves room for float rounding in Dijkstra's sums.
+        assert!(
+            scale(2.0 * n as f64 * heaviest) <= max_path_weight(n),
+            "edge weight {heaviest} too large for exact matching on {n} detectors"
+        );
         let mut dec = MwpmDecoder {
-            adjacency: graph.adjacency(),
-            num_nodes: graph.num_nodes(),
+            adjacency,
+            num_nodes: n,
             all_dist: Vec::new(),
             all_parity: Vec::new(),
         };
-        let n = dec.num_nodes;
         let stride = n + 1;
         dec.all_dist = vec![f64::INFINITY; stride * stride];
         dec.all_parity = vec![false; stride * stride];
@@ -159,6 +189,13 @@ impl MwpmDecoder {
 
     /// [`MwpmDecoder::decode_detailed`] against caller-owned scratch:
     /// bit-identical output, with every buffer reused across calls.
+    ///
+    /// `defects` are distinct detector indices.
+    ///
+    /// # Panics
+    ///
+    /// Panics if some defects have no path to the boundary and cannot
+    /// all be paired with each other.
     pub fn decode_detailed_with(
         &self,
         defects: &[usize],
@@ -181,35 +218,39 @@ impl MwpmDecoder {
                 .map(|&d| scale(self.dist_between(d, boundary))),
         );
         let edges = &mut scratch.edges;
-        matching_instance(
+        gain_instance(
             bnd,
             |i, j| scale(self.dist_between(defects[i], defects[j])),
             edges,
         );
-        scratch.recorder.incr(Metric::MwpmBlossomCalls);
-        scratch
-            .recorder
-            .add(Metric::MwpmMatchingEdges, edges.len() as u64);
-        let mate = scratch
-            .matcher
-            .min_weight_perfect_matching(edges)
-            .expect("decoding graph must admit a perfect matching");
+        // Without a positive-gain pair every defect goes to the boundary.
+        let matcher = if edges.is_empty() {
+            None
+        } else {
+            scratch.recorder.incr(Metric::MwpmBlossomCalls);
+            scratch
+                .recorder
+                .add(Metric::MwpmMatchingEdges, edges.len() as u64);
+            scratch.matcher.max_weight_matching(edges, false);
+            Some(&scratch.matcher)
+        };
         let mut flip = false;
         let mut total = 0.0;
         let mut scaled_total = 0;
         for i in 0..m {
-            let partner = mate[i];
-            let other = match partner.cmp(&m) {
-                Ordering::Less if partner > i => defects[partner],
-                Ordering::Less => continue,
-                _ => {
-                    // Matched to its boundary copy.
-                    debug_assert_eq!(partner, m + i);
-                    boundary
-                }
+            let other = match matcher.and_then(|mt| mt.mate(i)) {
+                Some(j) if j > i => defects[j],
+                Some(_) => continue,
+                None => boundary,
             };
-            flip ^= self.parity_between(defects[i], other);
+            // Only finite pairs are edges, so an infinite leg is a defect
+            // cut off from the boundary that no matching could pair.
             let w = self.dist_between(defects[i], other);
+            assert!(
+                w.is_finite(),
+                "decoding graph must admit a perfect matching"
+            );
+            flip ^= self.parity_between(defects[i], other);
             total += w;
             scaled_total += scale(w);
         }
@@ -221,42 +262,74 @@ impl MwpmDecoder {
     }
 }
 
-/// Fills `edges` with the matching instance of `bnd.len() = m` defects,
-/// given each defect's scaled boundary weight `bnd[i]` and the scaled
-/// weight `pair(i, j)` of each defect pair (`i < j`), either of them
+/// Fills `edges` with the gain instance of `bnd.len() = m` defects, given
+/// each defect's scaled boundary weight `bnd[i]` and the scaled weight
+/// `pair(i, j)` of each defect pair (`i < j`), either of them
 /// [`UNREACHABLE`] when there is no path.
 ///
-/// Nodes 0..m are defects, m..2m their boundary copies. Defect i joins
-/// its own copy at weight b_i. Defects i and j join at weight w_ij,
-/// mirrored by a zero-weight edge between their copies (the only way
-/// copies pair up). A pair with w_ij > b_i + b_j is left out: sending
-/// both defects to the boundary is strictly cheaper, so no minimum
-/// matching of the complete instance (every copy pair joined) uses it,
-/// and every one that uses only the kept pairs survives here. See
-/// docs/perf.md, "MWPM matcher".
-fn matching_instance(
-    bnd: &[i64],
+/// The nodes are the defects 0..m. Defects i and j join with gain
+/// g_ij = b_i + b_j − w_ij when that is positive. A matching M (not
+/// necessarily perfect) pairs its defects and sends the rest to the
+/// boundary, at cost Σ_M w_ij + Σ_{i∉M} b_i = Σ_i b_i − Σ_M g_ij, so a
+/// maximum-weight matching is a minimum-cost decoding, and leaving out a
+/// pair with g_ij ≤ 0 never lowers the best gain. Pairs with no path get
+/// no edge. A defect cut off from the boundary has its `bnd` entry
+/// replaced by [`big_m`]'s weight, so the optimum pairs every such
+/// defect whenever some matching can. See docs/perf.md, "MWPM matcher".
+fn gain_instance(
+    bnd: &mut [i64],
     pair: impl Fn(usize, usize) -> i64,
     edges: &mut Vec<(usize, usize, i64)>,
 ) {
     let m = bnd.len();
+    if bnd.contains(&UNREACHABLE) {
+        let big = big_m(bnd, &pair);
+        for b in bnd.iter_mut().filter(|b| **b == UNREACHABLE) {
+            *b = big;
+        }
+    }
     edges.clear();
     for i in 0..m {
         for j in (i + 1)..m {
             let w = pair(i, j);
-            if w != UNREACHABLE && w <= bnd[i] + bnd[j] {
-                edges.push((i, j, w));
-                edges.push((m + i, m + j, 0));
+            if w != UNREACHABLE && bnd[i] + bnd[j] > w {
+                edges.push((i, j, bnd[i] + bnd[j] - w));
             }
-        }
-        if bnd[i] != UNREACHABLE {
-            edges.push((i, m + i, bnd[i]));
         }
     }
 }
 
-/// Scaled weight of an infinite distance (no path). Two of them still
-/// sum without overflow.
+/// The boundary weight [`gain_instance`] gives defects cut off from the
+/// boundary: 1 + Σ of the finite b_i + ⌊m/2⌋ × the largest finite w_ij.
+/// Every decoding that pairs all cut-off defects costs less than that
+/// (weights are ≥ 0), and every one that leaves one unmatched costs at
+/// least that, so the optimum pairs them all whenever it can.
+fn big_m(bnd: &[i64], pair: impl Fn(usize, usize) -> i64) -> i64 {
+    let m = bnd.len();
+    let mut widest = 0;
+    for i in 0..m {
+        for j in (i + 1)..m {
+            let w = pair(i, j);
+            if w != UNREACHABLE {
+                widest = widest.max(w);
+            }
+        }
+    }
+    let finite: i64 = bnd.iter().filter(|&&b| b != UNREACHABLE).sum();
+    1 + finite + (m / 2) as i64 * widest
+}
+
+/// Largest finite scaled path weight D a decoder on `n` detectors
+/// accepts. A shot has m ≤ n distinct defects, so its [`big_m`] weight
+/// is at most 1 + (m + ⌊m/2⌋)·D, and its largest gain, less than two of
+/// those, stays within [`MAX_GAIN`].
+fn max_path_weight(n: usize) -> i64 {
+    let legs = i64::try_from(n + n / 2).unwrap_or(i64::MAX).max(1);
+    (MAX_GAIN / 2 - 1) / legs
+}
+
+/// Scaled weight of an infinite distance (no path), above every finite
+/// weight a decoder accepts (see [`max_path_weight`]).
 const UNREACHABLE: i64 = i64::MAX / 4;
 
 /// A float weight in the matcher's fixed-point units.
@@ -331,7 +404,6 @@ impl Ord for HeapItem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::DecodingGraph;
     use vlq_arch::params::HardwareParams;
     use vlq_circuit::noise::NoiseModel;
     use vlq_surface::schedule::{memory_circuit, Basis, MemorySpec, Setup};
@@ -446,6 +518,38 @@ mod tests {
         recur(&mut vec![false; 2 * m], &edge)
     }
 
+    /// Optimum of the gain instance the decoder builds for these
+    /// boundary and pair weights, read out as the decoder does: matched
+    /// pairs at w_ij, unmatched defects at b_i. `None` when a defect cut
+    /// off from the boundary is left unmatched. Also returns the number
+    /// of edges handed to the matcher.
+    fn solve_gain_instance(
+        bnd: &[i64],
+        pair: &[Vec<i64>],
+        matcher: &mut Matcher,
+        edges: &mut Vec<(usize, usize, i64)>,
+    ) -> (Option<i64>, usize) {
+        let mut gains = bnd.to_vec();
+        gain_instance(&mut gains, |i, j| pair[i][j], edges);
+        assert!(
+            edges
+                .iter()
+                .all(|&(i, j, g)| i < j && g > 0 && g <= MAX_GAIN),
+            "gain instance {edges:?}"
+        );
+        matcher.max_weight_matching(edges, false);
+        let mut cost = 0;
+        for i in 0..bnd.len() {
+            match matcher.mate(i) {
+                Some(j) if j > i => cost += pair[i][j],
+                Some(_) => {}
+                None if bnd[i] == UNREACHABLE => return (None, edges.len()),
+                None => cost += bnd[i],
+            }
+        }
+        (Some(cost), edges.len())
+    }
+
     #[test]
     fn pruned_instance_keeps_the_complete_instance_optimum() {
         use rand::rngs::SmallRng;
@@ -496,23 +600,12 @@ mod tests {
                 .map(|&x| defects.iter().map(|&y| dist[x][y]).collect())
                 .collect();
             cut_off += bnd.iter().filter(|&&b| b == UNREACHABLE).count();
-            matching_instance(&bnd, |i, j| pair[i][j], &mut edges);
-            let kept = edges.iter().filter(|e| e.0 < m && e.1 < m).count();
+            let (got, kept) = solve_gain_instance(&bnd, &pair, &mut matcher, &mut edges);
             let reachable = (0..m)
                 .flat_map(|i| (i + 1..m).map(move |j| (i, j)))
                 .filter(|&(i, j)| pair[i][j] != UNREACHABLE)
                 .count();
             pruned += reachable - kept;
-            let got = match matcher.min_weight_perfect_matching(&edges) {
-                Some(mate) if mate.len() == 2 * m => Some(
-                    edges
-                        .iter()
-                        .filter(|&&(a, b, _)| mate[a] == b)
-                        .map(|e| e.2)
-                        .sum::<i64>(),
-                ),
-                _ => None,
-            };
             let want = brute_force_complete(&bnd, &pair);
             unmatchable += usize::from(want.is_none());
             assert_eq!(
@@ -528,5 +621,104 @@ mod tests {
             "only {cut_off} defects without a boundary path"
         );
         assert!(unmatchable > 0, "every instance had a perfect matching");
+    }
+
+    /// The big-M weight at the largest path weight the decoder accepts:
+    /// every defect (or some) cut off from the boundary, every finite
+    /// weight within 3 of `max_path_weight(m)`, so gains reach about
+    /// `MAX_GAIN`. The optimum must still equal brute force, which in a
+    /// release build (overflow checks off) also catches silent overflow.
+    #[test]
+    fn big_m_is_exact_at_the_largest_accepted_weights() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(4330);
+        let mut matcher = Matcher::new();
+        let mut edges = Vec::new();
+        let (mut all_cut_off, mut unmatchable, mut top_gain) = (0, 0, 0);
+        for trial in 0..500 {
+            let m = rng.random_range(1..=8usize);
+            let top = max_path_weight(m);
+            let every = trial % 2 == 0;
+            let bnd: Vec<i64> = (0..m)
+                .map(|_| {
+                    if every || rng.random::<f64>() < 0.5 {
+                        UNREACHABLE
+                    } else {
+                        top - rng.random_range(0..4i64)
+                    }
+                })
+                .collect();
+            let mut pair = vec![vec![0; m]; m];
+            for i in 0..m {
+                for j in i + 1..m {
+                    let w = if rng.random::<f64>() < 0.8 {
+                        top - rng.random_range(0..4i64)
+                    } else {
+                        UNREACHABLE
+                    };
+                    pair[i][j] = w;
+                    pair[j][i] = w;
+                }
+            }
+            all_cut_off += usize::from(bnd.iter().all(|&b| b == UNREACHABLE));
+            let (got, _) = solve_gain_instance(&bnd, &pair, &mut matcher, &mut edges);
+            top_gain = edges.iter().map(|e| e.2).fold(top_gain, i64::max);
+            let want = brute_force_complete(&bnd, &pair);
+            unmatchable += usize::from(want.is_none());
+            assert_eq!(
+                got, want,
+                "trial {trial}: boundary {bnd:?}, pairs {pair:?}, instance {edges:?}"
+            );
+        }
+        assert!(all_cut_off >= 250, "only {all_cut_off} all-cut-off shots");
+        assert!(unmatchable > 50, "only {unmatchable} unmatchable shots");
+        assert!(
+            top_gain > MAX_GAIN / 2,
+            "largest gain {top_gain} far below MAX_GAIN"
+        );
+    }
+
+    /// Nodes 0, 1, 2 form a triangle with no path to the boundary
+    /// (0–1 at 3, 0–2 and 1–2 at 1, the 0–2 edge flipping the
+    /// observable); node 3 has a boundary edge at 1 that flips it.
+    fn cut_off_triangle() -> MwpmDecoder {
+        MwpmDecoder::with_adjacency(vec![
+            vec![(1, 3.0, false), (2, 1.0, true)],
+            vec![(0, 3.0, false), (2, 1.0, false)],
+            vec![(0, 1.0, true), (1, 1.0, false)],
+            vec![(BOUNDARY, 1.0, true)],
+        ])
+    }
+
+    #[test]
+    fn cut_off_defects_pair_with_each_other() {
+        let dec = cut_off_triangle();
+        let out = dec.decode_detailed(&[0, 1]);
+        assert_eq!((out.flip, out.weight), (true, 2.0));
+        // Node 3 has no path to the triangle, so it goes to the boundary.
+        let out = dec.decode_detailed(&[0, 3, 1]);
+        assert_eq!((out.flip, out.weight), (false, 3.0));
+        assert_eq!(out.scaled_weight, 3 << 20);
+    }
+
+    /// Three defects cut off from the boundary cannot all pair: no
+    /// decoding explains them.
+    #[test]
+    #[should_panic(expected = "decoding graph must admit a perfect matching")]
+    fn perfect_matching_impossible() {
+        cut_off_triangle().decode(&[0, 1, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "not in [0, inf)")]
+    fn negative_weights_are_rejected() {
+        MwpmDecoder::with_adjacency(vec![vec![(BOUNDARY, -1.0, false)]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "too large for exact matching")]
+    fn overflowing_weights_are_rejected() {
+        MwpmDecoder::with_adjacency(vec![vec![(BOUNDARY, 1e12, false)]]);
     }
 }

@@ -101,7 +101,7 @@ pub enum MetricClass {
 }
 
 macro_rules! metrics {
-    ($( $variant:ident => ($name:expr, $kind:ident, $class:ident) ),+ $(,)?) => {
+    ($( $(#[$doc:meta])* $variant:ident => ($name:expr, $kind:ident, $class:ident) ),+ $(,)?) => {
         /// Every metric the workspace records, pre-registered so the
         /// recorder's storage is fixed at construction (no allocation,
         /// no string lookup on the hot path). Adding a metric means
@@ -112,6 +112,8 @@ macro_rules! metrics {
         pub enum Metric {
             $(
                 #[doc = $name]
+                #[doc = ""]
+                $(#[$doc])*
                 $variant,
             )+
         }
@@ -154,7 +156,12 @@ metrics! {
     UfGrowthSteps => ("decoder.uf_growth_steps", Counter, Deterministic),
     UfTouchedNodes => ("decoder.uf_touched_nodes", Counter, Deterministic),
     UfOddClusterPeak => ("decoder.uf_odd_cluster_peak", GaugeMax, Deterministic),
+    /// Matcher calls made: one per MWPM decode with a positive-gain
+    /// defect pair. A shot without one sends every defect to the
+    /// boundary and makes no call.
     MwpmBlossomCalls => ("decoder.mwpm_blossom_calls", Counter, Deterministic),
+    /// Positive-gain defect pairs handed to the matcher, summed over its
+    /// calls.
     MwpmMatchingEdges => ("decoder.mwpm_matching_edges", Counter, Deterministic),
     // -- qec block sampling -------------------------------------------
     SampleBatches => ("qec.sample_batches", Counter, Deterministic),
