@@ -7,7 +7,7 @@ use rand::{Rng, SeedableRng};
 use vlq_arch::HardwareParams;
 use vlq_circuit::exec::{SampleScratch, SampleTape};
 use vlq_circuit::noise::NoiseModel;
-use vlq_decoder::{Decoder, DecodingGraph, MwpmDecoder, UnionFindDecoder};
+use vlq_decoder::{Decoder, DecoderScratch, DecodingGraph, MwpmDecoder, UnionFindDecoder};
 use vlq_surface::schedule::{memory_circuit, Basis, Boundary, MemorySpec, Setup};
 
 fn graph_for(d: usize) -> DecodingGraph {
@@ -142,7 +142,7 @@ fn bench_decode_batch(c: &mut Criterion) {
             let words = lanes.div_ceil(64);
             let id = format!("d{d}-p{p:.0e}");
             group.bench_with_input(BenchmarkId::new("uf-batch", &id), &d, |b, _| {
-                let mut scratch = uf.make_scratch();
+                let mut scratch = DecoderScratch::new();
                 let mut out = vec![0u64; words];
                 b.iter(|| uf.decode_batch(&lists, &mut scratch, &mut out))
             });
@@ -167,7 +167,7 @@ fn bench_decode_batch(c: &mut Criterion) {
         let (g, lists) = sampled_defects(setup, d, p, lanes);
         let mwpm = MwpmDecoder::new(&g);
         group.bench_with_input(BenchmarkId::new("mwpm-batch", id), &d, |b, _| {
-            let mut scratch = mwpm.make_scratch();
+            let mut scratch = DecoderScratch::new();
             let mut out = vec![0u64; lanes.div_ceil(64)];
             b.iter(|| mwpm.decode_batch(&lists, &mut scratch, &mut out))
         });
@@ -175,7 +175,7 @@ fn bench_decode_batch(c: &mut Criterion) {
     let (g, lists) = sampled_defects(Setup::Baseline, 7, 8e-3, lanes);
     let uf = UnionFindDecoder::new(&g);
     group.bench_with_input(BenchmarkId::new("uf-batch", "d7-p8e-3"), &7, |b, _| {
-        let mut scratch = uf.make_scratch();
+        let mut scratch = DecoderScratch::new();
         let mut out = vec![0u64; lanes.div_ceil(64)];
         b.iter(|| uf.decode_batch(&lists, &mut scratch, &mut out))
     });

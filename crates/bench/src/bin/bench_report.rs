@@ -35,9 +35,10 @@ use vlq_qec::{BlockConfig, BlockSpec, Parallelism, PreparedBlock};
 use vlq_surface::schedule::{Basis, MemorySpec, Setup};
 use vlq_telemetry::{Metric, Recorder};
 
-const USAGE: &str = "usage: bench-report [--out PATH] [--reps N] [--shots N] [--seed S]
+const USAGE: &str = "usage: bench-report --out PATH [--reps N] [--shots N] [--seed S]
                     [--threads N|auto] [--telemetry PATH] [--check] [--quiet]
-  --out PATH   report path (default BENCH_0009.json)
+  --out PATH   report path (required: the report to write, or with --check
+               the report to validate)
   --reps N     timing repetitions per point (median reported)
   --shots N    shots per repetition
   --seed S     base seed (default 2020)
@@ -74,7 +75,9 @@ fn main() {
         &["out", "reps", "shots", "seed", "threads", "telemetry"],
         &["check", "quiet"],
     );
-    let out = args.get_str("out", "BENCH_0009.json");
+    let out = args
+        .pairs_get("out")
+        .unwrap_or_else(|| usage_exit(USAGE, "--out is required"));
     // `auto` resolves here (with a stderr note), so both run mode and
     // --check mode see the same concrete worker count.
     let threads = count_from_args(&args, USAGE, "threads");

@@ -3,10 +3,9 @@
 //! A faithful Rust port of the Galil / van Rantwijk primal-dual
 //! implementation in the formulation used by NetworkX's
 //! `max_weight_matching` (node-pair label edges rather than endpoint
-//! indices). The surface-code MWPM decoder calls it with
-//! `max_cardinality = false` on a gain instance whose maximum-weight
-//! matching is the minimum-weight way to pair defects or send them to
-//! the boundary (see [`crate::mwpm`]).
+//! indices). The surface-code MWPM decoder calls it on a gain instance
+//! whose maximum-weight matching is the minimum-weight way to pair
+//! defects or send them to the boundary (see [`crate::mwpm`]).
 //!
 //! Weights are `i64`; callers scale float weights (the decoder multiplies
 //! log-odds weights by 2^20 and rounds). Vertex duals are stored doubled
@@ -41,18 +40,12 @@ const BREADCRUMB: u8 = 5;
 /// edges keep the last weight. Returns `mate`, where `mate[v] = Some(u)`
 /// if `v` is matched to `u`.
 ///
-/// If `max_cardinality` is true, only maximum-cardinality matchings are
-/// considered (and among those, weight is maximized).
-///
 /// # Panics
 ///
 /// Panics on self-loops.
-pub fn max_weight_matching(
-    edges: &[(usize, usize, i64)],
-    max_cardinality: bool,
-) -> Vec<Option<usize>> {
+pub fn max_weight_matching(edges: &[(usize, usize, i64)]) -> Vec<Option<usize>> {
     let mut matcher = Matcher::new();
-    matcher.max_weight_matching(edges, max_cardinality);
+    matcher.max_weight_matching(edges);
     (0..matcher.mate.len()).map(|v| matcher.mate(v)).collect()
 }
 
@@ -78,7 +71,6 @@ struct BlossomData {
 #[derive(Debug, Default)]
 pub(crate) struct Matcher {
     n: usize,
-    max_cardinality: bool,
     /// Dense `n * n` weight table, symmetric; [`ABSENT`] where no edge.
     wt: Vec<i64>,
     /// Per-edge flag: first occurrence of its vertex pair in the input.
@@ -122,11 +114,7 @@ impl Matcher {
 
     /// [`max_weight_matching`] in this workspace: loads `edges` and
     /// runs the search. Read the result with [`Matcher::mate`].
-    pub(crate) fn max_weight_matching(
-        &mut self,
-        edges: &[(usize, usize, i64)],
-        max_cardinality: bool,
-    ) {
+    pub(crate) fn max_weight_matching(&mut self, edges: &[(usize, usize, i64)]) {
         let mut n = 0usize;
         for &(i, j, _) in edges {
             assert_ne!(i, j, "self-loop in matching graph");
@@ -137,7 +125,6 @@ impl Matcher {
             return;
         }
         self.n = n;
-        self.max_cardinality = max_cardinality;
 
         self.wt.clear();
         self.wt.resize(n * n, ABSENT);
@@ -728,19 +715,15 @@ impl Matcher {
                     break;
                 }
                 // Compute delta.
-                let mut deltatype: i32 = -1;
-                let mut delta: i64 = 0;
+                let mut deltatype = 1;
+                let mut delta = self.dualvar.iter().copied().min().unwrap_or(0);
                 let mut deltaedge: Option<(usize, usize)> = None;
                 let mut deltablossom = NONE;
-                if !self.max_cardinality {
-                    deltatype = 1;
-                    delta = self.dualvar.iter().copied().min().unwrap_or(0);
-                }
                 for v in 0..n {
                     if self.label[self.inblossom[v]] == 0 {
                         if let Some((x, y)) = self.bestedge[v] {
                             let d = self.slack(x, y);
-                            if deltatype == -1 || d < delta {
+                            if d < delta {
                                 delta = d;
                                 deltatype = 2;
                                 deltaedge = Some((x, y));
@@ -755,7 +738,7 @@ impl Matcher {
                             let kslack = self.slack(x, y);
                             debug_assert_eq!(kslack % 2, 0);
                             let d = kslack / 2;
-                            if deltatype == -1 || d < delta {
+                            if d < delta {
                                 delta = d;
                                 deltatype = 3;
                                 deltaedge = Some((x, y));
@@ -767,18 +750,12 @@ impl Matcher {
                     if self.is_active(b)
                         && self.blossomparent[b] == NONE
                         && self.label[b] == T
-                        && (deltatype == -1 || self.blossomdual[b] < delta)
+                        && self.blossomdual[b] < delta
                     {
                         delta = self.blossomdual[b];
                         deltatype = 4;
                         deltablossom = b;
                     }
-                }
-                if deltatype == -1 {
-                    // Max-cardinality optimum reached.
-                    debug_assert!(self.max_cardinality);
-                    deltatype = 1;
-                    delta = self.dualvar.iter().copied().min().unwrap_or(0).max(0);
                 }
                 // Update dual variables.
                 for v in 0..n {
@@ -872,60 +849,36 @@ fn set_inblossom(
 mod tests {
     use super::*;
 
-    /// Brute force over all matchings.
-    fn brute_force(edges: &[(usize, usize, i64)], max_cardinality: bool) -> (usize, i64) {
-        fn recur(
-            edges: &[(usize, usize, i64)],
-            idx: usize,
-            used: &mut Vec<bool>,
-            count: usize,
-            weight: i64,
-            all: &mut Vec<(usize, i64)>,
-        ) {
+    /// Maximum matching weight, by brute force over all matchings.
+    fn brute_force(edges: &[(usize, usize, i64)]) -> i64 {
+        fn recur(edges: &[(usize, usize, i64)], idx: usize, used: &mut Vec<bool>) -> i64 {
             if idx == edges.len() {
-                all.push((count, weight));
-                return;
+                return 0;
             }
-            recur(edges, idx + 1, used, count, weight, all);
+            let mut best = recur(edges, idx + 1, used);
             let (u, v, w) = edges[idx];
             if !used[u] && !used[v] {
                 used[u] = true;
                 used[v] = true;
-                recur(edges, idx + 1, used, count + 1, weight + w, all);
+                best = best.max(w + recur(edges, idx + 1, used));
                 used[u] = false;
                 used[v] = false;
             }
+            best
         }
         let n = edges.iter().map(|e| e.0.max(e.1) + 1).max().unwrap_or(0);
-        let mut used = vec![false; n];
-        let mut all = Vec::new();
-        recur(edges, 0, &mut used, 0, 0, &mut all);
-        if max_cardinality {
-            let max_count = all.iter().map(|a| a.0).max().unwrap();
-            let w = all
-                .iter()
-                .filter(|a| a.0 == max_count)
-                .map(|a| a.1)
-                .max()
-                .unwrap();
-            (max_count, w)
-        } else {
-            let w = all.iter().map(|a| a.1).max().unwrap();
-            (0, w)
-        }
+        recur(edges, 0, &mut vec![false; n])
     }
 
-    fn matching_weight(edges: &[(usize, usize, i64)], mate: &[Option<usize>]) -> (usize, i64) {
-        let mut count = 0;
+    fn matching_weight(edges: &[(usize, usize, i64)], mate: &[Option<usize>]) -> i64 {
         let mut weight = 0;
         for &(u, v, w) in edges {
             if mate[u] == Some(v) {
                 assert_eq!(mate[v], Some(u));
-                count += 1;
                 weight += w;
             }
         }
-        (count, weight)
+        weight
     }
 
     fn check_valid(edges: &[(usize, usize, i64)], mate: &[Option<usize>]) {
@@ -944,25 +897,16 @@ mod tests {
 
     #[test]
     fn trivial_cases() {
-        assert_eq!(max_weight_matching(&[], false), Vec::<Option<usize>>::new());
-        let mate = max_weight_matching(&[(0, 1, 5)], false);
+        assert_eq!(max_weight_matching(&[]), Vec::<Option<usize>>::new());
+        let mate = max_weight_matching(&[(0, 1, 5)]);
         assert_eq!(mate, vec![Some(1), Some(0)]);
     }
 
     #[test]
     fn prefers_heavier_edge() {
         let edges = [(0, 1, 6), (1, 2, 10)];
-        let mate = max_weight_matching(&edges, false);
+        let mate = max_weight_matching(&edges);
         assert_eq!(mate, vec![None, Some(2), Some(1)]);
-    }
-
-    #[test]
-    fn max_cardinality_changes_choice() {
-        let edges = [(0, 1, 2), (1, 2, 5), (2, 3, 2)];
-        let mate = max_weight_matching(&edges, false);
-        assert_eq!(mate, vec![None, Some(2), Some(1), None]);
-        let mate = max_weight_matching(&edges, true);
-        assert_eq!(mate, vec![Some(1), Some(0), Some(3), Some(2)]);
     }
 
     #[test]
@@ -970,7 +914,7 @@ mod tests {
         // van Rantwijk test suite: create an S-blossom and use it for
         // augmentation.
         let edges = [(0, 1, 8), (0, 2, 9), (1, 2, 10), (2, 3, 7)];
-        let mate = max_weight_matching(&edges, false);
+        let mate = max_weight_matching(&edges);
         assert_eq!(mate, vec![Some(1), Some(0), Some(3), Some(2)]);
         let edges2 = [
             (0, 1, 8),
@@ -980,7 +924,7 @@ mod tests {
             (0, 5, 5),
             (3, 4, 6),
         ];
-        let mate = max_weight_matching(&edges2, false);
+        let mate = max_weight_matching(&edges2);
         assert_eq!(
             mate,
             vec![Some(5), Some(2), Some(1), Some(4), Some(3), Some(0)]
@@ -998,10 +942,9 @@ mod tests {
             (3, 4, 4),
             (0, 4, 3),
         ];
-        let mate = max_weight_matching(&edges, false);
+        let mate = max_weight_matching(&edges);
         check_valid(&edges, &mate);
-        let (_, w) = matching_weight(&edges, &mate);
-        assert_eq!(w, brute_force(&edges, false).1);
+        assert_eq!(matching_weight(&edges, &mate), brute_force(&edges));
     }
 
     #[test]
@@ -1015,7 +958,7 @@ mod tests {
             (3, 4, 10),
             (4, 5, 6),
         ];
-        let mate = max_weight_matching(&edges, false);
+        let mate = max_weight_matching(&edges);
         assert_eq!(
             mate,
             vec![Some(2), Some(3), Some(0), Some(1), Some(5), Some(4)]
@@ -1036,10 +979,9 @@ mod tests {
             (5, 6, 14),
             (6, 7, 12),
         ];
-        let mate = max_weight_matching(&edges, false);
+        let mate = max_weight_matching(&edges);
         check_valid(&edges, &mate);
-        let (_, w) = matching_weight(&edges, &mate);
-        assert_eq!(w, brute_force(&edges, false).1);
+        assert_eq!(matching_weight(&edges, &mate), brute_force(&edges));
     }
 
     #[test]
@@ -1054,10 +996,9 @@ mod tests {
             (3, 7, 14),
             (4, 6, 13),
         ];
-        let mate = max_weight_matching(&edges, false);
+        let mate = max_weight_matching(&edges);
         check_valid(&edges, &mate);
-        let (_, w) = matching_weight(&edges, &mate);
-        assert_eq!(w, brute_force(&edges, false).1);
+        assert_eq!(matching_weight(&edges, &mate), brute_force(&edges));
     }
 
     #[test]
@@ -1099,10 +1040,13 @@ mod tests {
             ],
         ];
         for (ci, edges) in cases.iter().enumerate() {
-            let mate = max_weight_matching(edges, false);
+            let mate = max_weight_matching(edges);
             check_valid(edges, &mate);
-            let (_, w) = matching_weight(edges, &mate);
-            assert_eq!(w, brute_force(edges, false).1, "case {ci}");
+            assert_eq!(
+                matching_weight(edges, &mate),
+                brute_force(edges),
+                "case {ci}"
+            );
         }
     }
 
@@ -1124,19 +1068,13 @@ mod tests {
             if edges.is_empty() {
                 continue;
             }
-            for &mc in &[false, true] {
-                let mate = max_weight_matching(&edges, mc);
-                check_valid(&edges, &mate);
-                let (count, weight) = matching_weight(&edges, &mate);
-                let (bc, bw) = brute_force(&edges, mc);
-                if mc {
-                    assert_eq!(count, bc, "trial {trial} cardinality, edges {edges:?}");
-                }
-                assert_eq!(
-                    weight, bw,
-                    "trial {trial} weight (mc={mc}), edges {edges:?}"
-                );
-            }
+            let mate = max_weight_matching(&edges);
+            check_valid(&edges, &mate);
+            assert_eq!(
+                matching_weight(&edges, &mate),
+                brute_force(&edges),
+                "trial {trial} weight, edges {edges:?}"
+            );
         }
     }
 
@@ -1159,9 +1097,8 @@ mod tests {
                     }
                 }
             }
-            let max_cardinality = trial % 3 == 0;
-            let mut fresh = max_weight_matching(&edges, max_cardinality);
-            matcher.max_weight_matching(&edges, max_cardinality);
+            let mut fresh = max_weight_matching(&edges);
+            matcher.max_weight_matching(&edges);
             // Past the instance's last endpoint, the reused workspace must
             // report nothing left over from a larger instance.
             fresh.resize(n, None);

@@ -30,40 +30,40 @@ pub use graph::{DecodingGraph, GraphEdge};
 pub use mwpm::{MwpmDecoder, MwpmOutcome, MwpmScratch};
 pub use unionfind::{UfScratch, UnionFindDecoder};
 
-/// Reusable decoder working memory, owned by the caller and threaded
-/// through [`Decoder::decode_batch`] so per-shot arrays are reset and
-/// reused across the lanes of a batch (and across batches) instead of
-/// reallocated per decode.
+use vlq_telemetry::{Metric, Recorder};
+
+/// Reusable decoder working memory: every decoder's buffers, owned by
+/// the caller and threaded through [`Decoder::decode_in`] so per-shot
+/// arrays are reset and reused across the lanes of a batch (and across
+/// batches) instead of reallocated per decode.
 ///
-/// A closed enum rather than an associated type so batch callers can
-/// hold scratch for `dyn Decoder` trait objects. Mismatched scratch
-/// (wrong variant or built for a different graph) is never an error:
-/// implementations fall back to the plain per-lane path.
+/// The buffers are plain: each grows to fit the largest graph or defect
+/// list decoded in it, and each decode resets what it reads, so one
+/// scratch serves any decoder on any graph, in any order, with the
+/// results a fresh scratch would give.
 #[derive(Debug, Default)]
-pub enum DecoderScratch {
-    /// For decoders without a native batch path.
-    #[default]
-    None,
-    /// [`unionfind::UnionFindDecoder`] working set (boxed, like the
-    /// MWPM one: both are large, and scratch lives behind one allocation
-    /// per decoder for a whole run).
-    UnionFind(Box<unionfind::UfScratch>),
-    /// [`mwpm::MwpmDecoder`] working set.
-    Mwpm(Box<mwpm::MwpmScratch>),
+pub struct DecoderScratch {
+    uf: UfScratch,
+    mwpm: MwpmScratch,
+    /// Telemetry sink of [`Decoder::decode_batch`]'s span.
+    recorder: Recorder,
 }
 
 impl DecoderScratch {
-    /// Attaches a telemetry recorder to the scratch: native batch
-    /// decodes report growth/matching statistics and `decode_batch`
-    /// span timings through it. Recording never changes predictions,
-    /// and an attached recorder keeps the batch path allocation-free
-    /// (the handle is an `Arc` clone; all recording is atomic ops).
-    pub fn set_recorder(&mut self, recorder: &vlq_telemetry::Recorder) {
-        match self {
-            DecoderScratch::None => {}
-            DecoderScratch::UnionFind(s) => s.set_recorder(recorder),
-            DecoderScratch::Mwpm(s) => s.set_recorder(recorder),
-        }
+    /// An empty scratch; buffers grow on first use.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Attaches a telemetry recorder to the scratch: decodes report
+    /// growth/matching statistics and `decode_batch` span timings
+    /// through it. Recording never changes predictions, and an attached
+    /// recorder keeps the batch path allocation-free (the handle is an
+    /// `Arc` clone; all recording is atomic ops).
+    pub fn set_recorder(&mut self, recorder: &Recorder) {
+        self.uf.set_recorder(recorder);
+        self.mwpm.set_recorder(recorder);
+        self.recorder = recorder.clone();
     }
 }
 
@@ -71,45 +71,35 @@ impl DecoderScratch {
 /// into the sector's detector set), predict whether the logical
 /// observable flipped.
 pub trait Decoder {
-    /// Predicts the observable flip for a defect set.
-    fn decode(&self, defects: &[usize]) -> bool;
+    /// Predicts the observable flip for one defect list, working in
+    /// `scratch`'s buffers for this decoder.
+    fn decode_in(&self, defects: &[usize], scratch: &mut DecoderScratch) -> bool;
 
-    /// Creates the scratch this decoder's [`Decoder::decode_batch`]
-    /// expects.
-    fn make_scratch(&self) -> DecoderScratch {
-        DecoderScratch::None
+    /// Predicts the observable flip for a defect set, in fresh scratch.
+    fn decode(&self, defects: &[usize]) -> bool {
+        self.decode_in(defects, &mut DecoderScratch::new())
     }
 
     /// Decodes one defect list per lane into packed prediction words:
     /// bit `l` of `out` is set when lane `l`'s predicted observable
     /// flipped. Overwrites `out[..defects_per_lane.len().div_ceil(64)]`.
-    ///
-    /// Results are bit-identical to calling [`Decoder::decode`] per
-    /// lane; the default implementation does exactly that. Native
-    /// implementations reuse `scratch` across lanes.
+    /// Every lane is decoded in `scratch`, so its buffers are reused
+    /// across lanes and calls.
     fn decode_batch(
         &self,
         defects_per_lane: &[Vec<usize>],
         scratch: &mut DecoderScratch,
         out: &mut [u64],
     ) {
-        let _ = scratch;
-        decode_batch_fallback(self, defects_per_lane, out);
-    }
-}
-
-/// The per-lane `decode` loop shared by the trait default and the
-/// scratch-mismatch fallbacks of native `decode_batch` impls.
-pub(crate) fn decode_batch_fallback<D: Decoder + ?Sized>(
-    decoder: &D,
-    defects_per_lane: &[Vec<usize>],
-    out: &mut [u64],
-) {
-    let words = defects_per_lane.len().div_ceil(64);
-    out[..words].fill(0);
-    for (lane, defects) in defects_per_lane.iter().enumerate() {
-        if decoder.decode(defects) {
-            out[lane / 64] |= 1u64 << (lane % 64);
+        // The span owns its own recorder handle, so the borrow of
+        // `scratch` stays free for the per-lane decode loop.
+        let _span = scratch.recorder.span(Metric::DecodeBatchNanos);
+        let words = defects_per_lane.len().div_ceil(64);
+        out[..words].fill(0);
+        for (lane, defects) in defects_per_lane.iter().enumerate() {
+            if self.decode_in(defects, scratch) {
+                out[lane / 64] |= 1u64 << (lane % 64);
+            }
         }
     }
 }

@@ -231,7 +231,7 @@ impl MwpmDecoder {
             scratch
                 .recorder
                 .add(Metric::MwpmMatchingEdges, edges.len() as u64);
-            scratch.matcher.max_weight_matching(edges, false);
+            scratch.matcher.max_weight_matching(edges);
             Some(&scratch.matcher)
         };
         let mut flip = false;
@@ -342,35 +342,8 @@ fn scale(w: f64) -> i64 {
 }
 
 impl Decoder for MwpmDecoder {
-    fn decode(&self, defects: &[usize]) -> bool {
-        self.decode_detailed(defects).flip
-    }
-
-    fn make_scratch(&self) -> DecoderScratch {
-        DecoderScratch::Mwpm(Box::new(MwpmScratch::new()))
-    }
-
-    fn decode_batch(
-        &self,
-        defects_per_lane: &[Vec<usize>],
-        scratch: &mut DecoderScratch,
-        out: &mut [u64],
-    ) {
-        match scratch {
-            DecoderScratch::Mwpm(s) => {
-                // The span owns its own recorder handle, so the borrow
-                // of `s` stays free for the per-lane decode loop.
-                let _span = s.recorder.span(Metric::DecodeBatchNanos);
-                let words = defects_per_lane.len().div_ceil(64);
-                out[..words].fill(0);
-                for (lane, defects) in defects_per_lane.iter().enumerate() {
-                    if self.decode_detailed_with(defects, s).flip {
-                        out[lane / 64] |= 1u64 << (lane % 64);
-                    }
-                }
-            }
-            _ => crate::decode_batch_fallback(self, defects_per_lane, out),
-        }
+    fn decode_in(&self, defects: &[usize], scratch: &mut DecoderScratch) -> bool {
+        self.decode_detailed_with(defects, &mut scratch.mwpm).flip
     }
 }
 
@@ -537,7 +510,7 @@ mod tests {
                 .all(|&(i, j, g)| i < j && g > 0 && g <= MAX_GAIN),
             "gain instance {edges:?}"
         );
-        matcher.max_weight_matching(edges, false);
+        matcher.max_weight_matching(edges);
         let mut cost = 0;
         for i in 0..bnd.len() {
             match matcher.mate(i) {

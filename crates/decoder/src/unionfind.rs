@@ -122,11 +122,16 @@ struct Contact {
     parity: bool,
 }
 
-/// Reusable working set for [`UnionFindDecoder::decode_with`], sized to
-/// the graph (node `num_nodes` is the virtual boundary).
-#[derive(Debug)]
+/// Reusable working set for [`UnionFindDecoder::decode_with`]: plain
+/// buffers that serve a decoder on any graph. On its first decode on a
+/// graph of `n` detectors it grows to `n + 1` node records (node `n` is
+/// the virtual boundary) and its other buffers to their bound for
+/// distinct defects (a node is touched and pushed at most once, a
+/// contact merges two clusters), so later decodes on that graph or a
+/// smaller one never grow it.
+#[derive(Debug, Default)]
 pub struct UfScratch {
-    num_nodes: usize,
+    /// Node records; every one is `Node::FREE` after a reset.
     nodes: Vec<Node>,
     heap: BinaryHeap<Front>,
     /// Every merge of the current decode, in the order it happened.
@@ -141,19 +146,9 @@ pub struct UfScratch {
 }
 
 impl UfScratch {
-    /// Fresh scratch for a graph with `n` detector nodes. Buffers start
-    /// at their bound for distinct defects (a node is touched and pushed
-    /// at most once, a contact merges two clusters): decodes never grow them.
-    pub fn new(n: usize) -> Self {
-        UfScratch {
-            num_nodes: n,
-            nodes: vec![Node::FREE; n + 1],
-            heap: BinaryHeap::with_capacity(n + 1),
-            contacts: Vec::with_capacity(n),
-            odd_clusters: 0,
-            touched: Vec::with_capacity(n + 1),
-            recorder: Recorder::disabled(),
-        }
+    /// An empty scratch; buffers grow on first use.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Attaches a telemetry recorder; see [`DecoderScratch::set_recorder`].
@@ -161,8 +156,9 @@ impl UfScratch {
         self.recorder = recorder.clone();
     }
 
-    /// Frees only the records the previous decode touched.
-    fn reset(&mut self) {
+    /// Frees only the records the previous decode touched, then grows
+    /// the buffers to fit a graph of `n` detectors.
+    fn reset(&mut self, n: usize) {
         for &t in &self.touched {
             self.nodes[t as usize] = Node::FREE;
         }
@@ -170,6 +166,20 @@ impl UfScratch {
         self.heap.clear();
         self.contacts.clear();
         self.odd_clusters = 0;
+        if self.nodes.len() <= n {
+            self.fit(n);
+        }
+    }
+
+    /// Grows the buffers for a graph of `n` detectors, larger than any
+    /// before. Cold: it runs once per graph size, outside the decode's
+    /// hot body.
+    #[cold]
+    fn fit(&mut self, n: usize) {
+        self.nodes.resize(n + 1, Node::FREE);
+        self.heap.reserve(n + 1);
+        self.contacts.reserve(n);
+        self.touched.reserve(n + 1);
     }
 
     /// The root of `x`'s cluster, compressing the path to it.
@@ -235,7 +245,7 @@ impl UnionFindDecoder {
     /// Grows and pairs every single-edge syndrome once (one growth step
     /// each): the table [`UnionFindDecoder::decode_with`] answers from.
     fn single_edge_decodes(&self) -> Vec<Known> {
-        let mut scratch = UfScratch::new(self.num_nodes);
+        let mut scratch = UfScratch::new();
         let mut known = vec![Known::default(); self.arcs.len()];
         for a in 0..self.num_nodes {
             for i in self.first[a] as usize..self.first[a + 1] as usize {
@@ -315,15 +325,7 @@ impl UnionFindDecoder {
     /// [`Decoder::decode`] against caller-owned scratch: bit-identical
     /// prediction, O(nodes reached) reset cost, no allocation in steady
     /// state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scratch` was built for a different graph size.
     pub fn decode_with(&self, defects: &[usize], scratch: &mut UfScratch) -> bool {
-        assert_eq!(
-            scratch.num_nodes, self.num_nodes,
-            "UfScratch built for a different graph"
-        );
         if defects.is_empty() {
             return false;
         }
@@ -342,7 +344,7 @@ impl UnionFindDecoder {
 
     /// Decodes a non-empty defect list by growth and pairing.
     fn grow_and_pair(&self, defects: &[usize], scratch: &mut UfScratch) -> Known {
-        scratch.reset();
+        scratch.reset(self.num_nodes);
         let (growth_steps, odd_peak) = self.grow(defects, scratch);
         let touched = scratch.touched.len() as u64;
         let count = |v: u64| u32::try_from(v).expect("decode counters fit a u32");
@@ -459,39 +461,8 @@ impl UnionFindDecoder {
 }
 
 impl Decoder for UnionFindDecoder {
-    fn decode(&self, defects: &[usize]) -> bool {
-        if defects.is_empty() {
-            return false;
-        }
-        let mut scratch = UfScratch::new(self.num_nodes);
-        self.decode_with(defects, &mut scratch)
-    }
-
-    fn make_scratch(&self) -> DecoderScratch {
-        DecoderScratch::UnionFind(Box::new(UfScratch::new(self.num_nodes)))
-    }
-
-    fn decode_batch(
-        &self,
-        defects_per_lane: &[Vec<usize>],
-        scratch: &mut DecoderScratch,
-        out: &mut [u64],
-    ) {
-        match scratch {
-            DecoderScratch::UnionFind(s) if s.num_nodes == self.num_nodes => {
-                // The span owns its own recorder handle, so the borrow
-                // of `s` stays free for the per-lane decode loop.
-                let _span = s.recorder.span(Metric::DecodeBatchNanos);
-                let words = defects_per_lane.len().div_ceil(64);
-                out[..words].fill(0);
-                for (lane, defects) in defects_per_lane.iter().enumerate() {
-                    if !defects.is_empty() && self.decode_with(defects, s) {
-                        out[lane / 64] |= 1u64 << (lane % 64);
-                    }
-                }
-            }
-            _ => crate::decode_batch_fallback(self, defects_per_lane, out),
-        }
+    fn decode_in(&self, defects: &[usize], scratch: &mut DecoderScratch) -> bool {
+        self.decode_with(defects, &mut scratch.uf)
     }
 }
 
@@ -607,7 +578,7 @@ mod tests {
         let g = graph_for(5, 2e-3);
         let uf = UnionFindDecoder::new(&g);
         let mut rng = SmallRng::seed_from_u64(17);
-        let mut reused = UfScratch::new(g.num_nodes());
+        let mut reused = UfScratch::new();
         for _ in 0..300 {
             let k = rng.random_range(0..7usize);
             let mut defects: Vec<usize> = Vec::new();
@@ -700,7 +671,7 @@ mod tests {
                 known: Vec::new(),
                 ..dec.clone()
             };
-            let (mut fast, mut slow) = (UfScratch::new(n), UfScratch::new(n));
+            let (mut fast, mut slow) = (UfScratch::new(), UfScratch::new());
             let mut answered = 0;
             let mut lists: Vec<Vec<usize>> = (0..n).map(|v| vec![v]).collect();
             for (&(a, b), _) in graph.iter_edges() {

@@ -21,7 +21,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use vlq_circuit::exec::{SampleScratch, SampleTape};
 use vlq_circuit::noise::NoiseModel;
-use vlq_decoder::{Decoder, DecodingGraph, MwpmDecoder, MwpmScratch};
+use vlq_decoder::{Decoder, DecoderScratch, DecodingGraph, MwpmDecoder, MwpmScratch};
 use vlq_surface::schedule::{memory_circuit, Basis, Boundary, MemorySpec, Setup};
 
 const LANES: usize = 1024;
@@ -116,7 +116,7 @@ fn decode_grid(points: &[(Setup, Basis, usize, f64)], seed: u64) -> Digests {
     for (&(setup, basis, d, p), seed) in points.iter().zip(seed..) {
         let (graph, lists) = sampled_point(setup, basis, d, p, seed);
         let decoder = MwpmDecoder::new(&graph);
-        let mut batch_scratch = decoder.make_scratch();
+        let mut batch_scratch = DecoderScratch::new();
         let mut words = vec![0u64; LANES / 64];
         decoder.decode_batch(&lists, &mut batch_scratch, &mut words);
         for &w in &words {

@@ -20,7 +20,7 @@ use rand::{Rng, SeedableRng};
 use vlq_circuit::exec::{SampleScratch, SampleTape};
 use vlq_circuit::ir::Circuit;
 use vlq_circuit::noise::NoiseModel;
-use vlq_decoder::{Decoder, DecodingGraph, UfScratch, UnionFindDecoder};
+use vlq_decoder::{Decoder, DecoderScratch, DecodingGraph, UfScratch, UnionFindDecoder};
 use vlq_surface::schedule::{memory_circuit, Basis, Boundary, MemorySpec, Setup};
 use vlq_telemetry::{Metric, Recorder};
 
@@ -89,7 +89,7 @@ fn fig11_uf_grid_decodes_match_golden() {
 
             let decoder = UnionFindDecoder::new(&graph);
             let recorder = Recorder::attached();
-            let mut scratch = decoder.make_scratch();
+            let mut scratch = DecoderScratch::new();
             scratch.set_recorder(&recorder);
             let mut words = vec![0u64; LANES / 64];
             decoder.decode_batch(&lists, &mut scratch, &mut words);
@@ -146,7 +146,7 @@ fn random_defect_lists_match_golden() {
                 let (graph, _, _) = block(setup, d, 3, 5e-3, boundary);
                 let decoder = UnionFindDecoder::new(&graph);
                 let recorder = Recorder::attached();
-                let mut reused = UfScratch::new(graph.num_nodes());
+                let mut reused = UfScratch::new();
                 reused.set_recorder(&recorder);
                 for i in 0..600 {
                     let list = random_list(&mut rng, graph.num_nodes(), i % 3);

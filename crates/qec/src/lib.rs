@@ -58,7 +58,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod lambda;
 pub mod orchestrate;
 pub mod pool;
 pub mod sensitivity;
@@ -75,7 +74,6 @@ use vlq_math::stats::BinomialEstimate;
 use vlq_surface::schedule::{memory_circuit, MemoryCircuit, MemorySpec};
 use vlq_telemetry::{Metric, Recorder};
 
-pub use lambda::{lambda_scan, mean_lambda, LambdaPoint};
 pub use orchestrate::{config_for_point, MemoryExecutor};
 pub use pool::{Parallelism, LANES_PER_BATCH};
 pub use sensitivity::{sensitivity_spec, sensitivity_sweep, Knob, SensitivityPoint};
@@ -268,27 +266,24 @@ impl BlockConfig {
 
 /// Reusable working set for [`PreparedBlock`]'s sample→decode kernel:
 /// the simulator's frame/record buffers, the per-lane defect lists, the
-/// per-decoder scratch, and the packed prediction words. One scratch
+/// decoders' scratch, and the packed prediction words. One scratch
 /// held across the batches of a run makes the steady state
 /// allocation-free under either decoder.
 ///
-/// Decoder scratch can carry memoisation keyed to one decoding graph,
-/// so the scratch re-keys itself whenever it is handed a different
-/// (block, decoder list) than it was built for: the decoder scratch is
-/// then rebuilt. Same block, same decoders — the steady state — reuses
-/// everything, which is what lets a caller of
-/// [`PreparedBlock::sample_failure_words_into`] keep one scratch across
-/// blocks.
+/// Every buffer is plain and grows to fit, so one scratch serves any
+/// block and any decoder list with the words a fresh scratch would
+/// give. Moving between blocks of different detector counts drops and
+/// regrows per-detector accumulators, so a caller that alternates
+/// blocks and must not allocate keeps one scratch per block, as the
+/// `vlq` crate's `FrameScratch` does.
 #[derive(Debug, Default)]
 pub struct BlockScratch {
-    /// Identity of the (block, decoder list) the decoder scratch was
-    /// built for (0 = none yet).
-    key: u64,
     sample: SampleScratch,
     defect_lists: Vec<Vec<usize>>,
-    decoder_scratch: Vec<DecoderScratch>,
+    /// Shared by every decoder of a call, one after the other.
+    decoder: DecoderScratch,
     predictions: Vec<Vec<u64>>,
-    /// Telemetry sink, propagated into the per-decoder scratch.
+    /// Telemetry sink, propagated into the decoder scratch.
     /// Disabled by default; recording never changes the sampled words
     /// (no RNG access, no iteration-order dependence) and the attached
     /// path stays allocation-free in steady state.
@@ -301,12 +296,9 @@ impl BlockScratch {
         Self::default()
     }
 
-    /// Attaches a telemetry recorder, including to any decoder scratch
-    /// already built.
+    /// Attaches a telemetry recorder, including to the decoder scratch.
     pub fn set_recorder(&mut self, recorder: &Recorder) {
-        for ds in &mut self.decoder_scratch {
-            ds.set_recorder(recorder);
-        }
+        self.decoder.set_recorder(recorder);
         self.recorder = recorder.clone();
     }
 }
@@ -334,15 +326,11 @@ pub struct PreparedBlock {
     tape: SampleTape,
     decoder: Box<dyn Decoder + Send + Sync>,
     guard: Vec<usize>,
-    /// Process-unique id (never reused, unlike addresses), the block
-    /// half of a [`BlockScratch`]'s key.
-    identity: u64,
 }
 
 impl PreparedBlock {
     /// Prepares circuits, graph, and decoder for a block config.
     pub fn prepare(cfg: &BlockConfig) -> Self {
-        static NEXT_IDENTITY: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
         let memory = memory_circuit(cfg.spec.memory, &cfg.noise.hw);
         let (start, end) = memory.noise_window(cfg.spec.boundary);
         let noisy = cfg.noise.apply_window(&memory.circuit, start, end);
@@ -358,7 +346,6 @@ impl PreparedBlock {
             tape,
             decoder,
             guard,
-            identity: NEXT_IDENTITY.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
         }
     }
 
@@ -408,17 +395,6 @@ impl PreparedBlock {
                     .observe(Metric::DefectsPerLane, defects.len() as u64);
             }
         }
-        let key = self.scratch_key(decoders);
-        if scratch.key != key {
-            scratch.key = key;
-            scratch.decoder_scratch.clear();
-            scratch
-                .decoder_scratch
-                .extend(decoders.iter().map(|d| d.make_scratch()));
-            for ds in &mut scratch.decoder_scratch {
-                ds.set_recorder(&scratch.recorder);
-            }
-        }
         if scratch.predictions.len() < decoders.len() {
             scratch.predictions.resize_with(decoders.len(), Vec::new);
         }
@@ -428,11 +404,7 @@ impl PreparedBlock {
             let pred = &mut scratch.predictions[fi];
             pred.clear();
             pred.resize(words, 0);
-            decoder.decode_batch(
-                &scratch.defect_lists[..lanes],
-                &mut scratch.decoder_scratch[fi],
-                pred,
-            );
+            decoder.decode_batch(&scratch.defect_lists[..lanes], &mut scratch.decoder, pred);
             for (p, a) in pred.iter_mut().zip(actual) {
                 *p ^= a;
             }
@@ -446,19 +418,6 @@ impl PreparedBlock {
             scratch.recorder.add(Metric::BlockFailures, failures);
         }
         &scratch.predictions[..decoders.len()]
-    }
-
-    /// The key a [`BlockScratch`]'s decoder scratch is built for: this
-    /// block's unique id plus the decoder list (the pointers guard a
-    /// caller-supplied list against in-place swaps).
-    fn scratch_key(&self, decoders: &[&(dyn Decoder + Send + Sync)]) -> u64 {
-        let mut key = vlq_sweep::splitmix64(self.identity);
-        key = vlq_sweep::splitmix64(key ^ decoders.len() as u64);
-        for decoder in decoders {
-            let thin = std::ptr::from_ref::<dyn Decoder + Send + Sync>(*decoder).cast::<()>();
-            key = vlq_sweep::splitmix64(key ^ thin as usize as u64);
-        }
-        key
     }
 
     /// Runs `shots` shots through the block's own decoder under a

@@ -14,13 +14,15 @@
 //! chunk is exactly one batch, so there is nothing to split inside it:
 //! sweep executors run their chunks serially, and the worker count here
 //! serves one-shot callers (`run_memory_experiment`, `compare_decoders`,
-//! the `vlq` crate's `FrameExecutor`, `bench-report --threads`). The
-//! driver keeps two contracts:
+//! the `vlq` crate's `FramePrepared::run`, `bench-report --threads`).
+//! The driver keeps two contracts:
 //!
 //! * **Bit-identical at any worker count.** A batch's result depends
-//!   only on its index (its seed comes from the index), and integer
-//!   sums do not depend on the order they are added in, so which worker
-//!   ran which batch can never leak into a count.
+//!   only on its index (its seed comes from the index): every scratch
+//!   is plain buffers that grow to fit and remember nothing of the
+//!   batches before, and integer sums do not depend on the order they
+//!   are added in, so which worker ran which batch, on which scratch,
+//!   can never leak into a count.
 //! * **Byte-identical telemetry sidecars.** Workers record into the
 //!   caller's [`Recorder`]. Deterministic metrics are commutative
 //!   reductions of schedule-independent work, so their values — and

@@ -360,3 +360,41 @@ fn full_boundary_noise_window_covers_everything() {
     assert!(block.memory.prep_end < block.memory.body_end);
     assert!(block.memory.body_end < end);
 }
+
+/// One `BlockScratch` handed blocks of two setups and two boundaries in
+/// turn (a d = 5 block first, so the d = 3 ones use part of its grown
+/// buffers), each decoded by both decoders, must give the words a
+/// fresh scratch gives.
+#[test]
+fn one_scratch_serves_blocks_of_every_setup_and_boundary() {
+    let blocks: Vec<PreparedBlock> = [
+        (Setup::CompactInterleaved, 5, 4, Boundary::Full),
+        (Setup::Baseline, 3, 1, Boundary::MidCircuit),
+        (Setup::CompactInterleaved, 3, 4, Boundary::MidCircuit),
+        (Setup::Baseline, 5, 1, Boundary::Full),
+    ]
+    .into_iter()
+    .map(|(setup, d, k, boundary)| {
+        let memory = MemorySpec::standard(setup, d, k, Basis::Z);
+        PreparedBlock::prepare(&BlockConfig::new(BlockSpec { memory, boundary }, 4e-3))
+    })
+    .collect();
+    let mut shared = BlockScratch::new();
+    let mut failures = 0;
+    for seed in 0..3u64 {
+        for (i, block) in blocks.iter().enumerate() {
+            let decoders: Vec<_> = DecoderKind::ALL
+                .iter()
+                .map(|kind| kind.build(&block.graph))
+                .collect();
+            let refs: Vec<_> = decoders.iter().map(|d| d.as_ref()).collect();
+            let fresh = block
+                .sample_failure_words_into(&refs, 192, seed, &mut BlockScratch::new())
+                .to_vec();
+            let reused = block.sample_failure_words_into(&refs, 192, seed, &mut shared);
+            assert_eq!(reused, fresh, "block {i}, seed {seed}");
+            failures += fresh.iter().flatten().map(|w| w.count_ones()).sum::<u32>();
+        }
+    }
+    assert!(failures > 0, "the blocks sampled no failures at all");
+}

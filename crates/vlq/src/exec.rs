@@ -439,9 +439,6 @@ pub struct FrameExecutor {
     pub shots: u64,
     /// Base RNG seed (runs are deterministic given the seed).
     pub seed: u64,
-    /// In-block worker policy the shot batches are replayed under
-    /// (serial by default; results are bit-identical either way).
-    pub parallelism: Parallelism,
     /// Which block boundary exposures are sampled under.
     ///
     /// Every mode sizes one block to each instruction's actual round
@@ -463,7 +460,6 @@ impl FrameExecutor {
             decoder: DecoderKind::UnionFind,
             shots: 1024,
             seed: 2020,
-            parallelism: Parallelism::serial(),
             boundary: Boundary::MidCircuit,
         }
     }
@@ -491,12 +487,6 @@ impl FrameExecutor {
         self.boundary = boundary;
         self
     }
-
-    /// Sets the in-block worker policy.
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = parallelism;
-        self
-    }
 }
 
 impl Executor for FrameExecutor {
@@ -518,7 +508,7 @@ impl FrameExecutor {
     ) -> Result<ProgramReport, MachineError> {
         schedule.validate()?;
         let prepared = FramePrepared::new(schedule.clone(), self.p, self.decoder, self.boundary);
-        let failures = prepared.run(self.shots, self.seed, &self.parallelism, recorder);
+        let failures = prepared.run(self.shots, self.seed, &Parallelism::serial(), recorder);
         Ok(ProgramReport {
             shots: self.shots,
             failures,
@@ -546,34 +536,29 @@ pub struct FramePrepared {
     /// index, operand offset); computed once at preparation so the
     /// replay loop and the block registry can never disagree.
     exposure_boundaries: BTreeMap<(u64, u64), Boundary>,
-    /// Process-unique id (never reused); a reused [`FrameScratch`]
-    /// keys its per-block scratch map to it (see [`FrameScratch`]).
-    identity: u64,
 }
 
 /// Per-block sample→decode scratch of one [`FrameScratch`], keyed like
-/// [`FramePrepared::blocks`] plus the guard sector (0 = Z, 1 = X). One
-/// [`BlockScratch`] per prepared block, so each keeps its decoder
-/// scratch (a block scratch handed a different block rebuilds it).
+/// [`FramePrepared::blocks`] plus the guard sector (0 = Z, 1 = X). Any
+/// [`BlockScratch`] serves any block, but one per block shape keeps
+/// each at its own block's size: a scratch shared by blocks with
+/// different detector counts would drop and regrow its per-detector
+/// accumulators on every switch, allocating in steady state.
 type BlockScratchMap = BTreeMap<(usize, Boundary, u8), BlockScratch>;
 
 /// Reusable working set for [`FramePrepared`]'s batch replay: the
 /// logical Pauli frames, the per-lane failure accumulator, the
 /// measured-slot flags, the measurement read-out buffer, and one
-/// [`BlockScratch`] per sampled block. Holding one scratch across
+/// [`BlockScratch`] per sampled block shape. Holding one scratch across
 /// batches — one per worker of [`FramePrepared::run`] — makes the
 /// steady state allocation-free under either decoder.
 ///
-/// A scratch re-keys itself when it is handed to a different
-/// [`FramePrepared`] (a caller may reuse one across preparations
-/// through [`FramePrepared::run_batch`]): its block scratch map is
-/// dropped (each [`BlockScratch`] would re-key itself anyway, but the
-/// map would keep the buffers of every preparation the scratch ever
-/// served) and its frame buffers are reshaped.
+/// Its buffers are plain and are reshaped per batch, so one scratch
+/// also serves any number of preparations through
+/// [`FramePrepared::run_batch`], with the counts a fresh scratch would
+/// give.
 #[derive(Default)]
 pub struct FrameScratch {
-    /// Identity of the [`FramePrepared`] the block scratch is keyed to.
-    owner: u64,
     frames: FrameBatch,
     /// Per-lane program-failure accumulator.
     failed: Vec<u64>,
@@ -589,14 +574,6 @@ impl FrameScratch {
     /// An empty scratch; buffers grow on first use.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Drops block scratch built against a different preparation.
-    fn rekey(&mut self, owner: u64) {
-        if self.owner != owner {
-            self.owner = owner;
-            self.blocks.clear();
-        }
     }
 }
 
@@ -718,13 +695,11 @@ impl FramePrepared {
             .into_iter()
             .map(|(r, b)| ((r, b), (prepare(r, Basis::Z, b), prepare(r, Basis::X, b))))
             .collect();
-        static NEXT_IDENTITY: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
         FramePrepared {
             schedule,
             slots,
             blocks,
             exposure_boundaries,
-            identity: NEXT_IDENTITY.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
         }
     }
 
@@ -831,14 +806,12 @@ impl FramePrepared {
         let words = lanes.div_ceil(64).max(1);
         let n_slots = self.slots.len().max(1);
         let d = self.schedule.config().d;
-        scratch.rekey(self.identity);
         let FrameScratch {
             frames,
             failed,
             measured,
             outcome,
             blocks,
-            ..
         } = scratch;
         frames.reset(n_slots, lanes);
         failed.clear();

@@ -1,9 +1,11 @@
-//! The frame path's pool parity: a `FrameExecutor` with in-block
-//! workers attached must reproduce the serial failure counts exactly —
+//! The frame path's pool parity: `FramePrepared::run` on in-call
+//! workers must reproduce the serial failure counts exactly —
 //! including the committed golden pins — because per-exposure batch
 //! seeds depend only on the batch index, never on which worker ran it.
+//! Its scratch must not matter either: one `FrameScratch` serves any
+//! preparation with the counts a fresh one gives.
 
-use vlq::exec::{Executor, FrameExecutor, FramePrepared};
+use vlq::exec::{FramePrepared, FrameScratch};
 use vlq::machine::MachineConfig;
 use vlq::program::{compile, LogicalCircuit};
 use vlq::qec::{Boundary, DecoderKind, Parallelism};
@@ -13,28 +15,59 @@ use vlq_telemetry::{Metric, Recorder};
 fn pooled_frame_runs_match_serial_and_golden_pins() {
     let compiled = compile(&LogicalCircuit::ghz(3), MachineConfig::compact_demo()).unwrap();
     for boundary in [Boundary::Full, Boundary::MidCircuit] {
-        let base = FrameExecutor::at_scale(5e-3)
-            .with_shots(2000)
-            .with_seed(17)
-            .with_boundary(boundary);
-        let serial = base.clone().run(&compiled.schedule).unwrap();
+        let prepared = FramePrepared::new(
+            compiled.schedule.clone(),
+            5e-3,
+            DecoderKind::UnionFind,
+            boundary,
+        );
+        let run = |par: Parallelism| prepared.run(2000, 17, &par, &Recorder::disabled());
+        let serial = run(Parallelism::serial());
         for threads in [2usize, 3] {
-            let pooled = base
-                .clone()
-                .with_parallelism(Parallelism::threads(threads))
-                .run(&compiled.schedule)
-                .unwrap();
             assert_eq!(
-                pooled.failures, serial.failures,
+                run(Parallelism::threads(threads)),
+                serial,
                 "{boundary:?} threads={threads}: frame failure counts diverged"
             );
         }
         if boundary == Boundary::MidCircuit {
             // The ghz3 golden pin (frame_boundary_golden.rs) must hold
             // pooled as well as serial.
-            assert_eq!(serial.failures, 1965);
+            assert_eq!(serial, 1965);
         }
     }
+}
+
+/// One `FrameScratch` handed batches of a d = 5 and a d = 3
+/// preparation in turn (largest first, with both decoders) must count
+/// exactly what a fresh scratch per batch counts.
+#[test]
+fn one_frame_scratch_serves_preparations_of_different_distance() {
+    let prepare = |d: usize, decoder: DecoderKind| {
+        let config = MachineConfig {
+            d,
+            ..MachineConfig::compact_demo()
+        };
+        let compiled = compile(&LogicalCircuit::ghz(2), config).unwrap();
+        FramePrepared::new(compiled.schedule, 4e-3, decoder, Boundary::MidCircuit)
+    };
+    let preps = [
+        prepare(5, DecoderKind::Mwpm),
+        prepare(3, DecoderKind::UnionFind),
+        prepare(3, DecoderKind::Mwpm),
+        prepare(5, DecoderKind::UnionFind),
+    ];
+    let mut shared = FrameScratch::new();
+    let mut failures = 0;
+    for seed in 0..3u64 {
+        for (i, prep) in preps.iter().enumerate() {
+            let fresh = prep.run_batch(200, seed, &mut FrameScratch::new());
+            let reused = prep.run_batch(200, seed, &mut shared);
+            assert_eq!(reused, fresh, "preparation {i}, seed {seed}");
+            failures += fresh;
+        }
+    }
+    assert!(failures > 0, "the replays sampled no failures at all");
 }
 
 /// `FramePrepared::run` with a recorder attached: the failure count
