@@ -57,11 +57,6 @@ impl InteractionGraph {
         self.edges.len()
     }
 
-    /// Iterates over the nodes.
-    pub fn iter_nodes(&self) -> impl Iterator<Item = (i32, i32)> + '_ {
-        self.nodes.iter().copied()
-    }
-
     /// Iterates over the edges.
     pub fn iter_edges(&self) -> impl Iterator<Item = ((i32, i32), (i32, i32))> + '_ {
         self.edges.iter().copied()

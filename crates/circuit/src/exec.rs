@@ -24,44 +24,62 @@ use vlq_sim::{BernoulliRate, CliffordGate, FrameBatch, SingleFrame, Tableau};
 
 use crate::ir::{Circuit, Instruction};
 
-/// The result of sampling a batch of shots.
+/// The result of sampling a batch of shots: one packed row of lane
+/// bits per detector, then one per observable, in one word buffer.
+///
+/// Every row is `stride` words (`n_lanes.div_ceil(64)`, at least 1),
+/// and tail bits beyond `n_lanes` are zero. Refilling a result for a
+/// smaller circuit keeps the buffer's capacity, so a scratch that
+/// alternates circuits of different sizes stops allocating once it
+/// has seen the largest.
 #[derive(Clone, Debug, Default)]
 pub struct BatchResult {
     /// Number of shot lanes.
     pub n_lanes: usize,
-    /// Detection events: `detectors[d]` holds one bit per lane (packed).
-    pub detectors: Vec<Vec<u64>>,
-    /// Observable flips: `observables[o]` holds one bit per lane.
-    pub observables: Vec<Vec<u64>>,
+    num_detectors: usize,
+    stride: usize,
+    words: Vec<u64>,
 }
 
 impl BatchResult {
+    /// The number of detector rows.
+    pub fn num_detectors(&self) -> usize {
+        self.num_detectors
+    }
+
+    /// Every row's words: detector rows in detector order, then
+    /// observable rows, one row's lane words each.
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
+    /// The packed per-lane event words of detector `d`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `d` is not below [`BatchResult::num_detectors`].
+    pub fn detector_words(&self, d: usize) -> &[u64] {
+        assert!(
+            d < self.num_detectors,
+            "detector {d} out of range ({} detectors)",
+            self.num_detectors
+        );
+        self.row(d)
+    }
+
+    /// The packed per-lane flip words of observable `o`.
+    pub fn observable_words(&self, o: usize) -> &[u64] {
+        self.row(self.num_detectors + o)
+    }
+
     /// Reads detector `d` for `lane`.
     pub fn detector_bit(&self, d: usize, lane: usize) -> bool {
-        self.detectors[d][lane / 64] >> (lane % 64) & 1 == 1
+        self.detector_words(d)[lane / 64] >> (lane % 64) & 1 == 1
     }
 
     /// Reads observable `o` for `lane`.
     pub fn observable_bit(&self, o: usize, lane: usize) -> bool {
-        self.observables[o][lane / 64] >> (lane % 64) & 1 == 1
-    }
-
-    /// The packed per-lane flip words of observable `o` (one bit per
-    /// lane; tail bits beyond `n_lanes` are zero).
-    pub fn observable_words(&self, o: usize) -> &[u64] {
-        &self.observables[o]
-    }
-
-    /// The defect list (flipped detectors) of one lane, in detector
-    /// order.
-    pub fn defects_of_lane(&self, lane: usize) -> Vec<usize> {
-        let word = lane / 64;
-        let bit = 1u64 << (lane % 64);
-        let mut defects = Vec::new();
-        for (d, col) in self.detectors.iter().enumerate() {
-            for_each_set_lane(&[col[word] & bit], |_| defects.push(d));
-        }
-        defects
+        self.observable_words(o)[lane / 64] >> (lane % 64) & 1 == 1
     }
 
     /// Word-scan transpose of a detector subset: clears the first
@@ -92,11 +110,15 @@ impl BatchResult {
         }
         let words = lanes.div_ceil(64).max(1);
         for (local, &global) in detectors.iter().enumerate() {
-            for_each_set_lane(&self.detectors[global][..words], |lane| {
+            for_each_set_lane(&self.detector_words(global)[..words], |lane| {
                 debug_assert!(lane < lanes, "tail bit set beyond n_lanes");
                 lists[lane].push(local);
             });
         }
+    }
+
+    fn row(&self, r: usize) -> &[u64] {
+        &self.words[r * self.stride..(r + 1) * self.stride]
     }
 }
 
@@ -254,17 +276,18 @@ impl SampleTape {
         self.reduce(n_lanes, records, result);
     }
 
-    /// XORs each detector's and observable's records into `out`.
+    /// XORs each detector's and observable's records into its row of
+    /// `out` (`clear` then `resize`, so the buffer never shrinks).
     fn reduce(&self, n_lanes: usize, records: &[u64], out: &mut BatchResult) {
         let w = n_lanes.div_ceil(64).max(1);
         out.n_lanes = n_lanes;
-        out.detectors.resize_with(self.detectors.len(), Vec::new);
-        out.observables
-            .resize_with(self.observables.len(), Vec::new);
-        let accs = out.detectors.iter_mut().chain(out.observables.iter_mut());
-        for (acc, reads) in accs.zip(self.detectors.iter().chain(&self.observables)) {
-            acc.clear();
-            acc.resize(w, 0);
+        out.num_detectors = self.detectors.len();
+        out.stride = w;
+        out.words.clear();
+        out.words
+            .resize((self.detectors.len() + self.observables.len()) * w, 0);
+        let rows = out.words.chunks_exact_mut(w);
+        for (acc, reads) in rows.zip(self.detectors.iter().chain(&self.observables)) {
             for &m in reads {
                 for (a, r) in acc.iter_mut().zip(&records[m * w..(m + 1) * w]) {
                     *a ^= r;
@@ -1091,8 +1114,9 @@ mod tests {
                 let mut rng = SmallRng::seed_from_u64(seed + 100);
                 tape.sample_into(lanes, &mut rng, &mut scratch);
                 let fresh = sample_batch(&c, lanes, &mut SmallRng::seed_from_u64(seed + 100));
-                assert_eq!(scratch.result.detectors, fresh.detectors, "seed {seed}");
-                assert_eq!(scratch.result.observables, fresh.observables, "seed {seed}");
+                let reused = &scratch.result;
+                assert_eq!(reused.num_detectors(), fresh.num_detectors(), "seed {seed}");
+                assert_eq!(reused.words(), fresh.words(), "seed {seed}");
             }
         }
     }

@@ -270,12 +270,11 @@ impl BlockConfig {
 /// held across the batches of a run makes the steady state
 /// allocation-free under either decoder.
 ///
-/// Every buffer is plain and grows to fit, so one scratch serves any
-/// block and any decoder list with the words a fresh scratch would
-/// give. Moving between blocks of different detector counts drops and
-/// regrows per-detector accumulators, so a caller that alternates
-/// blocks and must not allocate keeps one scratch per block, as the
-/// `vlq` crate's `FrameScratch` does.
+/// Every buffer is plain, grows to fit and never shrinks, so one
+/// scratch serves any block and any decoder list with the words a fresh
+/// scratch would give, and a caller that alternates blocks (the `vlq`
+/// crate's frame replay) stops allocating once each buffer has reached
+/// its largest block's size.
 #[derive(Debug, Default)]
 pub struct BlockScratch {
     sample: SampleScratch,

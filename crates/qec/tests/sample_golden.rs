@@ -17,7 +17,7 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use vlq_arch::params::HardwareParams;
-use vlq_circuit::exec::{sample_batch, SampleScratch, SampleTape};
+use vlq_circuit::exec::{sample_batch, BatchResult, SampleScratch, SampleTape};
 use vlq_circuit::noise::NoiseModel;
 use vlq_circuit::{Circuit, GateClass, Instruction, Medium};
 use vlq_sim::CliffordGate;
@@ -40,10 +40,10 @@ fn noisy_circuit() -> vlq_circuit::ir::Circuit {
     NoiseModel::memory_at_scale(4e-3).apply(&mc.circuit)
 }
 
-fn fingerprint(detectors: &[Vec<u64>]) -> u64 {
+fn fingerprint(res: &BatchResult) -> u64 {
     let mut acc = 0u64;
-    for (d, words) in detectors.iter().enumerate() {
-        for (w, &word) in words.iter().enumerate() {
+    for d in 0..res.num_detectors() {
+        for (w, &word) in res.detector_words(d).iter().enumerate() {
             acc = acc
                 .wrapping_mul(0x9e3779b97f4a7c15)
                 .wrapping_add(word ^ (d as u64) ^ ((w as u64) << 32));
@@ -57,12 +57,12 @@ fn sample_batch_words_match_pre_refactor_bits() {
     let noisy = noisy_circuit();
     let mut rng = SmallRng::seed_from_u64(SEED);
     let res = sample_batch(&noisy, LANES, &mut rng);
-    assert_eq!(res.detectors.len(), DETECTORS);
-    assert_eq!(res.detectors[0].len(), WORDS_PER_DETECTOR);
-    assert_eq!(fingerprint(&res.detectors), FINGERPRINT);
-    assert_eq!(res.detectors[0], DET0);
-    assert_eq!(res.detectors[7], DET7);
-    assert_eq!(res.observables[0], OBS0);
+    assert_eq!(res.num_detectors(), DETECTORS);
+    assert_eq!(res.detector_words(0).len(), WORDS_PER_DETECTOR);
+    assert_eq!(fingerprint(&res), FINGERPRINT);
+    assert_eq!(res.detector_words(0), DET0);
+    assert_eq!(res.detector_words(7), DET7);
+    assert_eq!(res.observable_words(0), OBS0);
 }
 
 /// FNV-1a over little-endian `u64` words.
@@ -163,9 +163,7 @@ fn sampled_words_match_digest_across_setups_boundaries_and_lane_counts() {
             for seed in [7u64, 2020] {
                 let mut rng = SmallRng::seed_from_u64(seed);
                 let res = sample_batch(circuit, lanes, &mut rng);
-                for words in res.detectors.iter().chain(&res.observables) {
-                    words.iter().for_each(|&w| digest.word(w));
-                }
+                res.words().iter().for_each(|&w| digest.word(w));
                 digest.word(rng.random());
             }
         }
@@ -191,8 +189,8 @@ fn reused_sample_scratch_matches_pins_after_other_batches() {
     let mut rng = SmallRng::seed_from_u64(SEED);
     tape.sample_into(LANES, &mut rng, &mut scratch);
     let res = &scratch.result;
-    assert_eq!(fingerprint(&res.detectors), FINGERPRINT);
-    assert_eq!(res.detectors[0], DET0);
-    assert_eq!(res.detectors[7], DET7);
-    assert_eq!(res.observables[0], OBS0);
+    assert_eq!(fingerprint(res), FINGERPRINT);
+    assert_eq!(res.detector_words(0), DET0);
+    assert_eq!(res.detector_words(7), DET7);
+    assert_eq!(res.observable_words(0), OBS0);
 }

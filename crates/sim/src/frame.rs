@@ -440,11 +440,6 @@ impl SingleFrame {
         self.x.get(qubit)
     }
 
-    /// Z component at `qubit`.
-    pub fn z_bit(&self, qubit: usize) -> bool {
-        self.z.get(qubit)
-    }
-
     /// Clears the frame at `qubit`.
     pub fn reset_qubit(&mut self, qubit: usize) {
         self.x.set(qubit, false);

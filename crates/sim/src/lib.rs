@@ -61,9 +61,4 @@ impl CliffordGate {
             Cnot(a, b) | Cz(a, b) | Swap(a, b) | ISwap(a, b) => (a, Some(b)),
         }
     }
-
-    /// Returns `true` for two-qubit gates.
-    pub fn is_two_qubit(&self) -> bool {
-        self.qubits().1.is_some()
-    }
 }

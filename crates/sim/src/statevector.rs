@@ -151,32 +151,6 @@ impl StateVector {
         }
     }
 
-    /// Applies an arbitrary two-qubit unitary (4x4 row-major; basis order
-    /// `|q1 q0>` = `{00, 01, 10, 11}` with `q0` the low bit).
-    pub fn apply_2q(&mut self, q0: usize, q1: usize, m: [[C64; 4]; 4]) {
-        assert!(q0 < self.n && q1 < self.n && q0 != q1, "bad qubit pair");
-        let b0 = 1usize << q0;
-        let b1 = 1usize << q1;
-        for i in 0..self.amps.len() {
-            if i & b0 == 0 && i & b1 == 0 {
-                let idx = [i, i | b0, i | b1, i | b0 | b1];
-                let old = [
-                    self.amps[idx[0]],
-                    self.amps[idx[1]],
-                    self.amps[idx[2]],
-                    self.amps[idx[3]],
-                ];
-                for (r, &target) in idx.iter().enumerate() {
-                    let mut acc = C64::ZERO;
-                    for (c, &o) in old.iter().enumerate() {
-                        acc = acc + m[r][c] * o;
-                    }
-                    self.amps[target] = acc;
-                }
-            }
-        }
-    }
-
     /// Applies a Clifford gate.
     pub fn apply(&mut self, gate: CliffordGate) {
         use CliffordGate::*;

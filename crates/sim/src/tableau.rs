@@ -62,11 +62,6 @@ impl MeasureOutcome {
             MeasureOutcome::Deterministic(b) | MeasureOutcome::Random(b) => b,
         }
     }
-
-    /// Returns `true` if the outcome was already determined by the state.
-    pub fn is_deterministic(self) -> bool {
-        matches!(self, MeasureOutcome::Deterministic(_))
-    }
 }
 
 impl Tableau {

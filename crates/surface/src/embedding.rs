@@ -147,14 +147,6 @@ impl CompactMerge {
     pub fn num_cavities(&self, layout: &SurfaceLayout) -> usize {
         layout.data_coords().len()
     }
-
-    /// The transmon coordinate where a data qubit's cavity hangs.
-    pub fn host_coord(&self, layout: &SurfaceLayout, data: (i32, i32)) -> (i32, i32) {
-        match self.host_of[&data] {
-            CompactHost::Plaquette(pi) => layout.plaquettes()[pi].center,
-            CompactHost::OwnTransmon => data,
-        }
-    }
 }
 
 /// Builds the transmon-transmon interaction graph required by the Compact

@@ -23,7 +23,7 @@ use std::path::{Path, PathBuf};
 
 use crate::plan::ShardPlan;
 use crate::shard::ShardSpec;
-use crate::sink::{SweepRecord, RECORD_COLUMNS};
+use crate::sink::{csv_row, jsonl_row, SweepRecord, RECORD_COLUMNS};
 use crate::spec::{KnobSetting, SweepPoint};
 use vlq_decoder::DecoderKind;
 use vlq_surface::schedule::{Basis, Setup};
@@ -246,18 +246,6 @@ impl SweepMeta {
     }
 }
 
-/// Renders the CSV data row a [`crate::sink::CsvSink`] would write for
-/// this record (without trailing newline).
-pub fn record_csv_line(r: &SweepRecord) -> String {
-    crate::sink::csv_row(r)
-}
-
-/// Renders the JSONL line a [`crate::sink::JsonlSink`] would write for
-/// this record (without trailing newline).
-pub fn record_jsonl_line(r: &SweepRecord) -> String {
-    crate::sink::jsonl_row(r)
-}
-
 /// Parses one `JsonlSink`-format artifact line back into a
 /// [`SweepRecord`].
 ///
@@ -443,7 +431,7 @@ pub fn load_record_artifact(dir: &Path, stem: &str) -> Result<RecordArtifact, Me
             line: i + 1,
             reason,
         })?;
-        let rendered = record_jsonl_line(&record);
+        let rendered = jsonl_row(&record);
         if &rendered != line {
             return Err(ArtifactError::Malformed {
                 path: jsonl_path.clone(),
@@ -452,7 +440,7 @@ pub fn load_record_artifact(dir: &Path, stem: &str) -> Result<RecordArtifact, Me
             }
             .into());
         }
-        let expected_csv = record_csv_line(&record);
+        let expected_csv = csv_row(&record);
         if csv_rows[i] != expected_csv {
             return Err(MergeError::SchemaMismatch(format!(
                 "{}:{} disagrees with {}:{} (CSV row {:?}, JSONL implies {:?})",
@@ -804,7 +792,7 @@ pub fn salvage_jsonl(path: &Path) -> io::Result<(usize, usize)> {
     let mut kept = 0;
     for line in &lines {
         match parse_record_line(line) {
-            Ok(r) if record_jsonl_line(&r) == *line => kept += 1,
+            Ok(r) if jsonl_row(&r) == *line => kept += 1,
             _ => break,
         }
     }
@@ -1217,10 +1205,10 @@ mod tests {
             value: 1.5e-3,
         });
         r.point.program = Some("ghz4".to_string());
-        let line = record_jsonl_line(&r);
+        let line = jsonl_row(&r);
         let parsed = parse_record_line(&line).unwrap();
         assert_eq!(parsed, r);
-        assert_eq!(record_jsonl_line(&parsed), line);
+        assert_eq!(jsonl_row(&parsed), line);
     }
 
     #[test]
@@ -1229,7 +1217,7 @@ mod tests {
             assert!(parse_record_line(bad).is_err(), "{bad:?} should fail");
         }
         // A syntactically-valid object with a wrong type is also fatal.
-        let mut line = record_jsonl_line(&record(0, 3, 1));
+        let mut line = jsonl_row(&record(0, 3, 1));
         line = line.replace("\"failures\":0", "\"failures\":\"zero\"");
         assert!(parse_record_line(&line).is_err());
     }

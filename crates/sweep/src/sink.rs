@@ -274,11 +274,6 @@ impl MemorySink {
     pub fn records(&self) -> &[SweepRecord] {
         &self.records
     }
-
-    /// Consumes the sink, returning the records.
-    pub fn into_records(self) -> Vec<SweepRecord> {
-        self.records
-    }
 }
 
 impl RecordSink for MemorySink {

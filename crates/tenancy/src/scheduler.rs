@@ -219,11 +219,6 @@ impl TenantReport {
             .unwrap_or(1000)
     }
 
-    /// Whether the tenant met its deadline (`None` when it has none).
-    pub fn deadline_met(&self) -> Option<bool> {
-        self.deadline.map(|d| self.finish_t <= d)
-    }
-
     /// Adds the report's `tenant.*` metrics to a recorder.
     pub fn record(&self, recorder: &Recorder) {
         recorder.add(Metric::TenantQueueDelay, self.queue_delay);
@@ -317,11 +312,6 @@ impl TenantScheduler {
     /// The shared machine configuration.
     pub fn config(&self) -> &MachineConfig {
         &self.config
-    }
-
-    /// The replacement policy's stable name.
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
     }
 
     /// Admits a tenant, returning its admission index.

@@ -517,41 +517,59 @@ impl FrameExecutor {
     }
 }
 
-/// A schedule prepared for repeated seeded frame replay: the noisy
-/// syndrome-block circuits, decoding graphs, and decoders for every
-/// block length the schedule needs, in both guard sectors.
+/// A schedule prepared for repeated seeded frame replay, compiled once
+/// into a flat list of replay steps: page traffic resets a slot's
+/// frame, logical Cliffords apply to the frames, every exposure samples
+/// one prepared block in both guard sectors, and a destructive
+/// measurement reads a slot's frame out. The noisy syndrome-block
+/// circuits, decoding graphs and decoders are built once per block
+/// shape (round count, boundary), in both sectors, and the steps index
+/// into them.
 ///
 /// Shared between [`FrameExecutor`] (one-shot runs) and
 /// [`ProgramSweepExecutor`] (the engine calls [`FramePrepared::run`]
 /// once per shot chunk).
 pub struct FramePrepared {
     schedule: Schedule,
-    /// Dense frame-lane slot per logical qubit.
-    slots: BTreeMap<LogicalId, usize>,
-    /// Prepared (Z-basis, X-basis) blocks keyed by (round count,
-    /// boundary). The Z-basis guard failure is a residual logical X
-    /// flip, and vice versa.
-    blocks: BTreeMap<(usize, Boundary), (PreparedBlock, PreparedBlock)>,
-    /// The boundary each exposure samples under, keyed by (instruction
-    /// index, operand offset); computed once at preparation so the
-    /// replay loop and the block registry can never disagree.
-    exposure_boundaries: BTreeMap<(u64, u64), Boundary>,
+    /// Frame-lane slots: one per logical qubit, in order of first use.
+    num_slots: usize,
+    steps: Vec<Step>,
+    /// Prepared (Z-basis, X-basis) blocks, one pair per block shape.
+    /// The Z-basis guard failure is a residual logical X flip, and vice
+    /// versa.
+    blocks: Vec<[PreparedBlock; 2]>,
+    /// Slots no instruction measures: a frame left on one at the end of
+    /// a batch corrupts the program.
+    unmeasured: Vec<usize>,
 }
 
-/// Per-block sample→decode scratch of one [`FrameScratch`], keyed like
-/// [`FramePrepared::blocks`] plus the guard sector (0 = Z, 1 = X). Any
-/// [`BlockScratch`] serves any block, but one per block shape keeps
-/// each at its own block's size: a scratch shared by blocks with
-/// different detector counts would drop and regrow its per-detector
-/// accumulators on every switch, allocating in steady state.
-type BlockScratchMap = BTreeMap<(usize, Boundary, u8), BlockScratch>;
+/// One step of a compiled frame replay.
+#[derive(Clone, Copy, Debug)]
+enum Step {
+    /// Page-in or page-out: the slot's frame restarts clean.
+    Reset(usize),
+    /// A logical H, or the CNOT of a transversal or surgery CNOT or of
+    /// a surgery merge.
+    Gate(CliffordGate),
+    /// One sampled block of `blocks[block]` in both guard sectors,
+    /// XORed into the slot's frame; seeded by the instruction index and
+    /// the operand offset within the instruction.
+    Expose {
+        slot: usize,
+        block: usize,
+        instr: u64,
+        offset: u64,
+    },
+    /// A destructive Z readout of the slot.
+    Measure(usize),
+}
 
 /// Reusable working set for [`FramePrepared`]'s batch replay: the
-/// logical Pauli frames, the per-lane failure accumulator, the
-/// measured-slot flags, the measurement read-out buffer, and one
-/// [`BlockScratch`] per sampled block shape. Holding one scratch across
-/// batches — one per worker of [`FramePrepared::run`] — makes the
-/// steady state allocation-free under either decoder.
+/// logical Pauli frames, the per-lane failure words, the measurement
+/// outcome words, and one [`BlockScratch`] that samples and decodes
+/// every block of the replay. Holding one scratch across batches — one
+/// per worker of [`FramePrepared::run`] — makes the steady state
+/// allocation-free under either decoder.
 ///
 /// Its buffers are plain and are reshaped per batch, so one scratch
 /// also serves any number of preparations through
@@ -560,14 +578,11 @@ type BlockScratchMap = BTreeMap<(usize, Boundary, u8), BlockScratch>;
 #[derive(Default)]
 pub struct FrameScratch {
     frames: FrameBatch,
-    /// Per-lane program-failure accumulator.
+    /// Per-lane program-failure words.
     failed: Vec<u64>,
-    /// Per-slot measured flags (a dense stand-in for the previous
-    /// per-batch `BTreeSet<LogicalId>`, whose node churn allocated).
-    measured: Vec<bool>,
-    /// Measurement outcome-flip read-out buffer.
+    /// Measurement outcome-flip words.
     outcome: Vec<u64>,
-    blocks: BlockScratchMap,
+    block: BlockScratch,
 }
 
 impl FrameScratch {
@@ -614,19 +629,9 @@ fn exposure_boundary(mode: Boundary, first: bool, measures: bool) -> Boundary {
     }
 }
 
-/// Blocks one instruction samples per shot: one per refresh pass, one
-/// per participant of any other instruction with a nonzero span.
-fn exposures(instr: &Instr) -> u64 {
-    match instr {
-        Instr::RefreshRound { .. } => 1,
-        _ if instr.span() > 0 => instr.num_qubits() as u64,
-        _ => 0,
-    }
-}
-
 impl FramePrepared {
-    /// Builds all block experiments a schedule needs under a boundary
-    /// mode.
+    /// Compiles a schedule into replay steps and builds every block
+    /// experiment they sample under a boundary mode.
     ///
     /// One block is sized to each instruction's actual round span — a
     /// refresh pass samples exactly its `rounds`, a span-`s` operation
@@ -641,42 +646,6 @@ impl FramePrepared {
     pub fn new(schedule: Schedule, p: f64, decoder: DecoderKind, boundary: Boundary) -> Self {
         let config = *schedule.config();
         let setup = setup_for_config(&config);
-        let mut slots = BTreeMap::new();
-        let mut needed: std::collections::BTreeSet<(usize, Boundary)> = Default::default();
-        let mut exposure_boundaries: BTreeMap<(u64, u64), Boundary> = BTreeMap::new();
-        let mut fresh: std::collections::BTreeSet<LogicalId> = Default::default();
-        for (idx, instr) in schedule.instrs().iter().enumerate() {
-            let idx = idx as u64;
-            instr.for_each_qubit(|q| {
-                let next = slots.len();
-                slots.entry(q).or_insert(next);
-            });
-            match instr {
-                Instr::PageIn { qubit, .. } => {
-                    fresh.insert(*qubit);
-                }
-                Instr::PageOut { qubit, .. } => {
-                    fresh.remove(qubit);
-                }
-                Instr::RefreshRound { qubit, rounds, .. } => {
-                    let b = exposure_boundary(boundary, fresh.remove(qubit), false);
-                    exposure_boundaries.insert((idx, 0), b);
-                    needed.insert((*rounds, b));
-                }
-                other if other.span() > 0 => {
-                    let window = other.span() as usize * config.d;
-                    let measures = matches!(other, Instr::MeasureLogical { .. });
-                    let mut off = 0u64;
-                    other.for_each_qubit(|q| {
-                        let b = exposure_boundary(boundary, fresh.remove(&q), measures);
-                        exposure_boundaries.insert((idx, off), b);
-                        needed.insert((window, b));
-                        off += 1;
-                    });
-                }
-                _ => {}
-            }
-        }
         let prepare = |rounds: usize, basis: Basis, block_boundary: Boundary| {
             let mut spec = MemorySpec::standard(setup, config.d, config.k, basis);
             spec.rounds = rounds;
@@ -691,22 +660,102 @@ impl FramePrepared {
                 .with_decoder(decoder),
             )
         };
-        let blocks = needed
-            .into_iter()
-            .map(|(r, b)| ((r, b), (prepare(r, Basis::Z, b), prepare(r, Basis::X, b))))
-            .collect();
+        let mut slots: BTreeMap<LogicalId, usize> = BTreeMap::new();
+        let mut steps = Vec::new();
+        let mut blocks = Vec::new();
+        let mut shapes: BTreeMap<(usize, Boundary), usize> = BTreeMap::new();
+        let mut fresh: std::collections::BTreeSet<LogicalId> = Default::default();
+        let mut measured = Vec::new();
+        for (idx, instr) in schedule.instrs().iter().enumerate() {
+            instr.for_each_qubit(|q| {
+                let next = slots.len();
+                slots.entry(q).or_insert(next);
+            });
+            let slot = |q: LogicalId| slots[&q];
+            match *instr {
+                Instr::PageIn { qubit, .. } => {
+                    fresh.insert(qubit);
+                    steps.push(Step::Reset(slot(qubit)));
+                }
+                Instr::PageOut { qubit, .. } => {
+                    fresh.remove(&qubit);
+                    steps.push(Step::Reset(slot(qubit)));
+                }
+                Instr::Logical1Q {
+                    qubit,
+                    gate: LogicalGate1Q::H,
+                    ..
+                } => steps.push(Step::Gate(CliffordGate::H(slot(qubit)))),
+                // A merge's joint parity measurement spreads errors
+                // between the fused patches; the logical-level view of
+                // that spread is CNOT propagation.
+                Instr::TransversalCnot {
+                    control: a,
+                    target: b,
+                    ..
+                }
+                | Instr::LatticeSurgeryCnot {
+                    control: a,
+                    target: b,
+                    ..
+                }
+                | Instr::SurgeryMerge { a, b, .. } => {
+                    steps.push(Step::Gate(CliffordGate::Cnot(slot(a), slot(b))));
+                }
+                _ => {}
+            }
+            // One block per refresh pass, one per participant of any
+            // other instruction with a nonzero span.
+            let rounds = match *instr {
+                Instr::RefreshRound { rounds, .. } => Some(rounds),
+                _ if instr.span() > 0 => Some(instr.span() as usize * config.d),
+                _ => None,
+            };
+            let measures = matches!(instr, Instr::MeasureLogical { .. });
+            if let Some(rounds) = rounds {
+                let mut offset = 0;
+                instr.for_each_qubit(|q| {
+                    let b = exposure_boundary(boundary, fresh.remove(&q), measures);
+                    let block = *shapes.entry((rounds, b)).or_insert_with(|| {
+                        blocks.push([prepare(rounds, Basis::Z, b), prepare(rounds, Basis::X, b)]);
+                        blocks.len() - 1
+                    });
+                    steps.push(Step::Expose {
+                        slot: slot(q),
+                        block,
+                        instr: idx as u64,
+                        offset,
+                    });
+                    offset += 1;
+                });
+            }
+            if let Instr::MeasureLogical { qubit, .. } = *instr {
+                measured.push(slot(qubit));
+                steps.push(Step::Measure(slot(qubit)));
+            }
+        }
+        let unmeasured = (0..slots.len()).filter(|s| !measured.contains(s)).collect();
         FramePrepared {
             schedule,
-            slots,
+            num_slots: slots.len(),
+            steps,
             blocks,
-            exposure_boundaries,
+            unmeasured,
         }
     }
 
     /// Syndrome-block samples per shot (both sectors of one exposure
-    /// count as one block).
+    /// count as one block): the replay's `Expose` steps.
     pub fn blocks_per_shot(&self) -> u64 {
-        self.schedule.instrs().iter().map(exposures).sum()
+        self.exposure_instrs().count() as u64
+    }
+
+    /// The instruction index of every `Expose` step, in replay order.
+    fn exposure_instrs(&self) -> impl Iterator<Item = u64> + '_ {
+        self.steps.iter().filter_map(|step| match *step {
+            Step::Expose { instr, .. } => Some(instr),
+            _ => None,
+        })
     }
 
     /// Runs `shots` seeded shots under a worker policy and returns the
@@ -736,13 +785,12 @@ impl FramePrepared {
         failures[0]
     }
 
-    /// Adds each instruction kind's sampled block-exposure count —
-    /// the [`FramePrepared::blocks_per_shot`] accounting — to the
-    /// recorder, scaled by `batches` (each batch replays the schedule
-    /// once for all of its lanes).
+    /// Adds each `Expose` step, under its instruction kind's counter,
+    /// to the recorder, scaled by `batches` (each batch replays the
+    /// steps once for all of its lanes).
     fn record_block_exposures(&self, recorder: &Recorder, batches: u64) {
-        for instr in self.schedule.instrs() {
-            let metric = match instr {
+        for instr in self.exposure_instrs() {
+            let metric = match self.schedule.instrs()[instr as usize] {
                 Instr::RefreshRound { .. } => Metric::ExecRefreshBlocks,
                 Instr::Logical1Q { .. } => Metric::ExecLogical1QBlocks,
                 Instr::TransversalCnot { .. } | Instr::LatticeSurgeryCnot { .. } => {
@@ -756,191 +804,69 @@ impl FramePrepared {
                 Instr::MeasureLogical { .. } => Metric::ExecMeasureBlocks,
                 Instr::PageIn { .. } | Instr::PageOut { .. } | Instr::Correction { .. } => continue,
             };
-            recorder.add(metric, exposures(instr) * batches);
+            recorder.add(metric, batches);
         }
-    }
-
-    /// Exposes one qubit slot to a single sampled block of `rounds`
-    /// syndrome rounds, in both guard sectors, XORing residual logical
-    /// flips into the frames. The block's boundary comes from the
-    /// prepared per-exposure assignment.
-    fn expose_block(
-        &self,
-        frames: &mut FrameBatch,
-        blocks: &mut BlockScratchMap,
-        slot: usize,
-        rounds: usize,
-        lanes: usize,
-        batch_seed: u64,
-        instr: u64,
-        offset: u64,
-    ) {
-        let boundary = self.exposure_boundaries[&(instr, offset)];
-        let (z_block, x_block) = &self.blocks[&(rounds, boundary)];
-        // Z-basis guard failure = residual logical X error.
-        let zs = blocks.entry((rounds, boundary, 0)).or_default();
-        let x_flips = &z_block.sample_failure_words_into(
-            &[z_block.decoder()],
-            lanes,
-            block_seed(batch_seed, instr, 0, offset),
-            zs,
-        )[0];
-        frames.xor_x_words(slot, x_flips);
-        let xs = blocks.entry((rounds, boundary, 1)).or_default();
-        let z_flips = &x_block.sample_failure_words_into(
-            &[x_block.decoder()],
-            lanes,
-            block_seed(batch_seed, instr, 1, offset),
-            xs,
-        )[0];
-        frames.xor_z_words(slot, z_flips);
     }
 
     /// Replays one batch of `lanes` shots seeded `batch_seed` against
     /// caller-owned scratch and returns how many of them corrupted the
-    /// program: every instruction exposes each participant to one block
-    /// sized to its actual round span. The result depends only on the
-    /// preparation, `lanes` and `batch_seed`; the scratch's buffers are
-    /// reused across calls.
+    /// program. The result depends only on the preparation, `lanes`
+    /// and `batch_seed`; the scratch's buffers are reused across calls.
     pub fn run_batch(&self, lanes: usize, batch_seed: u64, scratch: &mut FrameScratch) -> u64 {
-        let words = lanes.div_ceil(64).max(1);
-        let n_slots = self.slots.len().max(1);
-        let d = self.schedule.config().d;
         let FrameScratch {
             frames,
             failed,
-            measured,
             outcome,
-            blocks,
+            block,
         } = scratch;
-        frames.reset(n_slots, lanes);
+        frames.reset(self.num_slots.max(1), lanes);
         failed.clear();
-        failed.resize(words, 0);
-        measured.clear();
-        measured.resize(n_slots, false);
-        let slot = |q: LogicalId| self.slots[&q];
-        for (idx, instr) in self.schedule.instrs().iter().enumerate() {
-            let idx = idx as u64;
-            let window = instr.span() as usize * d;
-            match *instr {
-                Instr::PageIn { qubit, .. } => frames.reset_qubit(slot(qubit)),
-                Instr::PageOut { qubit, .. } => frames.reset_qubit(slot(qubit)),
-                Instr::Correction { .. } => {}
-                Instr::RefreshRound { qubit, rounds, .. } => {
-                    self.expose_block(
-                        frames,
-                        blocks,
-                        slot(qubit),
-                        rounds,
-                        lanes,
-                        batch_seed,
-                        idx,
-                        0,
-                    );
-                }
-                Instr::Logical1Q { qubit, gate, .. } => {
-                    if gate == LogicalGate1Q::H {
-                        frames.apply(CliffordGate::H(slot(qubit)));
-                    }
-                    self.expose_block(
-                        frames,
-                        blocks,
-                        slot(qubit),
-                        window,
-                        lanes,
-                        batch_seed,
-                        idx,
-                        0,
-                    );
-                }
-                Instr::TransversalCnot {
-                    control, target, ..
-                }
-                | Instr::LatticeSurgeryCnot {
-                    control, target, ..
+        failed.resize(lanes.div_ceil(64).max(1), 0);
+        for step in &self.steps {
+            match *step {
+                Step::Reset(slot) => frames.reset_qubit(slot),
+                Step::Gate(gate) => frames.apply(gate),
+                Step::Expose {
+                    slot,
+                    block: b,
+                    instr,
+                    offset,
                 } => {
-                    frames.apply(CliffordGate::Cnot(slot(control), slot(target)));
-                    self.expose_block(
-                        frames,
-                        blocks,
-                        slot(control),
-                        window,
+                    let [z_block, x_block] = &self.blocks[b];
+                    // Z-basis guard failure = residual logical X error.
+                    let x_flips = &z_block.sample_failure_words_into(
+                        &[z_block.decoder()],
                         lanes,
-                        batch_seed,
-                        idx,
-                        0,
-                    );
-                    self.expose_block(
-                        frames,
-                        blocks,
-                        slot(target),
-                        window,
+                        block_seed(batch_seed, instr, 0, offset),
+                        block,
+                    )[0];
+                    frames.xor_x_words(slot, x_flips);
+                    let z_flips = &x_block.sample_failure_words_into(
+                        &[x_block.decoder()],
                         lanes,
-                        batch_seed,
-                        idx,
-                        1,
-                    );
+                        block_seed(batch_seed, instr, 1, offset),
+                        block,
+                    )[0];
+                    frames.xor_z_words(slot, z_flips);
                 }
-                Instr::SurgeryMerge { a, b, .. } => {
-                    // A merge's joint parity measurement spreads errors
-                    // between the fused patches; the logical-level view
-                    // of that spread is CNOT propagation.
-                    frames.apply(CliffordGate::Cnot(slot(a), slot(b)));
-                    self.expose_block(frames, blocks, slot(a), window, lanes, batch_seed, idx, 0);
-                    self.expose_block(frames, blocks, slot(b), window, lanes, batch_seed, idx, 1);
-                }
-                Instr::SurgerySplit { a, b, .. } => {
-                    self.expose_block(frames, blocks, slot(a), window, lanes, batch_seed, idx, 0);
-                    self.expose_block(frames, blocks, slot(b), window, lanes, batch_seed, idx, 1);
-                }
-                Instr::Move { qubit, .. } | Instr::ConsumeMagic { qubit, .. } => {
-                    self.expose_block(
-                        frames,
-                        blocks,
-                        slot(qubit),
-                        window,
-                        lanes,
-                        batch_seed,
-                        idx,
-                        0,
-                    );
-                }
-                Instr::MeasureLogical { qubit, .. } => {
-                    self.expose_block(
-                        frames,
-                        blocks,
-                        slot(qubit),
-                        window,
-                        lanes,
-                        batch_seed,
-                        idx,
-                        0,
-                    );
+                Step::Measure(slot) => {
                     // A destructive Z readout is corrupted by the
                     // frame's X component; Z errors are harmless here.
-                    frames.measure_z_into(slot(qubit), outcome);
+                    frames.measure_z_into(slot, outcome);
                     for (f, o) in failed.iter_mut().zip(outcome.iter()) {
                         *f |= o;
                     }
-                    measured[slot(qubit)] = true;
                 }
             }
         }
-        self.close_batch(frames, measured, failed);
-        failed.iter().map(|w| w.count_ones() as u64).sum()
-    }
-
-    /// Qubits still live at the end of the program must carry the
-    /// identity frame, else the prepared logical state is corrupted.
-    fn close_batch(&self, frames: &FrameBatch, measured: &[bool], failed: &mut [u64]) {
-        for &s in self.slots.values() {
-            if measured[s] {
-                continue;
-            }
+        // Qubits still live at the end of the program must carry the
+        // identity frame, else the prepared logical state is corrupted.
+        for &s in &self.unmeasured {
             for (w, f) in failed.iter_mut().enumerate() {
                 *f |= frames.x_words(s)[w] | frames.z_words(s)[w];
             }
         }
+        failed.iter().map(|w| w.count_ones() as u64).sum()
     }
 }
 
@@ -981,7 +907,8 @@ pub fn machine_config_for_point(point: &SweepPoint, num_qubits: usize) -> Machin
     let (embedding, refresh) = config_for_setup(point.setup);
     assert!(
         point.k >= 2,
-        "program sweep points need k >= 2 (one storage + one free mode per stack);          got k = {} — set SweepSpec::ks explicitly",
+        "program sweep points need k >= 2 (one storage + one free mode per stack); \
+         got k = {} — set SweepSpec::ks explicitly",
         point.k
     );
     let k = point.k;
@@ -1274,7 +1201,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "k >= 2")]
+    #[should_panic(expected = "need k >= 2 (one storage + one free mode per stack); got k = 1")]
     fn program_points_with_memory_default_depth_are_rejected() {
         // ks = [1] is the memory-experiment default; simulating a deeper
         // stack than the recorded k would mislabel the artifact.

@@ -70,9 +70,21 @@ fn one_frame_scratch_serves_preparations_of_different_distance() {
     assert!(failures > 0, "the replays sampled no failures at all");
 }
 
+/// The seven per-instruction-kind block-exposure counters.
+const BLOCK_COUNTERS: [Metric; 7] = [
+    Metric::ExecRefreshBlocks,
+    Metric::ExecLogical1QBlocks,
+    Metric::ExecCnotBlocks,
+    Metric::ExecSurgeryBlocks,
+    Metric::ExecMoveBlocks,
+    Metric::ExecMagicBlocks,
+    Metric::ExecMeasureBlocks,
+];
+
 /// `FramePrepared::run` with a recorder attached: the failure count
 /// and the deterministic sidecar bytes are the same on the calling
-/// thread and on a three-worker pool.
+/// thread and on a three-worker pool, and the block-exposure counters
+/// sum to one replay's blocks per shot for each of the four batches.
 #[test]
 fn recorded_frame_runs_match_across_thread_counts() {
     let compiled = compile(&LogicalCircuit::teleport(), MachineConfig::compact_demo()).unwrap();
@@ -86,15 +98,22 @@ fn recorded_frame_runs_match_across_thread_counts() {
         let recorder = Recorder::attached();
         // Three full batches and a ragged fourth.
         let failures = prepared.run(3500, 23, &Parallelism::threads(threads), &recorder);
+        let blocks: u64 = BLOCK_COUNTERS.iter().map(|&m| recorder.value(m)).sum();
         (
             failures,
             recorder.value(Metric::ExecMeasureBlocks),
+            blocks,
             recorder.deterministic_jsonl("frame-parity", 23),
         )
     };
     let serial = run(1);
-    let (failures, measure_blocks, _) = &serial;
+    let (failures, measure_blocks, blocks, _) = &serial;
     assert!(*failures > 0, "the replay sampled no failures at all");
     assert!(*measure_blocks > 0, "exposure counters were not recorded");
+    assert_eq!(
+        *blocks,
+        prepared.blocks_per_shot() * 4,
+        "the exposure counters disagree with the replay's blocks per shot"
+    );
     assert_eq!(run(3), serial, "threads=3 changed the run");
 }
