@@ -12,7 +12,7 @@
 //! here are laptop-scale (see EXPERIMENTS.md for the recorded runs).
 
 use vlq_bench::{
-    engine_from_args, finish_telemetry, parse_f64_list, plan_from_args, resume_cache_from_args,
+    engine_from_args, finish_telemetry, parse_rates, plan_from_args, resume_cache_from_args,
     resumed_points, sci, shard_from_args, telemetry_from_args, usage_exit, Args, MetaBuilder,
     OutSinks,
 };
@@ -28,7 +28,8 @@ usage: fig11 [--trials N] [--dmax D] [--k K] [--seed S]
              [--quiet]
   --decoder  decoder(s) to scan (default mwpm; `all` runs the ablation)
   --setup    one of baseline|natural-aao|natural-int|compact-aao|compact-int|all
-  --rates    comma-separated physical error rates (default: 8 rates, 8e-4..1.6e-2)
+  --rates    comma-separated physical error rates, each in [0, 0.5]
+             (default: 8 rates, 8e-4..1.6e-2)
   --out      write fig11.csv and fig11.jsonl sweep artifacts into DIR
   --resume   skip grid points already present in DIR/fig11.jsonl (needs --out;
              deterministic seeding keeps resumed artifacts byte-identical)
@@ -118,8 +119,9 @@ fn main() {
     // cross lower (1e-3 to 7e-3), so the sweep covers both decades.
     let rates: Vec<f64> = match args.pairs_get("rates") {
         None => vec![8e-4, 1.2e-3, 2e-3, 3e-3, 5e-3, 8e-3, 1.2e-2, 1.6e-2],
-        Some(s) => parse_f64_list(&s)
-            .unwrap_or_else(|| usage_exit(USAGE, &format!("invalid --rates {s:?}"))),
+        Some(s) => {
+            parse_rates(&s).unwrap_or_else(|| usage_exit(USAGE, &format!("invalid --rates {s:?}")))
+        }
     };
 
     let spec = SweepSpec::new()

@@ -20,7 +20,7 @@ use vlq::qec::DecoderKind;
 use vlq::surface::schedule::{Basis, Boundary, Setup};
 use vlq::sweep::{RunOptions, SweepRecord, SweepSpec};
 use vlq_bench::{
-    engine_from_args, finish_telemetry, parse_f64_list, plan_from_args, resume_cache_from_args,
+    engine_from_args, finish_telemetry, parse_rates, plan_from_args, resume_cache_from_args,
     resumed_points, sci, shard_from_args, telemetry_from_args, usage_exit, Args, MetaBuilder,
     OutSinks,
 };
@@ -39,7 +39,8 @@ usage: prog1 [--trials N] [--dmax D] [--k K] [--seed S]
               blocks are boundary-light, program ends charge real
               prep/readout noise; full/prep/readout give every exposure's
               block that boundary, full = a memory experiment per exposure)
-  --rates     comma-separated physical error rates (default: 8e-4,2e-3,5e-3)
+  --rates     comma-separated physical error rates, each in [0, 0.5]
+              (default: 8e-4,2e-3,5e-3)
   --out       write <stem>.csv and <stem>.jsonl sweep artifacts into DIR
               (stem: prog1 for the default boundary, prog1-<boundary>
               otherwise, so different boundary models never mix)
@@ -154,8 +155,9 @@ fn main() {
     }
     let rates: Vec<f64> = match args.pairs_get("rates") {
         None => vec![8e-4, 2e-3, 5e-3],
-        Some(s) => parse_f64_list(&s)
-            .unwrap_or_else(|| usage_exit(USAGE, &format!("invalid --rates {s:?}"))),
+        Some(s) => {
+            parse_rates(&s).unwrap_or_else(|| usage_exit(USAGE, &format!("invalid --rates {s:?}")))
+        }
     };
 
     let spec = SweepSpec::new()

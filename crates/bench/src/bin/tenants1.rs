@@ -24,7 +24,7 @@ use vlq::surface::schedule::{Basis, Setup};
 use vlq::sweep::artifact::{Table, Value};
 use vlq::sweep::{RunOptions, SweepPoint, SweepRecord, SweepSpec};
 use vlq_bench::{
-    engine_from_args, finish_telemetry, parse_f64_list, plan_from_args, resume_cache_from_args,
+    engine_from_args, finish_telemetry, parse_rates, plan_from_args, resume_cache_from_args,
     resumed_points, sci, shard_from_args, telemetry_from_args, usage_exit, Args, MetaBuilder,
     OutSinks,
 };
@@ -47,7 +47,8 @@ usage: tenants1 [--trials N] [--tenants N1,N2,...] [--policies P1,P2,...|all]
               refresh-deadline,lru,deadline-priority)
   --setup     one of baseline|natural-aao|natural-int|compact-aao|compact-int|all
   --k         cavity depth (>= 3: two storage + one free mode per stack)
-  --rates     comma-separated physical error rates (default: 8e-4,2e-3,5e-3)
+  --rates     comma-separated physical error rates, each in [0, 0.5]
+              (default: 8e-4,2e-3,5e-3)
   --out       write tenants1.{csv,jsonl} sweep artifacts plus the
               tenants1-report.{csv,jsonl} per-tenant contention report
               into DIR
@@ -219,8 +220,9 @@ fn main() {
     }
     let rates: Vec<f64> = match args.pairs_get("rates") {
         None => vec![8e-4, 2e-3, 5e-3],
-        Some(s) => parse_f64_list(&s)
-            .unwrap_or_else(|| usage_exit(USAGE, &format!("invalid --rates {s:?}"))),
+        Some(s) => {
+            parse_rates(&s).unwrap_or_else(|| usage_exit(USAGE, &format!("invalid --rates {s:?}")))
+        }
     };
 
     let programs: Vec<String> = tenant_counts

@@ -483,10 +483,13 @@ impl MetaBuilder {
     }
 }
 
-/// Parses a comma-separated list of floats (for `--rates`-style flags).
-pub fn parse_f64_list(s: &str) -> Option<Vec<f64>> {
+/// Parses a `--rates` flag: a comma-separated list of physical error
+/// rates, each finite and in `[0, 0.5]`. Above 1/2 a fault is likelier
+/// than not, and its matching weight `ln((1-p)/p)` turns negative.
+pub fn parse_rates(s: &str) -> Option<Vec<f64>> {
     let vals: Result<Vec<f64>, _> = s.split(',').map(|t| t.trim().parse()).collect();
-    vals.ok().filter(|v| !v.is_empty())
+    vals.ok()
+        .filter(|v| !v.is_empty() && v.iter().all(|p| (0.0..=0.5).contains(p)))
 }
 
 /// Formats a probability in compact scientific notation.
@@ -542,8 +545,12 @@ mod tests {
 
     #[test]
     fn f64_list_parses() {
-        assert_eq!(parse_f64_list("1e-3, 2e-3"), Some(vec![1e-3, 2e-3]));
-        assert_eq!(parse_f64_list("1e-3,x"), None);
-        assert_eq!(parse_f64_list(""), None);
+        assert_eq!(parse_rates("1e-3, 2e-3"), Some(vec![1e-3, 2e-3]));
+        assert_eq!(parse_rates("1e-3,x"), None);
+        assert_eq!(parse_rates(""), None);
+        assert_eq!(parse_rates("0,0.5"), Some(vec![0.0, 0.5]));
+        for bad in ["nan", "inf", "-1e-3", "0.6", "1e-3,0.6"] {
+            assert_eq!(parse_rates(bad), None, "{bad}");
+        }
     }
 }

@@ -11,6 +11,7 @@
 //! into known graphlike edges, as modern detector-error-model tooling
 //! does.
 
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 use vlq_circuit::exec::{FaultEffect, FaultSensitivity, FaultSite};
@@ -40,12 +41,14 @@ pub struct DecodingGraph {
     num_nodes: usize,
     /// Edge map keyed by `(a, b)` with `a < b` (`b` may be [`BOUNDARY`]).
     ///
-    /// Ordered map on purpose: [`DecodingGraph::adjacency`] and
-    /// [`DecodingGraph::iter_edges`] must yield a deterministic order,
-    /// because approximate decoders (union-find's first-contact growth)
-    /// break distance ties by visit order — with a hash map, two builds
-    /// of the same circuit could decode the same syndrome differently.
+    /// Ordered map on purpose: [`DecodingGraph::iter_edges`] and the
+    /// CSR laid out from it must yield a deterministic order, because
+    /// approximate decoders (union-find's first-contact growth) break
+    /// distance ties by visit order — with a hash map, two builds of the
+    /// same circuit could decode the same syndrome differently.
     edges: BTreeMap<(usize, usize), GraphEdge>,
+    /// The adjacency every decoder reads, laid out once from `edges`.
+    csr: Csr,
     /// Count of faults that produced more than two sector detectors and
     /// needed decomposition.
     pub decomposed_faults: usize,
@@ -75,19 +78,9 @@ impl DecodingGraph {
         self.edges.iter()
     }
 
-    /// Adjacency list form: `adj[node] = [(neighbor-or-BOUNDARY, weight,
-    /// flips_observable)]`.
-    pub fn adjacency(&self) -> Vec<Vec<(usize, f64, bool)>> {
-        let mut adj = vec![Vec::new(); self.num_nodes];
-        for (&(a, b), e) in &self.edges {
-            if b == BOUNDARY {
-                adj[a].push((BOUNDARY, e.weight, e.flips_observable));
-            } else {
-                adj[a].push((b, e.weight, e.flips_observable));
-                adj[b].push((a, e.weight, e.flips_observable));
-            }
-        }
-        adj
+    /// The CSR adjacency, with the boundary as node `num_nodes`.
+    pub(crate) fn csr(&self) -> &Csr {
+        &self.csr
     }
 
     fn accumulate(&mut self, a: usize, b: usize, p: f64, obs: bool) {
@@ -105,13 +98,20 @@ impl DecodingGraph {
     /// Builds the decoding graph for the *guard* sector of a noisy
     /// circuit (the sector whose errors flip the memory observable):
     /// observable flips are attributed to the edges.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a fault flips more than two sector detectors and cannot
+    /// be decomposed into existing graphlike edges, or if an edge is
+    /// likelier than not, so its weight is negative.
     pub fn build(circuit: &Circuit, sector_detectors: &[usize]) -> Self {
         Self::build_with_attribution(circuit, sector_detectors, true)
     }
 
     /// Builds the decoding graph for a non-guard sector: the observable
     /// is attributed to the other sector's components, so every edge here
-    /// carries `flips_observable = false`.
+    /// carries `flips_observable = false`. Panics as
+    /// [`DecodingGraph::build`] does.
     pub fn build_non_guard(circuit: &Circuit, sector_detectors: &[usize]) -> Self {
         Self::build_with_attribution(circuit, sector_detectors, false)
     }
@@ -126,12 +126,7 @@ impl DecodingGraph {
     /// guard sector (for a Z memory, only the X-error component can flip
     /// the logical Z). `attribute_observable` selects whether this graph
     /// receives those attributions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a fault flips more than two sector detectors and cannot
-    /// be decomposed into existing graphlike edges.
-    pub fn build_with_attribution(
+    fn build_with_attribution(
         circuit: &Circuit,
         sector_detectors: &[usize],
         attribute_observable: bool,
@@ -143,6 +138,7 @@ impl DecodingGraph {
         let mut graph = DecodingGraph {
             num_nodes: sector_detectors.len(),
             edges: BTreeMap::new(),
+            csr: Csr::default(),
             decomposed_faults: 0,
             undetectable_logical_mass: 0.0,
         };
@@ -191,7 +187,138 @@ impl DecodingGraph {
         for edge in graph.edges.values_mut() {
             edge.weight = log_odds_weight(edge.probability);
         }
+        graph.csr = Csr::new(graph.num_nodes, &graph.edges);
         graph
+    }
+
+    /// A graph on `num_nodes` detectors with the given `(a, b, weight,
+    /// flips_observable)` edges, laid out as [`DecodingGraph::build`]
+    /// lays out its own.
+    #[cfg(test)]
+    pub(crate) fn from_edges(num_nodes: usize, edges: &[(usize, usize, f64, bool)]) -> Self {
+        let mut edge_map = BTreeMap::new();
+        for &(a, b, weight, flips_observable) in edges {
+            let probability = 1.0 / (1.0 + weight.exp());
+            let edge = GraphEdge {
+                probability,
+                weight,
+                flips_observable,
+            };
+            edge_map.insert(ordered(a, b), edge);
+        }
+        DecodingGraph {
+            num_nodes,
+            csr: Csr::new(num_nodes, &edge_map),
+            edges: edge_map,
+            decomposed_faults: 0,
+            undetectable_logical_mass: 0.0,
+        }
+    }
+}
+
+/// One directed edge of the [`Csr`] adjacency.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Arc {
+    pub(crate) w: f64,
+    /// Head node; the boundary is node `n`.
+    pub(crate) to: u32,
+    /// Whether the edge flips the logical observable.
+    pub(crate) obs: bool,
+}
+
+/// The decoding graph's adjacency in compressed sparse rows: node `v`'s
+/// arcs are `arcs[first[v]..first[v + 1]]`, and the boundary is node `n`
+/// with no arcs, so no path continues through it.
+///
+/// Each node's arcs come in edge-key order (ascending `(a, b)` with
+/// `a < b`). The order is part of the decoders' output: union-find's
+/// growth breaks distance ties by arc order, and its single-edge table
+/// is indexed by arc.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Csr {
+    pub(crate) first: Vec<u32>,
+    pub(crate) arcs: Vec<Arc>,
+}
+
+impl Csr {
+    /// Lays out the edge map of a graph on `n` detectors.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an edge weight is negative, NaN or infinite (Dijkstra
+    /// and growth order path sums by value, growth by their bits, exact
+    /// only for finite weights ≥ 0), or if node or arc ids would not
+    /// fit below `u32::MAX`.
+    fn new(n: usize, edges: &BTreeMap<(usize, usize), GraphEdge>) -> Self {
+        let ids = n.max(2 * edges.len());
+        assert!(ids < u32::MAX as usize, "graph too large");
+        // Every edge's arcs, tagged with their tail, in key order; the
+        // stable sort by tail keeps each node's arcs in key order.
+        let mut tagged = Vec::with_capacity(2 * edges.len());
+        for (&(a, b), e) in edges {
+            let (w, obs) = (e.weight, e.flips_observable);
+            assert!(w.is_finite() && w >= 0.0, "edge weight {w} not in [0, inf)");
+            let b = if b == BOUNDARY { n } else { b };
+            for (from, to) in [(a, b as u32), (b, a as u32)] {
+                if from < n {
+                    tagged.push((from, Arc { w, to, obs }));
+                }
+            }
+        }
+        tagged.sort_by_key(|&(from, _)| from);
+        let mut first = vec![0u32; n + 2];
+        for &(from, _) in &tagged {
+            first[from + 1] += 1;
+        }
+        for v in 0..=n {
+            first[v + 1] += first[v];
+        }
+        let arcs = tagged.into_iter().map(|(_, arc)| arc).collect();
+        Csr { first, arcs }
+    }
+
+    /// Node `v`'s arcs; empty for the boundary.
+    pub(crate) fn arcs_of(&self, v: usize) -> &[Arc] {
+        &self.arcs[self.first[v] as usize..self.first[v + 1] as usize]
+    }
+}
+
+/// A shortest-path or growth front: a node reached at some distance
+/// from a source, ordered by distance alone, smallest first. Distances
+/// are sums of finite weights ≥ 0 (the [`Csr`] layout asserts them), and
+/// for those the bit patterns order exactly like the values, ties
+/// included, so the heap pops in the order a float-keyed heap would.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Front {
+    pub(crate) dist_bits: u64,
+    pub(crate) node: u32,
+    pub(crate) src: u32,
+}
+
+impl Front {
+    pub(crate) fn new(dist: f64, node: u32, src: u32) -> Self {
+        Front {
+            dist_bits: dist.to_bits(),
+            node,
+            src,
+        }
+    }
+}
+
+impl PartialEq for Front {
+    fn eq(&self, other: &Self) -> bool {
+        self.dist_bits == other.dist_bits
+    }
+}
+impl Eq for Front {}
+impl PartialOrd for Front {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Front {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.dist_bits.cmp(&self.dist_bits)
     }
 }
 
@@ -390,6 +517,12 @@ mod tests {
         let (&key, e_lo) = g_lo.iter_edges().next().unwrap();
         let e_hi = g_hi.edge(key.0, key.1).expect("same structure");
         assert!(e_hi.weight < e_lo.weight);
+    }
+
+    #[test]
+    #[should_panic(expected = "not in [0, inf)")]
+    fn negative_weights_are_rejected() {
+        DecodingGraph::from_edges(1, &[(0, BOUNDARY, -1.0, false)]);
     }
 
     #[test]

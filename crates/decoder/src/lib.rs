@@ -6,7 +6,8 @@
 //! 1. [`graph`] builds a per-sector matching graph by enumerating every
 //!    possible single fault of the noisy circuit and recording which
 //!    detectors (and logical observables) it flips — read from one
-//!    backward sensitivity pass — with edge weights `ln((1-p)/p)`.
+//!    backward sensitivity pass — with edge weights `ln((1-p)/p)`. It
+//!    lays out, once, the one adjacency both decoders read.
 //! 2. [`mwpm`] decodes a defect set by Dijkstra distances on that graph
 //!    followed by an exact minimum-weight matching — the paper's "usual
 //!    maximum likelihood \[matching\] decoder". It is solved as a

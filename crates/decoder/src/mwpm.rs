@@ -11,13 +11,12 @@
 //! unmatched goes to the boundary (see `gain_instance`). The decoder
 //! reports only what the harness needs: the predicted logical flip.
 
-use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use vlq_telemetry::{Metric, Recorder};
 
 use crate::blossom::Matcher;
-use crate::graph::{DecodingGraph, BOUNDARY};
+use crate::graph::{DecodingGraph, Front};
 use crate::{Decoder, DecoderScratch};
 
 /// Fixed-point scale when converting float weights to integers for the
@@ -35,7 +34,6 @@ const MAX_GAIN: i64 = i64::MAX / 64;
 /// exact matching over the defects.
 #[derive(Clone, Debug)]
 pub struct MwpmDecoder {
-    adjacency: Vec<Vec<(usize, f64, bool)>>,
     num_nodes: usize,
     /// `(n+1) x (n+1)` distance table (last row/col = boundary).
     all_dist: Vec<f64>,
@@ -82,59 +80,56 @@ pub struct MwpmOutcome {
     pub scaled_weight: i64,
 }
 
-/// Result of a Dijkstra run from one source.
-struct ShortestPaths {
-    /// `dist[node]`; last entry is the boundary.
-    dist: Vec<f64>,
-    /// Observable parity along the shortest path.
-    parity: Vec<bool>,
-}
-
 impl MwpmDecoder {
     /// Builds a decoder for a sector graph, precomputing all-pairs
-    /// shortest paths.
+    /// shortest paths: one Dijkstra per detector on the graph's CSR,
+    /// written straight into that detector's table rows.
     ///
     /// # Panics
     ///
-    /// Panics if an edge weight is negative or not finite, or too large
-    /// for exact integer matching on this many detectors (see
-    /// `max_path_weight`; no real decoding graph comes near).
+    /// Panics if an edge weight is too large for exact integer matching
+    /// on this many detectors (see `max_path_weight`; no real decoding
+    /// graph comes near).
     pub fn new(graph: &DecodingGraph) -> Self {
-        Self::with_adjacency(graph.adjacency())
-    }
-
-    /// [`MwpmDecoder::new`] on a graph given as adjacency lists, with
-    /// [`BOUNDARY`] marking boundary edges.
-    fn with_adjacency(adjacency: Vec<Vec<(usize, f64, bool)>>) -> Self {
-        let n = adjacency.len();
-        let mut heaviest = 0.0f64;
-        for &(_, w, _) in adjacency.iter().flatten() {
-            assert!(w.is_finite() && w >= 0.0, "MWPM weight {w} not in [0, inf)");
-            heaviest = heaviest.max(w);
-        }
+        let (csr, n) = (graph.csr(), graph.num_nodes());
+        let heaviest = csr.arcs.iter().fold(0.0f64, |h, arc| h.max(arc.w));
         // A shortest path has at most n edges; twice their weight bound
         // leaves room for float rounding in Dijkstra's sums.
         assert!(
             scale(2.0 * n as f64 * heaviest) <= max_path_weight(n),
             "edge weight {heaviest} too large for exact matching on {n} detectors"
         );
-        let mut dec = MwpmDecoder {
-            adjacency,
-            num_nodes: n,
-            all_dist: Vec::new(),
-            all_parity: Vec::new(),
-        };
         let stride = n + 1;
-        dec.all_dist = vec![f64::INFINITY; stride * stride];
-        dec.all_parity = vec![false; stride * stride];
-        for src in 0..n {
-            let sp = dec.shortest_paths(src);
-            for node in 0..stride {
-                dec.all_dist[src * stride + node] = sp.dist[node];
-                dec.all_parity[src * stride + node] = sp.parity[node];
+        let mut all_dist = vec![f64::INFINITY; stride * stride];
+        let mut all_parity = vec![false; stride * stride];
+        let rows = all_dist
+            .chunks_exact_mut(stride)
+            .zip(all_parity.chunks_exact_mut(stride));
+        let mut heap = BinaryHeap::new();
+        for (src, (dist, parity)) in rows.take(n).enumerate() {
+            dist[src] = 0.0;
+            heap.push(Front::new(0.0, src as u32, src as u32));
+            while let Some(front) = heap.pop() {
+                let (d, node) = (f64::from_bits(front.dist_bits), front.node as usize);
+                // Pushes only lower a node's distance, so its first pop
+                // carries it and any later one is stale.
+                if d > dist[node] {
+                    continue;
+                }
+                for arc in csr.arcs_of(node) {
+                    let (to, nd) = (arc.to as usize, d + arc.w);
+                    if nd < dist[to] {
+                        (dist[to], parity[to]) = (nd, parity[node] ^ arc.obs);
+                        heap.push(Front::new(nd, arc.to, front.src));
+                    }
+                }
             }
         }
-        dec
+        MwpmDecoder {
+            num_nodes: n,
+            all_dist,
+            all_parity,
+        }
     }
 
     #[inline]
@@ -145,40 +140,6 @@ impl MwpmDecoder {
     #[inline]
     fn parity_between(&self, a: usize, b: usize) -> bool {
         self.all_parity[a * (self.num_nodes + 1) + b]
-    }
-
-    /// Dijkstra from `src` over nodes `0..n` plus boundary node `n`.
-    fn shortest_paths(&self, src: usize) -> ShortestPaths {
-        let n = self.num_nodes;
-        let boundary = n;
-        let mut dist = vec![f64::INFINITY; n + 1];
-        let mut parity = vec![false; n + 1];
-        let mut done = vec![false; n + 1];
-        let mut heap: BinaryHeap<HeapItem> = BinaryHeap::new();
-        dist[src] = 0.0;
-        heap.push(HeapItem {
-            dist: 0.0,
-            node: src,
-        });
-        while let Some(HeapItem { dist: d, node }) = heap.pop() {
-            if done[node] {
-                continue;
-            }
-            done[node] = true;
-            if node == boundary {
-                continue; // paths through the boundary are not allowed
-            }
-            for &(nb, w, obs) in &self.adjacency[node] {
-                let nb = if nb == BOUNDARY { boundary } else { nb };
-                let nd = d + w;
-                if nd < dist[nb] {
-                    dist[nb] = nd;
-                    parity[nb] = parity[node] ^ obs;
-                    heap.push(HeapItem { dist: nd, node: nb });
-                }
-            }
-        }
-        ShortestPaths { dist, parity }
     }
 
     /// Decodes with full output: predicted observable flip and the total
@@ -347,36 +308,10 @@ impl Decoder for MwpmDecoder {
     }
 }
 
-/// Max-heap item ordered by smallest distance first.
-struct HeapItem {
-    dist: f64,
-    node: usize,
-}
-
-impl PartialEq for HeapItem {
-    fn eq(&self, other: &Self) -> bool {
-        self.dist == other.dist
-    }
-}
-impl Eq for HeapItem {}
-impl PartialOrd for HeapItem {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapItem {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse for min-heap behavior.
-        other
-            .dist
-            .partial_cmp(&self.dist)
-            .unwrap_or(Ordering::Equal)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::BOUNDARY;
     use vlq_arch::params::HardwareParams;
     use vlq_circuit::noise::NoiseModel;
     use vlq_surface::schedule::{memory_circuit, Basis, MemorySpec, Setup};
@@ -656,12 +591,15 @@ mod tests {
     /// (0–1 at 3, 0–2 and 1–2 at 1, the 0–2 edge flipping the
     /// observable); node 3 has a boundary edge at 1 that flips it.
     fn cut_off_triangle() -> MwpmDecoder {
-        MwpmDecoder::with_adjacency(vec![
-            vec![(1, 3.0, false), (2, 1.0, true)],
-            vec![(0, 3.0, false), (2, 1.0, false)],
-            vec![(0, 1.0, true), (1, 1.0, false)],
-            vec![(BOUNDARY, 1.0, true)],
-        ])
+        MwpmDecoder::new(&DecodingGraph::from_edges(
+            4,
+            &[
+                (0, 1, 3.0, false),
+                (0, 2, 1.0, true),
+                (1, 2, 1.0, false),
+                (3, BOUNDARY, 1.0, true),
+            ],
+        ))
     }
 
     #[test]
@@ -684,14 +622,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "not in [0, inf)")]
-    fn negative_weights_are_rejected() {
-        MwpmDecoder::with_adjacency(vec![vec![(BOUNDARY, -1.0, false)]]);
-    }
-
-    #[test]
     #[should_panic(expected = "too large for exact matching")]
     fn overflowing_weights_are_rejected() {
-        MwpmDecoder::with_adjacency(vec![vec![(BOUNDARY, 1e12, false)]]);
+        MwpmDecoder::new(&DecodingGraph::from_edges(1, &[(0, BOUNDARY, 1e12, false)]));
     }
 }

@@ -16,10 +16,11 @@
 //! while this decoder's rises from 1.20e-1 to 3.77e-1. ROADMAP.md's item
 //! "A real union-find decoder" tracks its replacement.
 //!
-//! State is flat: CSR arcs with the boundary as node `n`, node records
-//! reset through a touched list, one contact list, and boundary parities
-//! built once in [`UnionFindDecoder::new`]. `docs/perf.md` ("Union-find
-//! hot path") argues why it decodes exactly like the code it replaced.
+//! State is flat: the graph's own CSR arcs, with the boundary as node
+//! `n`, node records reset through a touched list, one contact list, and
+//! boundary parities built once in [`UnionFindDecoder::new`].
+//! `docs/perf.md` ("Union-find hot path") argues why it decodes exactly
+//! like the code it replaced.
 //!
 //! [`UnionFindDecoder::new`] also decodes every single-edge syndrome once
 //! with the growth code below: `[v]` for each node with a boundary edge,
@@ -28,39 +29,26 @@
 //! same telemetry counters; every other list grows. `docs/perf.md`
 //! ("Frame replay hot path") gives the numbers.
 
-use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use vlq_telemetry::{Metric, Recorder};
 
-use crate::graph::{DecodingGraph, BOUNDARY};
+use crate::graph::{Csr, DecodingGraph, Front};
 use crate::{Decoder, DecoderScratch};
 
 /// An unclaimed node's owner, and a non-defect's list position.
 const NONE: u32 = u32::MAX;
 
-/// One directed edge of the CSR adjacency.
-#[derive(Clone, Copy, Debug)]
-struct Arc {
-    w: f64,
-    /// Head node; the boundary is node `n`.
-    to: u32,
-    /// Whether the edge flips the logical observable.
-    obs: bool,
-}
-
 /// The union-find decoder.
 #[derive(Clone, Debug)]
 pub struct UnionFindDecoder {
     num_nodes: usize,
-    /// Node `v`'s arcs are `arcs[first[v]..first[v + 1]]`, in
-    /// [`DecodingGraph::adjacency`] order. The boundary node has none.
-    first: Vec<u32>,
-    arcs: Vec<Arc>,
+    /// The graph's adjacency; the boundary is node `num_nodes`.
+    csr: Csr,
     /// Observable parity of each node's shortest path to the boundary
     /// (false when the boundary is unreachable).
     boundary_parity: Vec<bool>,
-    /// Parallel to `arcs`: for an arc from `a` to a higher node `b` (the
+    /// Parallel to the arcs: for an arc from `a` to a higher node `b` (the
     /// boundary included), the decode of the single-edge syndrome `[a, b]`
     /// (`[a]` when `b` is the boundary). Unused for arcs to lower nodes.
     known: Vec<Known>,
@@ -210,30 +198,13 @@ impl UfScratch {
 }
 
 impl UnionFindDecoder {
-    /// Builds a decoder for a sector graph.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an edge weight is negative, NaN or infinite (growth
-    /// orders distances by their bits, exact only for finite weights
-    /// ≥ 0), or if node or arc ids do not fit below `u32::MAX`.
+    /// Builds a decoder for a sector graph, on a clone of its CSR. The
+    /// graph's layout already asserts what growth needs: finite weights
+    /// ≥ 0 (it orders distances by their bits) and ids below `u32::MAX`.
     pub fn new(graph: &DecodingGraph) -> Self {
-        let n = graph.num_nodes();
-        let (mut first, mut arcs) = (Vec::with_capacity(n + 2), Vec::new());
-        for list in graph.adjacency() {
-            first.push(arcs.len() as u32);
-            for (to, w, obs) in list {
-                assert!(w.is_finite() && w >= 0.0, "UF weight {w} not in [0, inf)");
-                let to = if to == BOUNDARY { n } else { to } as u32;
-                arcs.push(Arc { w, to, obs });
-            }
-        }
-        assert!(n.max(arcs.len()) < NONE as usize, "graph too large");
-        first.extend([arcs.len() as u32; 2]);
         let mut decoder = UnionFindDecoder {
-            num_nodes: n,
-            first,
-            arcs,
+            num_nodes: graph.num_nodes(),
+            csr: graph.csr().clone(),
             boundary_parity: Vec::new(),
             known: Vec::new(),
         };
@@ -246,10 +217,10 @@ impl UnionFindDecoder {
     /// each): the table [`UnionFindDecoder::decode_with`] answers from.
     fn single_edge_decodes(&self) -> Vec<Known> {
         let mut scratch = UfScratch::new();
-        let mut known = vec![Known::default(); self.arcs.len()];
+        let mut known = vec![Known::default(); self.csr.arcs.len()];
         for a in 0..self.num_nodes {
-            for i in self.first[a] as usize..self.first[a + 1] as usize {
-                let b = self.arcs[i].to as usize;
+            for i in self.csr.first[a] as usize..self.csr.first[a + 1] as usize {
+                let b = self.csr.arcs[i].to as usize;
                 if b > a {
                     let pair = [a, b];
                     let defects = if b == self.num_nodes {
@@ -275,13 +246,11 @@ impl UnionFindDecoder {
             [a, b] if a < b && b < self.num_nodes => (a, b),
             _ => return None,
         };
-        let arcs = self.first[a] as usize..self.first[a + 1] as usize;
-        let i = arcs.into_iter().find(|&i| self.arcs[i].to as usize == b)?;
+        let arcs = self.csr.first[a] as usize..self.csr.first[a + 1] as usize;
+        let i = arcs
+            .into_iter()
+            .find(|&i| self.csr.arcs[i].to as usize == b)?;
         self.known.get(i).copied()
-    }
-
-    fn arcs_of(&self, node: usize) -> &[Arc] {
-        &self.arcs[self.first[node] as usize..self.first[node + 1] as usize]
     }
 
     /// Each node's observable parity along its shortest path to the
@@ -308,7 +277,7 @@ impl UnionFindDecoder {
                 if d > dist[node] {
                     continue;
                 }
-                for arc in self.arcs_of(node) {
+                for arc in self.csr.arcs_of(node) {
                     let (to, nd) = (arc.to as usize, d + arc.w);
                     if nd < dist[to] {
                         reached.push(to);
@@ -388,7 +357,7 @@ impl UnionFindDecoder {
             // Every merge below keeps this root, so it is found once.
             let root = s.find(src);
             let path_parity = s.nodes[front.node as usize].path_parity;
-            for arc in self.arcs_of(front.node as usize) {
+            for arc in self.csr.arcs_of(front.node as usize) {
                 let nd = dcur + arc.w;
                 let reached = &mut s.nodes[arc.to as usize];
                 let owner = reached.owner;
@@ -466,47 +435,10 @@ impl Decoder for UnionFindDecoder {
     }
 }
 
-/// A growth-front heap entry, ordered by distance alone, smallest first.
-/// Distances are sums of finite weights ≥ 0, and for those the bit
-/// patterns order exactly like the values, ties included, so the heap
-/// pops in the order a float-keyed heap would.
-#[derive(Clone, Copy, Debug)]
-struct Front {
-    dist_bits: u64,
-    node: u32,
-    src: u32,
-}
-
-impl Front {
-    fn new(dist: f64, node: u32, src: u32) -> Self {
-        Front {
-            dist_bits: dist.to_bits(),
-            node,
-            src,
-        }
-    }
-}
-
-impl PartialEq for Front {
-    fn eq(&self, other: &Self) -> bool {
-        self.dist_bits == other.dist_bits
-    }
-}
-impl Eq for Front {}
-impl PartialOrd for Front {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Front {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other.dist_bits.cmp(&self.dist_bits)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::BOUNDARY;
     use crate::mwpm::MwpmDecoder;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};

@@ -324,7 +324,6 @@ pub struct PreparedBlock {
     /// `noisy`, compiled once for sampling.
     tape: SampleTape,
     decoder: Box<dyn Decoder + Send + Sync>,
-    guard: Vec<usize>,
 }
 
 impl PreparedBlock {
@@ -334,8 +333,7 @@ impl PreparedBlock {
         let (start, end) = memory.noise_window(cfg.spec.boundary);
         let noisy = cfg.noise.apply_window(&memory.circuit, start, end);
         let tape = SampleTape::compile(&noisy);
-        let guard: Vec<usize> = memory.guard_detectors().to_vec();
-        let graph = DecodingGraph::build(&noisy, &guard);
+        let graph = DecodingGraph::build(&noisy, memory.guard_detectors());
         let decoder = cfg.decoder.build(&graph);
         PreparedBlock {
             memory,
@@ -344,7 +342,6 @@ impl PreparedBlock {
             boundary: cfg.spec.boundary,
             tape,
             decoder,
-            guard,
         }
     }
 
@@ -380,10 +377,11 @@ impl PreparedBlock {
         // (replaces a per-lane × per-detector bit-probe loop).
         {
             let _span = scratch.recorder.span(Metric::ExtractNanos);
-            scratch
-                .sample
-                .result
-                .defect_lists_into(&self.guard, lanes, &mut scratch.defect_lists);
+            scratch.sample.result.defect_lists_into(
+                self.memory.guard_detectors(),
+                lanes,
+                &mut scratch.defect_lists,
+            );
         }
         scratch.recorder.incr(Metric::SampleBatches);
         scratch.recorder.add(Metric::SampleLanes, lanes as u64);

@@ -243,13 +243,6 @@ impl FrameBatch {
         self.x[self.range(qubit)].to_vec()
     }
 
-    /// [`FrameBatch::measure_z`] into a caller-owned buffer (cleared
-    /// first), so steady-state sampling reuses record storage.
-    pub fn measure_z_into(&self, qubit: usize, out: &mut Vec<u64>) {
-        out.clear();
-        out.extend_from_slice(&self.x[self.range(qubit)]);
-    }
-
     /// Measurement-projection gauge: XORs one fresh random word per
     /// lane word into the Z plane of `qubit` (a uniformly random Z on
     /// every lane). Draws exactly one `u64` per word, in word order;

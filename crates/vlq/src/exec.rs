@@ -565,11 +565,11 @@ enum Step {
 }
 
 /// Reusable working set for [`FramePrepared`]'s batch replay: the
-/// logical Pauli frames, the per-lane failure words, the measurement
-/// outcome words, and one [`BlockScratch`] that samples and decodes
-/// every block of the replay. Holding one scratch across batches — one
-/// per worker of [`FramePrepared::run`] — makes the steady state
-/// allocation-free under either decoder.
+/// logical Pauli frames, the per-lane failure words, and one
+/// [`BlockScratch`] that samples and decodes every block of the replay.
+/// Holding one scratch across batches — one per worker of
+/// [`FramePrepared::run`] — makes the steady state allocation-free under
+/// either decoder.
 ///
 /// Its buffers are plain and are reshaped per batch, so one scratch
 /// also serves any number of preparations through
@@ -580,8 +580,6 @@ pub struct FrameScratch {
     frames: FrameBatch,
     /// Per-lane program-failure words.
     failed: Vec<u64>,
-    /// Measurement outcome-flip words.
-    outcome: Vec<u64>,
     block: BlockScratch,
 }
 
@@ -816,7 +814,6 @@ impl FramePrepared {
         let FrameScratch {
             frames,
             failed,
-            outcome,
             block,
         } = scratch;
         frames.reset(self.num_slots.max(1), lanes);
@@ -852,8 +849,7 @@ impl FramePrepared {
                 Step::Measure(slot) => {
                     // A destructive Z readout is corrupted by the
                     // frame's X component; Z errors are harmless here.
-                    frames.measure_z_into(slot, outcome);
-                    for (f, o) in failed.iter_mut().zip(outcome.iter()) {
+                    for (f, o) in failed.iter_mut().zip(frames.x_words(slot)) {
                         *f |= o;
                     }
                 }
