@@ -12,13 +12,11 @@
 //! here are laptop-scale (see EXPERIMENTS.md for the recorded runs).
 
 use vlq_bench::{
-    engine_from_args, finish_telemetry, parse_rates, plan_from_args, resume_cache_from_args,
-    resumed_points, sci, shard_from_args, telemetry_from_args, usage_exit, Args, MetaBuilder,
-    OutSinks,
+    distances_from_args, rates_from_args, sci, setups_from_args, usage_exit, Args, SweepCli,
 };
 use vlq_qec::{estimate_threshold, DecoderKind, MemoryExecutor, ThresholdScan};
 use vlq_surface::schedule::{Basis, Setup};
-use vlq_sweep::{RunOptions, SweepSpec};
+use vlq_sweep::SweepSpec;
 
 const USAGE: &str = "\
 usage: fig11 [--trials N] [--dmax D] [--k K] [--seed S]
@@ -44,28 +42,15 @@ usage: fig11 [--trials N] [--dmax D] [--k K] [--seed S]
                summary to stderr (sidecar is byte-stable across --workers)";
 
 fn main() {
-    let args = Args::parse_validated(
+    let args = Args::parse_sweep(
         USAGE,
         &[
-            "trials",
-            "dmax",
-            "k",
-            "seed",
-            "decoder",
-            "setup",
-            "basis",
-            "rates",
-            "workers",
-            "out",
-            "shard",
-            "plan",
-            "times",
-            "telemetry",
+            "trials", "dmax", "k", "seed", "decoder", "setup", "basis", "rates",
         ],
-        &["quiet", "resume"],
+        &[],
     );
     let trials: u64 = args.get_or_usage(USAGE, "trials", 20_000);
-    let dmax: usize = args.get_or_usage(USAGE, "dmax", 7);
+    let distances = distances_from_args(&args, USAGE, &[3, 5, 7, 9, 11], 7);
     let k: usize = args.get_or_usage(USAGE, "k", 10);
     let seed: u64 = args.get_or_usage(USAGE, "seed", 2020);
 
@@ -91,38 +76,15 @@ fn main() {
         other => usage_exit(USAGE, &format!("unknown --basis {other:?}; accepted: z|x")),
     };
 
-    let setup_arg = args.get_str("setup", "all");
-    let setups: Vec<Setup> = if setup_arg == "all" {
-        Setup::ALL.to_vec()
-    } else {
-        match Setup::ALL.into_iter().find(|s| s.to_string() == setup_arg) {
-            Some(s) => vec![s],
-            None => usage_exit(
-                USAGE,
-                &format!(
-                    "unknown --setup {setup_arg:?}; accepted: {}|all",
-                    Setup::ALL.map(|s| s.to_string()).join("|")
-                ),
-            ),
-        }
-    };
-
-    let distances: Vec<usize> = [3usize, 5, 7, 9, 11]
-        .into_iter()
-        .filter(|&d| d <= dmax)
-        .collect();
-    if distances.is_empty() {
-        usage_exit(USAGE, &format!("--dmax {dmax} leaves no distances to scan"));
-    }
+    let setups = setups_from_args(&args, USAGE, &Setup::ALL);
     // Wide default sweep: the baseline crosses near 1e-2; under this
     // model's conservative memory-serialization timing the 2.5D setups
     // cross lower (1e-3 to 7e-3), so the sweep covers both decades.
-    let rates: Vec<f64> = match args.pairs_get("rates") {
-        None => vec![8e-4, 1.2e-3, 2e-3, 3e-3, 5e-3, 8e-3, 1.2e-2, 1.6e-2],
-        Some(s) => {
-            parse_rates(&s).unwrap_or_else(|| usage_exit(USAGE, &format!("invalid --rates {s:?}")))
-        }
-    };
+    let rates = rates_from_args(
+        &args,
+        USAGE,
+        &[8e-4, 1.2e-3, 2e-3, 3e-3, 5e-3, 8e-3, 1.2e-2, 1.6e-2],
+    );
 
     let spec = SweepSpec::new()
         .setups(setups.iter().copied())
@@ -134,32 +96,11 @@ fn main() {
         .shots(trials)
         .base_seed(seed);
 
-    let (recorder, telemetry_path) = telemetry_from_args(&args);
-    let engine = engine_from_args(&args, USAGE).with_recorder(recorder.clone());
-    let executor = MemoryExecutor::default();
-    let shard = shard_from_args(&args, USAGE);
-    let plan = plan_from_args(&args, USAGE, shard);
-    let opts = RunOptions {
-        shard,
-        index_offset: 0,
-        plan,
-    };
-    // Read the previous artifact (if resuming) before the sinks
-    // truncate it.
-    let cache = resume_cache_from_args(&args, USAGE, "fig11", seed);
-    let skipped = resumed_points(&spec, &cache, &opts);
-    if skipped > 0 {
-        let owned = (0..spec.len()).filter(|&i| opts.owns(i)).count();
-        eprintln!("note: resume: {skipped}/{owned} points already complete");
-    }
-    let mut out = OutSinks::from_args(&args, "fig11");
-    let mut meta = MetaBuilder::new(seed, shard).with_plan(opts.plan.as_ref());
-    meta.absorb(&spec);
-    out.write_meta(&meta.build());
-    let records = engine
-        .run_opts(&spec, &executor, &mut out.as_dyn(), &cache, &opts)
-        .expect("sweep artifacts");
-    finish_telemetry(&recorder, telemetry_path.as_deref(), "fig11", seed);
+    let mut cli = SweepCli::new(&args, USAGE, "fig11", seed);
+    let records = cli
+        .run(std::slice::from_ref(&spec), &MemoryExecutor::default())
+        .remove(0);
+    cli.finish_telemetry("fig11");
 
     println!(
         "Figure 11: thresholds ({} trials/point, decoder {}, basis {:?}, k={k}, {} points)",
@@ -168,16 +109,17 @@ fn main() {
         basis,
         records.len()
     );
-    if !shard.is_full() {
+    if !cli.shard.is_full() {
         // A shard holds a strided subset of every threshold curve;
         // printed tables only make sense on the merged artifact.
         println!(
-            "shard {shard}: {} of {} grid points (tables are printed by full runs \
+            "shard {}: {} of {} grid points (tables are printed by full runs \
              or after sweep-merge)",
+            cli.shard,
             records.len(),
             spec.len()
         );
-        out.announce();
+        cli.announce();
         return;
     }
     for setup in &setups {
@@ -211,5 +153,5 @@ fn main() {
             }
         }
     }
-    out.announce();
+    cli.announce();
 }

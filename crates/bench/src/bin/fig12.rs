@@ -9,13 +9,10 @@
 //! Panels: sc-sc-error, load-store-error, sc-mode-error, cavity-t1,
 //! transmon-t1, load-store-duration, cavity-size.
 
-use vlq_bench::{
-    engine_from_args, finish_telemetry, plan_from_args, resume_cache_from_args, resumed_points,
-    sci, shard_from_args, telemetry_from_args, usage_exit, Args, MetaBuilder, OutSinks,
-};
+use vlq_bench::{distances_from_args, sci, usage_exit, Args, SweepCli};
 use vlq_qec::{sensitivity_spec, DecoderKind, Knob, MemoryExecutor};
 use vlq_surface::schedule::Setup;
-use vlq_sweep::{RunOptions, SweepRecord};
+use vlq_sweep::SweepRecord;
 
 const USAGE: &str = "\
 usage: fig12 [--panel NAME|all] [--trials N] [--dmax D] [--seed S]
@@ -58,24 +55,9 @@ fn values_for(knob: Knob, extended: bool) -> Vec<f64> {
 }
 
 fn main() {
-    let args = Args::parse_validated(
-        USAGE,
-        &[
-            "panel",
-            "trials",
-            "dmax",
-            "seed",
-            "workers",
-            "out",
-            "shard",
-            "plan",
-            "times",
-            "telemetry",
-        ],
-        &["extended", "quiet", "resume"],
-    );
+    let args = Args::parse_sweep(USAGE, &["panel", "trials", "dmax", "seed"], &["extended"]);
     let trials: u64 = args.get_or_usage(USAGE, "trials", 10_000);
-    let dmax: usize = args.get_or_usage(USAGE, "dmax", 5);
+    let distances = distances_from_args(&args, USAGE, &[3, 5, 7, 9, 11], 5);
     let seed: u64 = args.get_or_usage(USAGE, "seed", 2020);
     let extended = args.has("extended");
 
@@ -95,68 +77,39 @@ fn main() {
         }
     };
 
-    let distances: Vec<usize> = [3usize, 5, 7, 9, 11]
-        .into_iter()
-        .filter(|&d| d <= dmax)
+    // One spec per panel, all streamed into one artifact.
+    let values: Vec<Vec<f64>> = knobs.iter().map(|&k| values_for(k, extended)).collect();
+    let specs: Vec<_> = knobs
+        .iter()
+        .zip(&values)
+        .map(|(&knob, values)| {
+            sensitivity_spec(
+                Setup::CompactInterleaved,
+                knob,
+                values,
+                &distances,
+                trials,
+                seed,
+                DecoderKind::Mwpm,
+            )
+        })
         .collect();
-    if distances.is_empty() {
-        usage_exit(USAGE, &format!("--dmax {dmax} leaves no distances to scan"));
-    }
-
-    let (recorder, telemetry_path) = telemetry_from_args(&args);
-    let engine = engine_from_args(&args, USAGE).with_recorder(recorder.clone());
-    let executor = MemoryExecutor::default();
-    let shard = shard_from_args(&args, USAGE);
-    let plan = plan_from_args(&args, USAGE, shard);
-    // Read the previous artifact (if resuming) before the sinks
-    // truncate it.
-    let cache = resume_cache_from_args(&args, USAGE, "fig12", seed);
-    let mut out = OutSinks::from_args(&args, "fig12");
-    let mut meta = MetaBuilder::new(seed, shard).with_plan(plan.as_ref());
+    let mut cli = SweepCli::new(&args, USAGE, "fig12", seed);
+    let panels = cli.run(&specs, &MemoryExecutor::default());
 
     println!(
         "Figure 12: Compact-Interleaved sensitivity at operating point p=2e-3 ({trials} trials/point)"
     );
-    // Points are numbered globally across panels (each panel's spec
-    // starts at the running offset), so `--shard`/`sweep-merge` see one
-    // consistent index space in the shared artifact.
-    let mut index_offset = 0usize;
-    for knob in knobs {
-        let values = values_for(knob, extended);
+    for (((knob, values), spec), records) in knobs.iter().zip(&values).zip(&specs).zip(&panels) {
         println!(
             "\n-- panel: {knob} (reference value {}) --",
             sci(knob.reference_value())
         );
-        let spec = sensitivity_spec(
-            Setup::CompactInterleaved,
-            knob,
-            &values,
-            &distances,
-            trials,
-            seed,
-            DecoderKind::Mwpm,
-        );
-        let opts = RunOptions {
-            shard,
-            index_offset,
-            plan: plan.clone(),
-        };
-        index_offset += spec.len();
-        meta.absorb(&spec);
-        let owned = (0..spec.len())
-            .filter(|i| opts.owns(opts.index_offset + i))
-            .count();
-        let skipped = resumed_points(&spec, &cache, &opts);
-        if skipped > 0 {
-            eprintln!("note: resume: {skipped}/{owned} points already complete");
-        }
-        let records = engine
-            .run_opts(&spec, &executor, &mut out.as_dyn(), &cache, &opts)
-            .expect("sweep artifacts");
-        if !shard.is_full() {
+        if !cli.shard.is_full() {
             println!(
-                "shard {shard}: {} of {} panel points (tables are printed by full \
+                "shard {}: {} of {} panel points (tables are printed by full \
                  runs or after sweep-merge)",
+                cli.shard,
                 records.len(),
                 spec.len()
             );
@@ -174,7 +127,7 @@ fn main() {
             print!("{d:>12}");
         }
         println!();
-        for &v in &values {
+        for &v in values {
             print!("{:>12}", sci(v));
             for &d in &distances {
                 print!("{:>12}", sci(find(d, v).rate()));
@@ -182,7 +135,6 @@ fn main() {
             println!();
         }
     }
-    finish_telemetry(&recorder, telemetry_path.as_deref(), "fig12", seed);
-    out.write_meta(&meta.build());
-    out.announce();
+    cli.finish_telemetry("fig12");
+    cli.announce();
 }

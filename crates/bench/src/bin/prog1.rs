@@ -18,11 +18,10 @@
 use vlq::exec::{program_by_name, ProgramSweepExecutor};
 use vlq::qec::DecoderKind;
 use vlq::surface::schedule::{Basis, Boundary, Setup};
-use vlq::sweep::{RunOptions, SweepRecord, SweepSpec};
+use vlq::sweep::{SweepRecord, SweepSpec};
 use vlq_bench::{
-    engine_from_args, finish_telemetry, parse_rates, plan_from_args, resume_cache_from_args,
-    resumed_points, sci, shard_from_args, telemetry_from_args, usage_exit, Args, MetaBuilder,
-    OutSinks,
+    decoder_from_args, distances_from_args, rates_from_args, sci, setups_from_args, usage_exit,
+    Args, SweepCli,
 };
 
 const USAGE: &str = "\
@@ -56,30 +55,16 @@ usage: prog1 [--trials N] [--dmax D] [--k K] [--seed S]
                summary to stderr (sidecar is byte-stable across --workers)";
 
 fn main() {
-    let args = Args::parse_validated(
+    let args = Args::parse_sweep(
         USAGE,
         &[
-            "trials",
-            "dmax",
-            "k",
-            "seed",
-            "programs",
-            "setup",
-            "decoder",
-            "boundary",
-            "rates",
-            "workers",
-            "out",
-            "shard",
-            "plan",
-            "times",
-            "telemetry",
+            "trials", "dmax", "k", "seed", "programs", "setup", "decoder", "boundary", "rates",
         ],
-        &["quiet", "resume"],
+        &[],
     );
     let quick = std::env::var("VLQ_BENCH_QUICK").is_ok_and(|v| v == "1");
     let trials: u64 = args.get_or_usage(USAGE, "trials", if quick { 200 } else { 2000 });
-    let dmax: usize = args.get_or_usage(USAGE, "dmax", if quick { 3 } else { 5 });
+    let distances = distances_from_args(&args, USAGE, &[3, 5, 7, 9], if quick { 3 } else { 5 });
     let k: usize = args.get_or_usage(USAGE, "k", 4);
     if k < 2 {
         usage_exit(
@@ -109,16 +94,7 @@ fn main() {
         }
     }
 
-    let decoder_arg = args.get_str("decoder", "uf");
-    let decoder = DecoderKind::parse(&decoder_arg).unwrap_or_else(|| {
-        usage_exit(
-            USAGE,
-            &format!(
-                "unknown --decoder {decoder_arg:?}; accepted: \
-                 mwpm|blossom|matching, uf|unionfind|union-find"
-            ),
-        )
-    });
+    let decoder = decoder_from_args(&args, USAGE, DecoderKind::UnionFind);
 
     let boundary_arg = args.get_str("boundary", "mid-circuit");
     let boundary = Boundary::parse(&boundary_arg).unwrap_or_else(|| {
@@ -130,35 +106,8 @@ fn main() {
         )
     });
 
-    let setup_arg = args.get_str("setup", "compact-int");
-    let setups: Vec<Setup> = if setup_arg == "all" {
-        Setup::ALL.to_vec()
-    } else {
-        match Setup::ALL.into_iter().find(|s| s.to_string() == setup_arg) {
-            Some(s) => vec![s],
-            None => usage_exit(
-                USAGE,
-                &format!(
-                    "unknown --setup {setup_arg:?}; accepted: {}|all",
-                    Setup::ALL.map(|s| s.to_string()).join("|")
-                ),
-            ),
-        }
-    };
-
-    let distances: Vec<usize> = [3usize, 5, 7, 9]
-        .into_iter()
-        .filter(|&d| d <= dmax)
-        .collect();
-    if distances.is_empty() {
-        usage_exit(USAGE, &format!("--dmax {dmax} leaves no distances to scan"));
-    }
-    let rates: Vec<f64> = match args.pairs_get("rates") {
-        None => vec![8e-4, 2e-3, 5e-3],
-        Some(s) => {
-            parse_rates(&s).unwrap_or_else(|| usage_exit(USAGE, &format!("invalid --rates {s:?}")))
-        }
-    };
+    let setups = setups_from_args(&args, USAGE, &[Setup::CompactInterleaved]);
+    let rates = rates_from_args(&args, USAGE, &[8e-4, 2e-3, 5e-3]);
 
     let spec = SweepSpec::new()
         .programs(programs.iter().cloned())
@@ -171,15 +120,6 @@ fn main() {
         .shots(trials)
         .base_seed(seed);
 
-    let (recorder, telemetry_path) = telemetry_from_args(&args);
-    let engine = engine_from_args(&args, USAGE).with_recorder(recorder.clone());
-    let shard = shard_from_args(&args, USAGE);
-    let plan = plan_from_args(&args, USAGE, shard);
-    let opts = RunOptions {
-        shard,
-        index_offset: 0,
-        plan,
-    };
     // The boundary model changes every sampled value but is not a grid
     // coordinate (not in SweepPoint, so not in the seed/fingerprint
     // identity). Tag it into the artifact stem instead, so a --resume
@@ -191,37 +131,29 @@ fn main() {
     } else {
         format!("prog1-{boundary}")
     };
-    // Read the previous artifact (if resuming) before the sinks
-    // truncate it.
-    let cache = resume_cache_from_args(&args, USAGE, &stem, seed);
-    let skipped = resumed_points(&spec, &cache, &opts);
-    if skipped > 0 {
-        let owned = (0..spec.len()).filter(|&i| opts.owns(i)).count();
-        eprintln!("note: resume: {skipped}/{owned} points already complete");
-    }
-    let mut out = OutSinks::from_args(&args, &stem);
-    let mut meta = MetaBuilder::new(seed, shard).with_plan(opts.plan.as_ref());
-    meta.absorb(&spec);
-    out.write_meta(&meta.build());
-    let executor = ProgramSweepExecutor::new(boundary);
-    let records = engine
-        .run_opts(&spec, &executor, &mut out.as_dyn(), &cache, &opts)
-        .expect("sweep artifacts");
-    finish_telemetry(&recorder, telemetry_path.as_deref(), "prog1", seed);
+    let mut cli = SweepCli::new(&args, USAGE, &stem, seed);
+    let records = cli
+        .run(
+            std::slice::from_ref(&spec),
+            &ProgramSweepExecutor::new(boundary),
+        )
+        .remove(0);
+    cli.finish_telemetry("prog1");
 
     println!(
         "prog1: program-level logical error rates ({trials} trials/point, decoder {decoder}, \
          boundary {boundary}, k={k}, {} points)",
         records.len()
     );
-    if !shard.is_full() {
+    if !cli.shard.is_full() {
         println!(
-            "shard {shard}: {} of {} grid points (tables are printed by full runs \
+            "shard {}: {} of {} grid points (tables are printed by full runs \
              or after sweep-merge)",
+            cli.shard,
             records.len(),
             spec.len()
         );
-        out.announce();
+        cli.announce();
         return;
     }
     let rate_of = |program: &str, setup: Setup, d: usize, p: f64| -> f64 {
@@ -252,5 +184,5 @@ fn main() {
             }
         }
     }
-    out.announce();
+    cli.announce();
 }

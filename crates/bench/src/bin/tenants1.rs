@@ -22,11 +22,10 @@ use vlq::machine::MachineConfig;
 use vlq::qec::DecoderKind;
 use vlq::surface::schedule::{Basis, Setup};
 use vlq::sweep::artifact::{Table, Value};
-use vlq::sweep::{RunOptions, SweepPoint, SweepRecord, SweepSpec};
+use vlq::sweep::{SweepPoint, SweepRecord, SweepSpec};
 use vlq_bench::{
-    engine_from_args, finish_telemetry, parse_rates, plan_from_args, resume_cache_from_args,
-    resumed_points, sci, shard_from_args, telemetry_from_args, usage_exit, Args, MetaBuilder,
-    OutSinks,
+    decoder_from_args, distances_from_args, rates_from_args, sci, setups_from_args, usage_exit,
+    Args, SweepCli,
 };
 use vlq_telemetry::Recorder;
 use vlq_tenant::{
@@ -116,30 +115,16 @@ const REPORT_COLUMNS: [&str; 20] = [
 ];
 
 fn main() {
-    let args = Args::parse_validated(
+    let args = Args::parse_sweep(
         USAGE,
         &[
-            "trials",
-            "tenants",
-            "policies",
-            "dmax",
-            "k",
-            "seed",
-            "setup",
-            "decoder",
-            "rates",
-            "workers",
-            "out",
-            "shard",
-            "plan",
-            "times",
-            "telemetry",
+            "trials", "tenants", "policies", "dmax", "k", "seed", "setup", "decoder", "rates",
         ],
-        &["quiet", "resume"],
+        &[],
     );
     let quick = std::env::var("VLQ_BENCH_QUICK").is_ok_and(|v| v == "1");
     let trials: u64 = args.get_or_usage(USAGE, "trials", if quick { 100 } else { 1000 });
-    let dmax: usize = args.get_or_usage(USAGE, "dmax", if quick { 3 } else { 5 });
+    let distances = distances_from_args(&args, USAGE, &[3, 5, 7, 9], if quick { 3 } else { 5 });
     let k: usize = args.get_or_usage(USAGE, "k", 4);
     if k < 3 {
         usage_exit(
@@ -184,46 +169,9 @@ fn main() {
         }
     };
 
-    let decoder_arg = args.get_str("decoder", "uf");
-    let decoder = DecoderKind::parse(&decoder_arg).unwrap_or_else(|| {
-        usage_exit(
-            USAGE,
-            &format!(
-                "unknown --decoder {decoder_arg:?}; accepted: \
-                 mwpm|blossom|matching, uf|unionfind|union-find"
-            ),
-        )
-    });
-
-    let setup_arg = args.get_str("setup", "compact-int");
-    let setups: Vec<Setup> = if setup_arg == "all" {
-        Setup::ALL.to_vec()
-    } else {
-        match Setup::ALL.into_iter().find(|s| s.to_string() == setup_arg) {
-            Some(s) => vec![s],
-            None => usage_exit(
-                USAGE,
-                &format!(
-                    "unknown --setup {setup_arg:?}; accepted: {}|all",
-                    Setup::ALL.map(|s| s.to_string()).join("|")
-                ),
-            ),
-        }
-    };
-
-    let distances: Vec<usize> = [3usize, 5, 7, 9]
-        .into_iter()
-        .filter(|&d| d <= dmax)
-        .collect();
-    if distances.is_empty() {
-        usage_exit(USAGE, &format!("--dmax {dmax} leaves no distances to scan"));
-    }
-    let rates: Vec<f64> = match args.pairs_get("rates") {
-        None => vec![8e-4, 2e-3, 5e-3],
-        Some(s) => {
-            parse_rates(&s).unwrap_or_else(|| usage_exit(USAGE, &format!("invalid --rates {s:?}")))
-        }
-    };
+    let decoder = decoder_from_args(&args, USAGE, DecoderKind::UnionFind);
+    let setups = setups_from_args(&args, USAGE, &[Setup::CompactInterleaved]);
+    let rates = rates_from_args(&args, USAGE, &[8e-4, 2e-3, 5e-3]);
 
     let programs: Vec<String> = tenant_counts
         .iter()
@@ -240,25 +188,7 @@ fn main() {
         .shots(trials)
         .base_seed(seed);
 
-    let (recorder, telemetry_path) = telemetry_from_args(&args);
-    let engine = engine_from_args(&args, USAGE).with_recorder(recorder.clone());
-    let shard = shard_from_args(&args, USAGE);
-    let plan = plan_from_args(&args, USAGE, shard);
-    let opts = RunOptions {
-        shard,
-        index_offset: 0,
-        plan,
-    };
-    let cache = resume_cache_from_args(&args, USAGE, "tenants1", seed);
-    let skipped = resumed_points(&spec, &cache, &opts);
-    if skipped > 0 {
-        let owned = (0..spec.len()).filter(|&i| opts.owns(i)).count();
-        eprintln!("note: resume: {skipped}/{owned} points already complete");
-    }
-    let mut out = OutSinks::from_args(&args, "tenants1");
-    let mut meta = MetaBuilder::new(seed, shard).with_plan(opts.plan.as_ref());
-    meta.absorb(&spec);
-    out.write_meta(&meta.build());
+    let mut cli = SweepCli::new(&args, USAGE, "tenants1", seed);
 
     // The contention report does not depend on the error rate or the
     // Monte-Carlo trials: the merge is a pure function of the machine
@@ -303,9 +233,9 @@ fn main() {
             }
         }
     }
-    if let Some(dir) = &out.dir {
+    if let Some(dir) = &cli.out {
         report
-            .shard(shard)
+            .shard(cli.shard)
             .write_dir(dir, "tenants1-report")
             .unwrap_or_else(|e| {
                 eprintln!("error: write tenants1-report artifacts: {e}");
@@ -313,17 +243,16 @@ fn main() {
             });
     }
 
-    let executor = TenantSweepExecutor::default();
-    let records = engine
-        .run_opts(&spec, &executor, &mut out.as_dyn(), &cache, &opts)
-        .expect("sweep artifacts");
-    finish_telemetry(&recorder, telemetry_path.as_deref(), "tenants1", seed);
+    let records = cli
+        .run(std::slice::from_ref(&spec), &TenantSweepExecutor::default())
+        .remove(0);
+    cli.finish_telemetry("tenants1");
 
     // Per-tenant sidecars for the most contended cell (max tenant
     // count, first policy, first setup, smallest distance): one
     // recorder per tenant, tenant.* contention counters plus the
     // cost.* replay of that tenant's standalone sub-schedule.
-    if let Some(path) = &telemetry_path {
+    if let Some(path) = &cli.telemetry {
         let n = *tenant_counts.iter().max().expect("nonempty tenant counts");
         let multi = merged_or_exit(
             n,
@@ -356,14 +285,15 @@ fn main() {
          ({trials} trials/point, decoder {decoder}, k={k}, {} points)",
         records.len()
     );
-    if !shard.is_full() {
+    if !cli.shard.is_full() {
         println!(
-            "shard {shard}: {} of {} grid points (tables are printed by full runs \
+            "shard {}: {} of {} grid points (tables are printed by full runs \
              or after sweep-merge)",
+            cli.shard,
             records.len(),
             spec.len()
         );
-        out.announce();
+        cli.announce();
         return;
     }
 
@@ -423,5 +353,5 @@ fn main() {
             }
         }
     }
-    out.announce();
+    cli.announce();
 }

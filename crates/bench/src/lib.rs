@@ -7,6 +7,16 @@
 //! machine-readable CSV/JSON-lines artifacts (via `vlq-sweep`) so
 //! future PRs can regression-diff evaluation numbers.
 
+use std::path::{Path, PathBuf};
+
+use vlq_qec::DecoderKind;
+use vlq_surface::schedule::Setup;
+use vlq_sweep::{
+    CsvSink, JsonlSink, RecordSink, ResumeCache, RunOptions, ShardPlan, ShardSpec, SweepEngine,
+    SweepExecutor, SweepMeta, SweepRecord, SweepSpec, TimesSink,
+};
+use vlq_telemetry::Recorder;
+
 /// Tiny argument parser: `--key value` pairs and `--flag`s.
 #[derive(Debug, Default)]
 pub struct Args {
@@ -15,30 +25,6 @@ pub struct Args {
 }
 
 impl Args {
-    /// Parses `std::env::args` permissively (unknown keys are kept,
-    /// nothing exits). Prefer [`Args::parse_validated`] in binaries.
-    pub fn parse() -> Self {
-        let mut pairs = std::collections::HashMap::new();
-        let mut flags = std::collections::HashSet::new();
-        let argv: Vec<String> = std::env::args().skip(1).collect();
-        let mut i = 0;
-        while i < argv.len() {
-            let a = &argv[i];
-            if let Some(key) = a.strip_prefix("--") {
-                if i + 1 < argv.len() && !argv[i + 1].starts_with("--") {
-                    pairs.insert(key.to_string(), argv[i + 1].clone());
-                    i += 2;
-                } else {
-                    flags.insert(key.to_string());
-                    i += 1;
-                }
-            } else {
-                i += 1;
-            }
-        }
-        Args { pairs, flags }
-    }
-
     /// Parses `std::env::args` strictly: `keys` name the flags that take
     /// a value, `flags` the boolean ones. Unknown flags, missing values,
     /// and stray positional arguments print `usage` to stderr and exit
@@ -48,6 +34,15 @@ impl Args {
         let (args, positionals) = Self::parse_argv(&argv, usage, keys, flags, false);
         debug_assert!(positionals.is_empty());
         args
+    }
+
+    /// [`Args::parse_validated`] for the sweep binaries driven through
+    /// [`SweepCli`]: `keys` and `flags` name the binary's own options,
+    /// and the eight [`SweepCli`] options are accepted on top of them.
+    pub fn parse_sweep(usage: &str, keys: &[&str], flags: &[&str]) -> Self {
+        let keys = [keys, &SWEEP_KEYS].concat();
+        let flags = [flags, &SWEEP_FLAGS].concat();
+        Self::parse_validated(usage, &keys, &flags)
     }
 
     /// [`Args::parse_validated`] for binaries that also take positional
@@ -121,15 +116,6 @@ impl Args {
         (out, positionals)
     }
 
-    /// Typed lookup with default. Silently falls back on parse failure;
-    /// prefer [`Args::get_or_usage`] in binaries.
-    pub fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
-        self.pairs
-            .get(key)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    }
-
     /// Typed lookup with default; an unparseable value prints `usage`
     /// and exits with status 2.
     pub fn get_or_usage<T: std::str::FromStr>(&self, usage: &str, key: &str, default: T) -> T {
@@ -167,24 +153,6 @@ pub fn usage_exit(usage: &str, error: &str) -> ! {
     std::process::exit(2);
 }
 
-/// Builds the sweep engine a Monte-Carlo binary should use from its
-/// `--workers` / `--quiet` flags (shared by fig11, fig12, prog1 and
-/// tenants1). `--workers` is a sweep's only worker count.
-pub fn engine_from_args(args: &Args, usage: &str) -> vlq_sweep::SweepEngine {
-    let mut engine = match args.pairs_get("workers") {
-        Some(_) => {
-            let workers: usize = args.get_or_usage(usage, "workers", 0);
-            if workers == 0 {
-                usage_exit(usage, "--workers must be >= 1");
-            }
-            vlq_sweep::SweepEngine::with_workers(workers)
-        }
-        None => vlq_sweep::SweepEngine::default(),
-    };
-    engine.progress = !args.has("quiet");
-    engine
-}
-
 /// Resolves a `--<key> N|auto` count flag: `None` when absent,
 /// `available_parallelism` for `auto` (with a stderr note recording the
 /// resolved value — provenance for runs sharing artifacts), the number
@@ -208,13 +176,10 @@ pub fn count_from_args(args: &Args, usage: &str, key: &str) -> Option<usize> {
 /// Parses the `--telemetry PATH` flag: an attached recorder (plus the
 /// sidecar path) when given, a disabled recorder otherwise. Pair with
 /// [`finish_telemetry`] after the run.
-pub fn telemetry_from_args(args: &Args) -> (vlq_telemetry::Recorder, Option<std::path::PathBuf>) {
+pub fn telemetry_from_args(args: &Args) -> (Recorder, Option<PathBuf>) {
     match args.pairs_get("telemetry") {
-        Some(path) => (
-            vlq_telemetry::Recorder::attached(),
-            Some(std::path::PathBuf::from(path)),
-        ),
-        None => (vlq_telemetry::Recorder::disabled(), None),
+        Some(path) => (Recorder::attached(), Some(PathBuf::from(path))),
+        None => (Recorder::disabled(), None),
     }
 }
 
@@ -224,12 +189,7 @@ pub fn telemetry_from_args(args: &Args) -> (vlq_telemetry::Recorder, Option<std:
 ///
 /// The sidecar holds only deterministic-class metrics, so for a fixed
 /// seed it is byte-identical across `--workers` counts — CI pins this.
-pub fn finish_telemetry(
-    recorder: &vlq_telemetry::Recorder,
-    path: Option<&std::path::Path>,
-    bin: &str,
-    seed: u64,
-) {
+pub fn finish_telemetry(recorder: &Recorder, path: Option<&Path>, bin: &str, seed: u64) {
     let Some(path) = path else { return };
     std::fs::write(path, recorder.deterministic_jsonl(bin, seed))
         .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
@@ -240,50 +200,224 @@ pub fn finish_telemetry(
 /// Parses the `--shard i/N` flag of a sweep-backed binary (default: the
 /// full `0/1` shard). An unparsable or out-of-range spec prints `usage`
 /// and exits with status 2.
-pub fn shard_from_args(args: &Args, usage: &str) -> vlq_sweep::ShardSpec {
+pub fn shard_from_args(args: &Args, usage: &str) -> ShardSpec {
     match args.pairs_get("shard") {
-        None => vlq_sweep::ShardSpec::FULL,
+        None => ShardSpec::FULL,
         Some(s) => s
             .parse()
             .unwrap_or_else(|e| usage_exit(usage, &format!("--shard: {e}"))),
     }
 }
 
-/// Loads the `--resume` cache of a sweep-backed binary: completed grid
-/// points from a previous run's `<out>/<stem>.jsonl` artifact.
+/// The value options every [`SweepCli`] binary accepts.
+const SWEEP_KEYS: [&str; 6] = ["workers", "out", "shard", "plan", "times", "telemetry"];
+/// The switches every [`SweepCli`] binary accepts.
+const SWEEP_FLAGS: [&str; 2] = ["quiet", "resume"];
+
+/// The run front end fig11, fig12, prog1 and tenants1 share: parse with
+/// [`Args::parse_sweep`], build each spec of the run, then [`SweepCli::run`]
+/// them all.
 ///
-/// Must be called *before* [`OutSinks::from_args`], which truncates the
-/// artifact files. Returns an empty cache when `--resume` is absent;
-/// exits with usage status 2 when `--resume` is given without `--out`.
-/// A missing artifact (nothing to resume from) is fine — the run is
-/// simply a full one. A *damaged* artifact (truncated or garbled rows)
-/// or one sampled under a different base seed than `expected_seed` is
-/// a typed [`vlq_sweep::ArtifactError`]: the binary reports it and
-/// exits 2 rather than silently resampling or splicing seeds.
-pub fn resume_cache_from_args(
-    args: &Args,
-    usage: &str,
-    stem: &str,
-    expected_seed: u64,
-) -> vlq_sweep::ResumeCache {
-    if !args.has("resume") {
-        return vlq_sweep::ResumeCache::new();
+/// It owns the eight options those binaries have in common: `--workers`
+/// and `--quiet` (the engine), `--out` (`<stem>.csv`, `<stem>.jsonl` and
+/// the `<stem>.meta.json` sidecar), `--resume` (reuse the points already
+/// in `<out>/<stem>.jsonl`), `--shard` and `--plan` (which global point
+/// indices this run owns), `--times` (per-point wall times for
+/// `sweep-launch --shard-by time`) and `--telemetry` (the deterministic
+/// sidecar and the stderr summary). A binary keeps only its own grid
+/// options and its tables.
+pub struct SweepCli {
+    /// The `--shard i/N` this run executes (default: the full `0/1`).
+    pub shard: ShardSpec,
+    /// The `--out` directory, if given.
+    pub out: Option<PathBuf>,
+    /// The `--telemetry` sidecar path, if given.
+    pub telemetry: Option<PathBuf>,
+    engine: SweepEngine,
+    plan: Option<ShardPlan>,
+    cache: ResumeCache,
+    sinks: Vec<Box<dyn RecordSink>>,
+    stem: String,
+    seed: u64,
+}
+
+impl SweepCli {
+    /// Reads the shared options of a run whose artifacts are named
+    /// `stem` and whose points are seeded from `seed`, loading the
+    /// `--resume` cache from `<out>/<stem>.jsonl` before the sinks
+    /// truncate it.
+    ///
+    /// Exits 2 with `usage` on `--workers 0`, a bad `--shard`, a
+    /// malformed `--plan` or one whose shard count disagrees with
+    /// `--shard`, `--resume` without `--out`, and a resume artifact that
+    /// is damaged or was sampled under another seed (a missing one means
+    /// a full run).
+    pub fn new(args: &Args, usage: &str, stem: &str, seed: u64) -> Self {
+        let (recorder, telemetry) = telemetry_from_args(args);
+        let mut engine = match args.pairs_get("workers") {
+            Some(_) => {
+                let workers: usize = args.get_or_usage(usage, "workers", 0);
+                if workers == 0 {
+                    usage_exit(usage, "--workers must be >= 1");
+                }
+                SweepEngine::with_workers(workers)
+            }
+            None => SweepEngine::default(),
+        };
+        engine.progress = !args.has("quiet");
+        engine.recorder = recorder;
+        let shard = shard_from_args(args, usage);
+        let plan = args.pairs_get("plan").map(|path| {
+            let plan = ShardPlan::load(Path::new(&path))
+                .unwrap_or_else(|e| usage_exit(usage, &format!("--plan: {e}")));
+            if plan.count() != shard.count {
+                usage_exit(
+                    usage,
+                    &format!(
+                        "--plan has {} shards but --shard says {}/{}",
+                        plan.count(),
+                        shard.index,
+                        shard.count
+                    ),
+                );
+            }
+            plan
+        });
+        let out = args.pairs_get("out").map(PathBuf::from);
+        let cache = if args.has("resume") {
+            let Some(dir) = &out else {
+                usage_exit(
+                    usage,
+                    "--resume requires --out (the artifact to resume from)",
+                );
+            };
+            load_resume_cache(&dir.join(format!("{stem}.jsonl")), seed)
+        } else {
+            ResumeCache::new()
+        };
+        let mut sinks: Vec<Box<dyn RecordSink>> = Vec::new();
+        if let Some(dir) = &out {
+            sinks.push(Box::new(
+                CsvSink::create(&dir.join(format!("{stem}.csv")))
+                    .unwrap_or_else(|e| panic!("create {stem}.csv: {e}")),
+            ));
+            sinks.push(Box::new(
+                JsonlSink::create(&dir.join(format!("{stem}.jsonl")))
+                    .unwrap_or_else(|e| panic!("create {stem}.jsonl: {e}")),
+            ));
+        }
+        if let Some(p) = args.pairs_get("times") {
+            sinks.push(Box::new(
+                TimesSink::create(Path::new(&p)).unwrap_or_else(|e| panic!("create {p}: {e}")),
+            ));
+        }
+        SweepCli {
+            shard,
+            out,
+            telemetry,
+            engine,
+            plan,
+            cache,
+            sinks,
+            stem: stem.to_string(),
+            seed,
+        }
     }
-    let Some(dir) = args.pairs_get("out") else {
-        usage_exit(
-            usage,
-            "--resume requires --out (the artifact to resume from)",
-        );
-    };
-    let path = std::path::Path::new(&dir).join(format!("{stem}.jsonl"));
+
+    /// Runs `specs` in order into one artifact and returns each spec's
+    /// records (the points this shard owns, in expansion order).
+    ///
+    /// Points are numbered globally: each spec's first index follows the
+    /// previous spec's last, so `--shard`, `--plan`, `--resume` and
+    /// `sweep-merge` see one index space. With `--out`, the
+    /// `<stem>.meta.json` sidecar (seed, the fingerprint fold and point
+    /// total of every spec, the shard and the plan's fingerprint) is
+    /// written before the first point runs, so a shard killed mid-run
+    /// still names its sweep to `sweep-merge --verify`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an artifact file cannot be written.
+    pub fn run<E: SweepExecutor>(
+        &mut self,
+        specs: &[SweepSpec],
+        executor: &E,
+    ) -> Vec<Vec<SweepRecord>> {
+        if let Some(dir) = &self.out {
+            let meta = SweepMeta {
+                seed: self.seed,
+                spec_fingerprint: specs.iter().fold(0, |acc, spec| {
+                    vlq_sweep::combine_fingerprints(acc, spec.fingerprint())
+                }),
+                points: specs.iter().map(|spec| spec.len() as u64).sum(),
+                shard: self.shard,
+                plan: self.plan.as_ref().and_then(ShardPlan::fingerprint),
+            };
+            meta.write(dir, &self.stem)
+                .unwrap_or_else(|e| panic!("write {}.meta.json: {e}", self.stem));
+        }
+        let mut sinks: Vec<&mut dyn RecordSink> =
+            self.sinks.iter_mut().map(|sink| &mut **sink as _).collect();
+        let mut index_offset = 0;
+        let mut records = Vec::with_capacity(specs.len());
+        for spec in specs {
+            let opts = RunOptions {
+                shard: self.shard,
+                index_offset,
+                plan: self.plan.clone(),
+            };
+            let (mut owned, mut skipped) = (0, 0);
+            for (i, point) in spec.expand().iter().enumerate() {
+                if opts.owns(index_offset + i) {
+                    owned += 1;
+                    skipped +=
+                        usize::from(self.cache.failures_for(point, spec.base_seed).is_some());
+                }
+            }
+            if skipped > 0 {
+                eprintln!("note: resume: {skipped}/{owned} points already complete");
+            }
+            index_offset += spec.len();
+            records.push(
+                self.engine
+                    .run_opts(spec, executor, &mut sinks, &self.cache, &opts)
+                    .expect("sweep artifacts"),
+            );
+        }
+        records
+    }
+
+    /// Writes the `--telemetry` sidecar under `bin` and prints the
+    /// runtime summary (see [`finish_telemetry`]); a no-op without
+    /// `--telemetry`.
+    pub fn finish_telemetry(&self, bin: &str) {
+        let recorder = &self.engine.recorder;
+        finish_telemetry(recorder, self.telemetry.as_deref(), bin, self.seed);
+    }
+
+    /// Prints the artifact paths (call once, after the tables).
+    pub fn announce(&self) {
+        if let Some(dir) = &self.out {
+            println!(
+                "\nartifacts: {} and {}",
+                dir.join(format!("{}.csv", self.stem)).display(),
+                dir.join(format!("{}.jsonl", self.stem)).display()
+            );
+        }
+    }
+}
+
+/// Loads a `--resume` artifact: empty (a full run) when `path` does not
+/// exist yet, exit 2 when it is damaged or sampled under another seed.
+fn load_resume_cache(path: &Path, seed: u64) -> ResumeCache {
     if !path.exists() {
         eprintln!(
             "note: resume: no {} yet, running the full sweep",
             path.display()
         );
-        return vlq_sweep::ResumeCache::new();
+        return ResumeCache::new();
     }
-    match vlq_sweep::ResumeCache::load_jsonl_expecting(&path, expected_seed) {
+    match ResumeCache::load_jsonl_expecting(path, seed) {
         Ok(cache) => {
             eprintln!(
                 "note: resume: loaded {} completed point(s) from {}",
@@ -300,193 +434,78 @@ pub fn resume_cache_from_args(
     }
 }
 
-/// How many of the points a sharded run owns the resume cache
-/// satisfies (`opts` carries the shard, the plan, and the global
-/// numbering offset, exactly as passed to the engine).
-pub fn resumed_points(
-    spec: &vlq_sweep::SweepSpec,
-    cache: &vlq_sweep::ResumeCache,
-    opts: &vlq_sweep::RunOptions,
-) -> usize {
-    if cache.is_empty() {
-        return 0;
+/// Parses `--setup NAME|all` (fig11, prog1, tenants1): `default` when
+/// absent, every setup of [`Setup::ALL`](Setup::ALL)
+/// for `all`. An unknown name prints `usage` and exits 2.
+pub fn setups_from_args(args: &Args, usage: &str, default: &[Setup]) -> Vec<Setup> {
+    let Some(arg) = args.pairs_get("setup") else {
+        return default.to_vec();
+    };
+    if arg == "all" {
+        return Setup::ALL.to_vec();
     }
-    spec.expand()
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| opts.owns(opts.index_offset + i))
-        .filter(|(_, pt)| cache.failures_for(pt, spec.base_seed).is_some())
-        .count()
+    match Setup::ALL.into_iter().find(|s| s.to_string() == arg) {
+        Some(s) => vec![s],
+        None => usage_exit(
+            usage,
+            &format!(
+                "unknown --setup {arg:?}; accepted: {}|all",
+                Setup::ALL.map(|s| s.to_string()).join("|")
+            ),
+        ),
+    }
 }
 
-/// Parses the `--plan PATH` flag of a sweep-backed binary: an explicit
-/// [`vlq_sweep::ShardPlan`] (written by `sweep-launch --shard-by time`)
-/// overriding the default stride sharding. The plan file is
-/// self-checking (schema tag + fingerprint); a malformed plan, or one
-/// whose shard count disagrees with `--shard i/N`, prints `usage` and
-/// exits 2. Returns `None` when the flag is absent.
-pub fn plan_from_args(
-    args: &Args,
-    usage: &str,
-    shard: vlq_sweep::ShardSpec,
-) -> Option<vlq_sweep::ShardPlan> {
-    let path = args.pairs_get("plan")?;
-    let plan = vlq_sweep::ShardPlan::load(std::path::Path::new(&path))
-        .unwrap_or_else(|e| usage_exit(usage, &format!("--plan: {e}")));
-    if plan.count() != shard.count {
+/// Parses a one-decoder `--decoder NAME` (prog1, tenants1; fig11 also
+/// takes `all`): `default` when absent. An unknown name prints `usage`
+/// and exits 2.
+pub fn decoder_from_args(args: &Args, usage: &str, default: DecoderKind) -> DecoderKind {
+    let Some(arg) = args.pairs_get("decoder") else {
+        return default;
+    };
+    DecoderKind::parse(&arg).unwrap_or_else(|| {
         usage_exit(
             usage,
             &format!(
-                "--plan has {} shards but --shard says {}/{}",
-                plan.count(),
-                shard.index,
-                shard.count
+                "unknown --decoder {arg:?}; accepted: \
+                 mwpm|blossom|matching, uf|unionfind|union-find"
             ),
-        );
-    }
-    Some(plan)
+        )
+    })
 }
 
-/// The optional `--out` CSV + JSON-lines sink pair of a Monte-Carlo
-/// binary (shared by fig11, fig12, prog1 and tenants1), plus the
-/// optional `--times` wall-time sink feeding the `--shard-by time` cost
-/// model.
-pub struct OutSinks {
-    /// The `--out` directory, if given.
-    pub dir: Option<std::path::PathBuf>,
-    stem: String,
-    csv: Option<vlq_sweep::CsvSink<std::io::LineWriter<std::fs::File>>>,
-    jsonl: Option<vlq_sweep::JsonlSink<std::io::LineWriter<std::fs::File>>>,
-    times: Option<vlq_sweep::TimesSink<std::io::LineWriter<std::fs::File>>>,
+/// Parses `--dmax D` (every sweep binary): the distances of `all` that
+/// are at most D, with D = `default_dmax` when absent. An unparseable D,
+/// or one below every distance of `all`, prints `usage` and exits 2.
+pub fn distances_from_args(
+    args: &Args,
+    usage: &str,
+    all: &[usize],
+    default_dmax: usize,
+) -> Vec<usize> {
+    let dmax: usize = args.get_or_usage(usage, "dmax", default_dmax);
+    let distances: Vec<usize> = all.iter().copied().filter(|&d| d <= dmax).collect();
+    if distances.is_empty() {
+        usage_exit(usage, &format!("--dmax {dmax} leaves no distances to scan"));
+    }
+    distances
 }
 
-impl OutSinks {
-    /// Creates `<stem>.csv` / `<stem>.jsonl` sinks under the `--out`
-    /// directory (inert when the flag is absent) and a
-    /// [`vlq_sweep::TimesSink`] at the `--times` path when given.
-    pub fn from_args(args: &Args, stem: &str) -> OutSinks {
-        let dir = args.pairs_get("out").map(std::path::PathBuf::from);
-        let (csv, jsonl) = match &dir {
-            Some(d) => (
-                Some(
-                    vlq_sweep::CsvSink::create(&d.join(format!("{stem}.csv")))
-                        .unwrap_or_else(|e| panic!("create {stem}.csv: {e}")),
-                ),
-                Some(
-                    vlq_sweep::JsonlSink::create(&d.join(format!("{stem}.jsonl")))
-                        .unwrap_or_else(|e| panic!("create {stem}.jsonl: {e}")),
-                ),
-            ),
-            None => (None, None),
-        };
-        let times = args.pairs_get("times").map(|p| {
-            vlq_sweep::TimesSink::create(std::path::Path::new(&p))
-                .unwrap_or_else(|e| panic!("create {p}: {e}"))
-        });
-        OutSinks {
-            dir,
-            stem: stem.to_string(),
-            csv,
-            jsonl,
-            times,
-        }
-    }
-
-    /// The sink list to hand to the engine (empty when `--out` absent).
-    pub fn as_dyn(&mut self) -> Vec<&mut dyn vlq_sweep::RecordSink> {
-        let mut sinks: Vec<&mut dyn vlq_sweep::RecordSink> = Vec::new();
-        if let Some(s) = self.csv.as_mut() {
-            sinks.push(s);
-        }
-        if let Some(s) = self.jsonl.as_mut() {
-            sinks.push(s);
-        }
-        if let Some(s) = self.times.as_mut() {
-            sinks.push(s);
-        }
-        sinks
-    }
-
-    /// Writes the `<stem>.meta.json` sidecar recording the sweep's
-    /// identity (seed, spec fingerprint, full point count, shard) so
-    /// `sweep-merge` can validate shard compatibility. No-op without
-    /// `--out`.
-    pub fn write_meta(&self, meta: &vlq_sweep::SweepMeta) {
-        if let Some(dir) = &self.dir {
-            meta.write(dir, &self.stem)
-                .unwrap_or_else(|e| panic!("write {}.meta.json: {e}", self.stem));
-        }
-    }
-
-    /// Prints the artifact paths (call once, after the sweep).
-    pub fn announce(&self) {
-        if let Some(dir) = &self.dir {
-            println!(
-                "\nartifacts: {} and {}",
-                dir.join(format!("{}.csv", self.stem)).display(),
-                dir.join(format!("{}.jsonl", self.stem)).display()
-            );
+/// Parses `--rates P1,P2,...` (fig11, prog1, tenants1): `default` when
+/// absent. Each rate must be finite and in `[0, 0.5]` (above 1/2 a fault
+/// is likelier than not, and its matching weight `ln((1-p)/p)` turns
+/// negative); any other list prints `usage` and exits 2.
+pub fn rates_from_args(args: &Args, usage: &str, default: &[f64]) -> Vec<f64> {
+    match args.pairs_get("rates") {
+        None => default.to_vec(),
+        Some(s) => {
+            parse_rates(&s).unwrap_or_else(|| usage_exit(usage, &format!("invalid --rates {s:?}")))
         }
     }
 }
 
-/// Accumulates the `.meta.json` identity of a sweep binary's artifact
-/// across the (one or more) specs it streams into it: fig11 absorbs a
-/// single spec, fig12 one per panel. The fingerprint chain and point
-/// total are over the *full* grids, so every shard of the same
-/// invocation writes the same identity.
-#[derive(Clone, Copy, Debug)]
-pub struct MetaBuilder {
-    seed: u64,
-    shard: vlq_sweep::ShardSpec,
-    fingerprint: u64,
-    points: u64,
-    plan: Option<u64>,
-}
-
-impl MetaBuilder {
-    /// A builder for a run under `seed` executing `shard`.
-    pub fn new(seed: u64, shard: vlq_sweep::ShardSpec) -> Self {
-        MetaBuilder {
-            seed,
-            shard,
-            fingerprint: 0,
-            points: 0,
-            plan: None,
-        }
-    }
-
-    /// Records the explicit shard plan's fingerprint (`--plan`), so
-    /// `sweep-merge` validates the disjoint cover instead of the
-    /// default stride layout. Stride plans have no fingerprint and
-    /// leave the sidecar unchanged.
-    pub fn with_plan(mut self, plan: Option<&vlq_sweep::ShardPlan>) -> Self {
-        self.plan = plan.and_then(vlq_sweep::ShardPlan::fingerprint);
-        self
-    }
-
-    /// Folds one spec's full grid into the artifact identity.
-    pub fn absorb(&mut self, spec: &vlq_sweep::SweepSpec) {
-        self.fingerprint = vlq_sweep::combine_fingerprints(self.fingerprint, spec.fingerprint());
-        self.points += spec.len() as u64;
-    }
-
-    /// The finished sidecar value.
-    pub fn build(&self) -> vlq_sweep::SweepMeta {
-        vlq_sweep::SweepMeta {
-            seed: self.seed,
-            spec_fingerprint: self.fingerprint,
-            points: self.points,
-            shard: self.shard,
-            plan: self.plan,
-        }
-    }
-}
-
-/// Parses a `--rates` flag: a comma-separated list of physical error
-/// rates, each finite and in `[0, 0.5]`. Above 1/2 a fault is likelier
-/// than not, and its matching weight `ln((1-p)/p)` turns negative.
-pub fn parse_rates(s: &str) -> Option<Vec<f64>> {
+/// The rates of a comma-separated `--rates` value, if all are valid.
+fn parse_rates(s: &str) -> Option<Vec<f64>> {
     let vals: Result<Vec<f64>, _> = s.split(',').map(|t| t.trim().parse()).collect();
     vals.ok()
         .filter(|v| !v.is_empty() && v.iter().all(|p| (0.0..=0.5).contains(p)))
@@ -524,7 +543,7 @@ mod tests {
             &["quiet"],
             false,
         );
-        assert_eq!(a.get::<u64>("trials", 0), 100);
+        assert_eq!(a.get_or_usage::<u64>("usage", "trials", 0), 100);
         assert_eq!(a.get_str("seed", ""), "-5");
         assert!(a.has("quiet"));
         assert!(pos.is_empty());

@@ -93,13 +93,6 @@ impl Tableau {
         }
     }
 
-    /// Applies a sequence of gates.
-    pub fn apply_all<I: IntoIterator<Item = CliffordGate>>(&mut self, gates: I) {
-        for g in gates {
-            self.apply(g);
-        }
-    }
-
     /// Measures the single-qubit `Z` observable on `qubit`.
     ///
     /// `random_bit` supplies the outcome when the measurement is random

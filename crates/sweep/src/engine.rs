@@ -256,12 +256,6 @@ impl SweepEngine {
         }
     }
 
-    /// Enables or disables stderr progress reporting.
-    pub fn progress(mut self, on: bool) -> Self {
-        self.progress = on;
-        self
-    }
-
     /// Attaches a telemetry recorder shared by every worker.
     pub fn with_recorder(mut self, recorder: Recorder) -> Self {
         self.recorder = recorder;

@@ -48,13 +48,6 @@ pub struct PageView {
     pub now: u64,
 }
 
-impl PageView {
-    /// Scheduler cycles since the qubit's last error correction.
-    pub fn staleness(&self) -> u64 {
-        self.now.saturating_sub(self.last_ec)
-    }
-}
-
 /// A cavity-page replacement policy (see the module docs for the
 /// contract).
 pub trait ReplacementPolicy {
