@@ -184,11 +184,11 @@ fn main() {
         plan.save(&plan_path)
             .unwrap_or_else(|e| fail(&format!("{}: {e}", plan_path.display())));
         if !quiet {
-            let fp = plan.fingerprint().expect("cost plans are explicit");
             eprintln!(
-                "note: fleet: time-balanced plan over {} points ({} shards, fingerprint {fp:016x})",
+                "note: fleet: time-balanced plan over {} points ({} shards, fingerprint {:016x})",
                 costs.len(),
-                procs
+                procs,
+                plan.fingerprint()
             );
         }
         (plan_path, plan)

@@ -3,17 +3,19 @@
 //! figure binaries' `--shard i/N` flag.
 //!
 //! Merge mode takes N shard `--out` directories *in shard order*
-//! (`0/N` first) and interleaves their rows back into global point
-//! order, after validating that the shards parse strictly, agree on
-//! seed and spec fingerprint (via the `.meta.json` sidecars), and hold
-//! exactly the interleaving index pattern. Because shard rows are the
-//! byte-for-byte rows the full run would have produced, the merged
-//! CSV/JSONL (and sidecar) are byte-identical to an unsharded run's —
-//! and the merged JSONL is a valid `--resume` cache.
+//! (`0/N` first) and puts their rows back into global point order,
+//! after validating that the shards parse strictly, agree on seed and
+//! spec fingerprint (via the `.meta.json` sidecars), and hold exactly
+//! the indices they own: the stride rule without `--plan`, the plan's
+//! owners with it. Because shard rows are the byte-for-byte rows the
+//! full run would have produced, the merged CSV/JSONL (and sidecar) are
+//! byte-identical to an unsharded run's — and the merged JSONL is a
+//! valid `--resume` cache.
 //!
 //! Verify mode (`--verify`) checks a single artifact: strict row
-//! parsing, row counts, a uniform seed column, and byte-level CSV↔JSONL
-//! agreement — replacing the python one-liner CI used to carry.
+//! parsing, row counts, a uniform seed column, byte-level CSV↔JSONL
+//! agreement, and the same index-layout check as merge — replacing the
+//! python one-liner CI used to carry.
 //!
 //! Every validation failure is a typed error printed to stderr with
 //! exit code 2 (the same contract as bad flags).
@@ -21,7 +23,7 @@
 use std::path::PathBuf;
 
 use vlq_bench::{usage_exit, Args};
-use vlq_sweep::{merge_artifacts_with_plan, verify_artifact, MergeError, VerifyExpectations};
+use vlq_sweep::{merge_artifacts, verify_artifact, MergeError, VerifyExpectations};
 
 const USAGE: &str = "\
 usage: sweep-merge --stem STEM --out DIR [--plan PATH] SHARD_DIR...
@@ -29,11 +31,13 @@ usage: sweep-merge --stem STEM --out DIR [--plan PATH] SHARD_DIR...
                    [--expect-shots N] DIR
   --stem         artifact stem (fig11 reads/writes fig11.csv + fig11.jsonl)
   --out          directory for the merged artifacts (merge mode)
-  --plan         shard-plan file the shards ran under (merge mode; validates
-                 each shard holds exactly its planned points instead of the
-                 stride pattern — plan-stamped sidecars are detected even
-                 without this flag)
-  --verify       check one artifact directory instead of merging
+  --plan         shard-plan file the shards ran under (merge mode): each
+                 shard must hold exactly its planned points. Without it,
+                 shards hold the stride pattern (point g on shard g % N),
+                 or, when their sidecars name a plan, any disjoint cover
+                 of the grid
+  --verify       check one artifact directory instead of merging (a
+                 planned shard's indices need only ascend within the grid)
   --expect-rows  verify: require exactly N data rows
   --expect-seed  verify: require the uniform seed column to equal S
   --expect-shots verify: require every record to have run N shots
@@ -117,7 +121,7 @@ fn main() {
             std::process::exit(2);
         })
     });
-    match merge_artifacts_with_plan(&shard_dirs, &stem, &out, plan.as_ref()) {
+    match merge_artifacts(&shard_dirs, &stem, &out, plan.as_ref()) {
         Ok(report) => {
             let seed = report.seed.map_or("(none)".to_string(), |s| s.to_string());
             println!(

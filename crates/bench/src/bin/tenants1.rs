@@ -233,6 +233,12 @@ fn main() {
             }
         }
     }
+
+    // The report goes out after the sweep, so a run `SweepCli::run`
+    // refuses (a stale `--plan`) leaves no artifact behind.
+    let records = cli
+        .run(std::slice::from_ref(&spec), &TenantSweepExecutor::default())
+        .remove(0);
     if let Some(dir) = &cli.out {
         report
             .shard(cli.shard)
@@ -242,10 +248,6 @@ fn main() {
                 std::process::exit(1);
             });
     }
-
-    let records = cli
-        .run(std::slice::from_ref(&spec), &TenantSweepExecutor::default())
-        .remove(0);
     cli.finish_telemetry("tenants1");
 
     // Per-tenant sidecars for the most contended cell (max tenant

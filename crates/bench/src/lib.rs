@@ -236,7 +236,7 @@ pub struct SweepCli {
     engine: SweepEngine,
     plan: Option<ShardPlan>,
     cache: ResumeCache,
-    sinks: Vec<Box<dyn RecordSink>>,
+    times: Option<PathBuf>,
     stem: String,
     seed: u64,
 }
@@ -244,8 +244,8 @@ pub struct SweepCli {
 impl SweepCli {
     /// Reads the shared options of a run whose artifacts are named
     /// `stem` and whose points are seeded from `seed`, loading the
-    /// `--resume` cache from `<out>/<stem>.jsonl` before the sinks
-    /// truncate it.
+    /// `--resume` cache from `<out>/<stem>.jsonl` (the sinks that
+    /// truncate it open in [`SweepCli::run`]).
     ///
     /// Exits 2 with `usage` on `--workers 0`, a bad `--shard`, a
     /// malformed `--plan` or one whose shard count disagrees with
@@ -295,22 +295,6 @@ impl SweepCli {
         } else {
             ResumeCache::new()
         };
-        let mut sinks: Vec<Box<dyn RecordSink>> = Vec::new();
-        if let Some(dir) = &out {
-            sinks.push(Box::new(
-                CsvSink::create(&dir.join(format!("{stem}.csv")))
-                    .unwrap_or_else(|e| panic!("create {stem}.csv: {e}")),
-            ));
-            sinks.push(Box::new(
-                JsonlSink::create(&dir.join(format!("{stem}.jsonl")))
-                    .unwrap_or_else(|e| panic!("create {stem}.jsonl: {e}")),
-            ));
-        }
-        if let Some(p) = args.pairs_get("times") {
-            sinks.push(Box::new(
-                TimesSink::create(Path::new(&p)).unwrap_or_else(|e| panic!("create {p}: {e}")),
-            ));
-        }
         SweepCli {
             shard,
             out,
@@ -318,7 +302,7 @@ impl SweepCli {
             engine,
             plan,
             cache,
-            sinks,
+            times: args.pairs_get("times").map(PathBuf::from),
             stem: stem.to_string(),
             seed,
         }
@@ -329,11 +313,13 @@ impl SweepCli {
     ///
     /// Points are numbered globally: each spec's first index follows the
     /// previous spec's last, so `--shard`, `--plan`, `--resume` and
-    /// `sweep-merge` see one index space. With `--out`, the
-    /// `<stem>.meta.json` sidecar (seed, the fingerprint fold and point
-    /// total of every spec, the shard and the plan's fingerprint) is
-    /// written before the first point runs, so a shard killed mid-run
-    /// still names its sweep to `sweep-merge --verify`.
+    /// `sweep-merge` see one index space. A `--plan` must cover exactly
+    /// that index space: one cut for another grid exits 2 before any
+    /// artifact is opened. With `--out`, the `<stem>.meta.json` sidecar
+    /// (seed, the fingerprint fold and point total of every spec, the
+    /// shard and the plan's fingerprint) is written before the first
+    /// point runs, so a shard killed mid-run still names its sweep to
+    /// `sweep-merge --verify`.
     ///
     /// # Panics
     ///
@@ -343,21 +329,45 @@ impl SweepCli {
         specs: &[SweepSpec],
         executor: &E,
     ) -> Vec<Vec<SweepRecord>> {
+        let points: usize = specs.iter().map(SweepSpec::len).sum();
+        if let Some(Err(e)) = self
+            .plan
+            .as_ref()
+            .map(|plan| plan.check_grid(self.shard.count, points))
+        {
+            eprintln!("error: --plan: {e}");
+            std::process::exit(2);
+        }
+        let mut sinks: Vec<Box<dyn RecordSink>> = Vec::new();
         if let Some(dir) = &self.out {
             let meta = SweepMeta {
                 seed: self.seed,
                 spec_fingerprint: specs.iter().fold(0, |acc, spec| {
                     vlq_sweep::combine_fingerprints(acc, spec.fingerprint())
                 }),
-                points: specs.iter().map(|spec| spec.len() as u64).sum(),
+                points: points as u64,
                 shard: self.shard,
-                plan: self.plan.as_ref().and_then(ShardPlan::fingerprint),
+                plan: self.plan.as_ref().map(ShardPlan::fingerprint),
             };
             meta.write(dir, &self.stem)
                 .unwrap_or_else(|e| panic!("write {}.meta.json: {e}", self.stem));
+            let stem = &self.stem;
+            sinks.push(Box::new(
+                CsvSink::create(&dir.join(format!("{stem}.csv")))
+                    .unwrap_or_else(|e| panic!("create {stem}.csv: {e}")),
+            ));
+            sinks.push(Box::new(
+                JsonlSink::create(&dir.join(format!("{stem}.jsonl")))
+                    .unwrap_or_else(|e| panic!("create {stem}.jsonl: {e}")),
+            ));
+        }
+        if let Some(p) = &self.times {
+            sinks.push(Box::new(
+                TimesSink::create(p).unwrap_or_else(|e| panic!("create {}: {e}", p.display())),
+            ));
         }
         let mut sinks: Vec<&mut dyn RecordSink> =
-            self.sinks.iter_mut().map(|sink| &mut **sink as _).collect();
+            sinks.iter_mut().map(|sink| &mut **sink as _).collect();
         let mut index_offset = 0;
         let mut records = Vec::with_capacity(specs.len());
         for spec in specs {

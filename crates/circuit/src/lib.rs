@@ -20,4 +20,4 @@ pub mod noise;
 
 pub use exec::{BatchResult, FaultEffect, FaultSensitivity, FaultSite, ValidationReport};
 pub use ir::{Circuit, Detector, GateClass, Instruction, Medium, QubitKind, QubitMeta};
-pub use noise::{NoiseChannel, NoiseModel};
+pub use noise::NoiseModel;

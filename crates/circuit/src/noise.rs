@@ -11,18 +11,6 @@ use vlq_math::stats::idle_error_probability;
 
 use crate::ir::{Circuit, GateClass, Instruction, Medium};
 
-/// A single-qubit Pauli channel description (exposed for decoder-side
-/// fault enumeration).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum NoiseChannel {
-    /// Uniform 1-qubit depolarizing with total probability `p`.
-    Depolarize1(usize, f64),
-    /// Uniform 2-qubit depolarizing with total probability `p`.
-    Depolarize2(usize, usize, f64),
-    /// Measurement record flip.
-    RecordFlip(usize, f64),
-}
-
 /// Hardware + error-rate bundle driving the noise pass.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct NoiseModel {

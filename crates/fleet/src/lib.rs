@@ -8,7 +8,7 @@
 //! the children's JSONL artifacts for liveness, restarts dead or
 //! stalled shards from their salvaged resume caches with capped
 //! exponential backoff, and finally recombines the shard artifacts with
-//! [`vlq_sweep::merge_artifacts_with_plan`] — so a fleet run's merged
+//! [`vlq_sweep::merge_artifacts`] — so a fleet run's merged
 //! CSV/JSONL/`.meta.json` are byte-identical to a single-process run's,
 //! *including* after a mid-run crash.
 //!
@@ -30,7 +30,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use vlq_sweep::{merge_artifacts, merge_artifacts_with_plan, salvage_jsonl, MergeError, ShardPlan};
+use vlq_sweep::{merge_artifacts, salvage_jsonl, MergeError, ShardPlan};
 use vlq_telemetry::{merge_deterministic_jsonl, Metric, Recorder, SidecarMergeError};
 
 /// Schema tag of the `<stem>.fleet.json` provenance sidecar.
@@ -56,8 +56,8 @@ pub struct FleetSpec {
     /// supervisor's authoritative `--out/--shard/--resume/--quiet`.
     pub passthrough: Vec<String>,
     /// Cost-balanced shard plan (file the children read via `--plan`,
-    /// plus the parsed plan the merge validates against). `None` is the
-    /// default `index % N` stride.
+    /// plus the parsed plan the merge validates against). `None`
+    /// strides.
     pub plan: Option<(PathBuf, ShardPlan)>,
     /// How the plan was chosen (`stride` or `time`), for the sidecar.
     pub shard_by: String,
@@ -265,11 +265,9 @@ pub fn render_commands(spec: &FleetSpec) -> Vec<String> {
 /// mode, plan fingerprint). Contains no wall-clock state, so reruns of
 /// the same launch write identical bytes.
 pub fn fleet_sidecar(spec: &FleetSpec) -> String {
-    let plan = spec
-        .plan
-        .as_ref()
-        .and_then(|(_, p)| p.fingerprint())
-        .map_or("null".to_string(), |fp| format!("\"{fp:016x}\""));
+    let plan = spec.plan.as_ref().map_or("null".to_string(), |(_, p)| {
+        format!("\"{:016x}\"", p.fingerprint())
+    });
     format!(
         "{{\"schema\": \"{FLEET_SCHEMA}\", \"bin\": \"{}\", \"stem\": \"{}\", \"procs\": {}, \
          \"shard_by\": \"{}\", \"plan\": {plan}}}\n",
@@ -385,12 +383,10 @@ pub fn supervise(
     result?;
 
     let dirs: Vec<PathBuf> = procs.iter().map(|p| p.dir.clone()).collect();
-    let merged = match &spec.plan {
-        Some((_, plan)) => merge_artifacts_with_plan(&dirs, &spec.stem, &spec.out, Some(plan))?,
-        None => merge_artifacts(&dirs, &spec.stem, &spec.out)?,
-    };
+    let plan = spec.plan.as_ref().map(|(_, plan)| plan);
+    let merged = merge_artifacts(&dirs, &spec.stem, &spec.out, plan)?;
     for stem in &spec.extra_stems {
-        merge_artifacts(&dirs, stem, &spec.out)?;
+        merge_artifacts(&dirs, stem, &spec.out, None)?;
     }
     if spec.telemetry {
         let name = format!("{}.telemetry.jsonl", spec.stem);
@@ -415,7 +411,7 @@ pub fn supervise(
         restarts: procs.iter().map(|p| p.restarts).sum(),
         stalls,
         rows: merged.rows,
-        plan: spec.plan.as_ref().and_then(|(_, p)| p.fingerprint()),
+        plan: plan.map(ShardPlan::fingerprint),
     })
 }
 
@@ -615,7 +611,10 @@ mod tests {
         let out = PathBuf::from("/tmp/fleet");
         let mut spec = test_spec(&out, 3);
         spec.telemetry = true;
-        spec.plan = Some((out.join("unit.plan.json"), ShardPlan::stride(3)));
+        spec.plan = Some((
+            out.join("unit.plan.json"),
+            ShardPlan::from_costs(3, &[1, 1, 1]),
+        ));
         let args = child_args(&spec, 1);
         // Passthrough first, supervisor flags after (later wins).
         assert_eq!(&args[..2], &["--trials".to_string(), "10".to_string()]);
@@ -653,7 +652,7 @@ mod tests {
              \"procs\": 4, \"shard_by\": \"stride\", \"plan\": null}\n"
         );
         let plan = ShardPlan::from_costs(2, &[3, 1, 2, 1]);
-        let fp = plan.fingerprint().unwrap();
+        let fp = plan.fingerprint();
         spec.plan = Some((PathBuf::from("/tmp/fleet/unit.plan.json"), plan));
         spec.shard_by = "time".to_string();
         assert_eq!(

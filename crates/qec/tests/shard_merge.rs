@@ -91,7 +91,7 @@ fn sharded_fig11_merges_byte_identically_and_resumes() {
             dirs.push(dir);
         }
         let merged = base.join(format!("n{count}-merged"));
-        let report = merge_artifacts(&dirs, "fig11", &merged).unwrap();
+        let report = merge_artifacts(&dirs, "fig11", &merged, None).unwrap();
         assert_eq!(report.rows, 8);
         assert_eq!(report.seed, Some(2020));
         for file in ["fig11.csv", "fig11.jsonl", "fig11.meta.json"] {

@@ -87,24 +87,23 @@ pub struct RunOptions {
     /// Global index of the spec's first point. Binaries that stream
     /// several specs into one artifact (fig12's panels) advance this by
     /// each spec's full length so `index` stays globally unique — the
-    /// invariant `sweep-merge` interleaves by.
+    /// invariant `sweep-merge` merges by.
     pub index_offset: usize,
-    /// Optional explicit shard plan (`--shard-by time`). When set, it
-    /// overrides the stride rule: this run owns the global indices the
-    /// plan assigns to `shard.index`. `shard.count` must equal the
-    /// plan's shard count; per-point seeding is unchanged, so any
-    /// disjoint-cover plan recomposes byte-identically.
+    /// Optional shard plan (`--shard-by time`); `None` strides. With a
+    /// plan, this run owns the global indices the plan assigns to
+    /// `shard.index`. The plan must be cut for `shard.count` shards and
+    /// cover every global index of the run ([`ShardPlan::check_grid`]);
+    /// per-point seeding is unchanged, so any plan recomposes
+    /// byte-identically.
     pub plan: Option<ShardPlan>,
 }
 
 impl RunOptions {
-    /// Whether this run owns global point index `g`: the plan's
-    /// assignment when a plan is set, the stride rule otherwise.
+    /// Whether this run owns global point index `g`: the plan's owner
+    /// when there is a plan, the stride rule ([`ShardSpec::owns`])
+    /// otherwise. Merge and verify ask the same function.
     pub fn owns(&self, g: usize) -> bool {
-        match &self.plan {
-            Some(plan) => plan.owner_of(g) == Some(self.shard.index),
-            None => self.shard.owns(g),
-        }
+        crate::plan::owns(self.plan.as_ref(), self.shard, g)
     }
 }
 
@@ -291,13 +290,13 @@ impl SweepEngine {
     /// byte-identical to a full fresh run.
     ///
     /// Points are numbered globally — `index_offset` plus their
-    /// position in the spec's expansion — and the shard owns exactly
-    /// those with `global_index % shard.count == shard.index`
-    /// ([`ShardSpec::owns`]). Per-chunk seeds depend only on the base
+    /// position in the spec's expansion — and the run owns exactly
+    /// those [`RunOptions::owns`] gives it: its plan's points, or the
+    /// stride rule without a plan. Per-chunk seeds depend only on the base
     /// seed and point coordinates, so a shard computes byte-for-byte
     /// the records the full run would have computed for its points, and
-    /// `sweep-merge` can interleave N shard artifacts back into the
-    /// unsharded artifact.
+    /// `sweep-merge` can put N shard artifacts back into the unsharded
+    /// artifact.
     pub fn run_opts<E: SweepExecutor>(
         &self,
         spec: &SweepSpec,
@@ -628,7 +627,7 @@ mod tests {
         let engine = SweepEngine::with_workers(3);
         let full = engine.run(&spec, &HashExecutor, &mut []).unwrap();
         let owners: Vec<u32> = (0..full.len() as u32).map(|g| (g / 5) % 3).collect();
-        let plan = ShardPlan::Explicit { count: 3, owners };
+        let plan = ShardPlan { count: 3, owners };
         let mut merged: Vec<Option<SweepRecord>> = vec![None; full.len()];
         for index in 0..3 {
             let opts = RunOptions {
@@ -645,9 +644,12 @@ mod tests {
                     &opts,
                 )
                 .unwrap();
-            assert_eq!(recs.len(), plan.shard_len(index).unwrap());
+            assert_eq!(
+                recs.len(),
+                plan.owners.iter().filter(|&&o| o as usize == index).count()
+            );
             for r in recs {
-                assert_eq!(plan.owner_of(r.index), Some(index), "record in wrong shard");
+                assert_eq!(plan.owner_of(r.index), index, "record in wrong shard");
                 assert!(merged[r.index].replace(r).is_none(), "duplicate index");
             }
         }

@@ -22,10 +22,11 @@
 //!    future PRs can regression-diff.
 //!
 //! Deterministic seeding also makes sweeps **shardable across
-//! machines**: a [`ShardSpec`] `i/N` runs only the grid points with
-//! `global_index % N == i` (same global numbering, same per-chunk
-//! seeds), and the [`merge`] module interleaves N shard artifacts back
-//! into files byte-identical to an unsharded run's.
+//! machines**: a [`ShardSpec`] `i/N` runs only the grid points it owns
+//! (`global_index % N == i`, or the points a [`ShardPlan`] gives it;
+//! same global numbering, same per-chunk seeds), and the [`merge`]
+//! module puts N shard artifacts back into files byte-identical to an
+//! unsharded run's.
 //!
 //! The engine is domain-generic over a [`SweepExecutor`]; `vlq-qec`
 //! implements the executor for Monte-Carlo memory experiments and
@@ -70,8 +71,8 @@ pub mod spec;
 
 pub use engine::{RunOptions, SweepEngine, SweepExecutor};
 pub use merge::{
-    merge_artifacts, merge_artifacts_with_plan, salvage_jsonl, verify_artifact, ArtifactError,
-    MergeError, MergeReport, SweepMeta, VerifyExpectations, VerifyReport,
+    merge_artifacts, salvage_jsonl, verify_artifact, ArtifactError, MergeError, MergeReport,
+    SweepMeta, VerifyExpectations, VerifyReport,
 };
 pub use plan::{
     load_times, parse_times, PlanError, ShardPlan, TimesEntry, TimesFile, PLAN_SCHEMA, TIMES_SCHEMA,

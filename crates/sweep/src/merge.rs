@@ -3,13 +3,18 @@
 //!
 //! A sharded sweep (`--shard i/N`, see [`crate::shard`]) writes the
 //! same CSV/JSONL artifacts as a full run, just restricted to the grid
-//! points with `global_index % N == i` — and a `.meta.json` sidecar
-//! recording the seed, the spec fingerprint, the full point count, and
-//! the shard coordinates. [`merge_artifacts`] interleaves N such shard
-//! directories back into global point order and writes artifacts
-//! **byte-identical** to the unsharded run's; [`verify_artifact`]
-//! checks a single artifact's internal consistency (row counts, seed
-//! column, CSV↔JSONL agreement) so CI needs no external tooling.
+//! points the shard owns — the stride rule without a plan, the plan's
+//! points under `--plan` — and a `.meta.json` sidecar recording the
+//! seed, the spec fingerprint, the full point count, the shard
+//! coordinates and any plan's fingerprint. [`merge_artifacts`] puts N
+//! such shard directories back into global point order and writes
+//! artifacts **byte-identical** to the unsharded run's;
+//! [`verify_artifact`] checks a single artifact's internal consistency
+//! (row counts, seed column, CSV↔JSONL agreement) so CI needs no
+//! external tooling. Both run one index-layout check on every shard,
+//! whatever its layout: indices ascending, within the grid, and — when
+//! the owner of each index is known — exactly the indices the shard
+//! owns.
 //!
 //! Every validation failure is a typed error ([`MergeError`] /
 //! [`ArtifactError`]); the `sweep-merge` binary maps them to exit
@@ -21,7 +26,7 @@ use std::fmt;
 use std::io::{self, BufRead, Write};
 use std::path::{Path, PathBuf};
 
-use crate::plan::ShardPlan;
+use crate::plan::{owns, ShardPlan};
 use crate::shard::ShardSpec;
 use crate::sink::{csv_row, jsonl_row, SweepRecord, RECORD_COLUMNS};
 use crate::spec::{KnobSetting, SweepPoint};
@@ -99,7 +104,8 @@ pub enum MergeError {
     MissingFile(PathBuf),
     /// CSV headers (or row/line counts within one directory) disagree.
     SchemaMismatch(String),
-    /// A row's global index is not what shard interleaving requires.
+    /// A row's global index breaks the shard layout: out of order,
+    /// beyond the grid, on the wrong shard, missing, or held twice.
     IndexMismatch(String),
     /// Shards disagree on seed, spec fingerprint, point count, or shard
     /// coordinates.
@@ -477,29 +483,52 @@ pub fn load_record_artifact(dir: &Path, stem: &str) -> Result<RecordArtifact, Me
     })
 }
 
-/// Checks that `records` hold exactly the global indices shard `shard`
-/// owns out of `total`, in ascending order: record `j` must have index
-/// `shard.index + j * shard.count`.
-fn validate_shard_indices(
+/// Which global indices a shard must hold, as far as merge or verify
+/// can tell.
+#[derive(Clone, Copy)]
+enum Owners<'a> {
+    /// Exactly those the shard owns under this plan, or under the
+    /// stride rule when there is none.
+    Known(Option<&'a ShardPlan>),
+    /// The sidecar names a plan that was not given: any ascending
+    /// subset, and only merge's cross-shard cover can find a gap.
+    Unknown,
+}
+
+/// The one index-layout check of a shard artifact, for merge and verify
+/// alike: global indices strictly ascending and below `total` and, when
+/// the owners are known, owned by `shard` with none of its indices
+/// missing.
+fn check_indices(
     artifact: &RecordArtifact,
     shard: ShardSpec,
     total: usize,
+    owners: Owners,
 ) -> Result<(), MergeError> {
-    if artifact.records.len() != shard.len_of(total) {
+    let dir = artifact.dir.display();
+    let mut prev: Option<usize> = None;
+    for (j, r) in artifact.records.iter().enumerate() {
+        let g = r.index;
+        let fault = if prev.is_some_and(|p| g <= p) {
+            "out of ascending order"
+        } else if g >= total {
+            "beyond the grid"
+        } else if matches!(owners, Owners::Known(plan) if !owns(plan, shard, g)) {
+            "not owned by the shard"
+        } else {
+            prev = Some(g);
+            continue;
+        };
         return Err(MergeError::IndexMismatch(format!(
-            "{}: shard {shard} of {total} points must hold {} records, found {}",
-            artifact.dir.display(),
-            shard.len_of(total),
-            artifact.records.len()
+            "{dir}: record {j} has global index {g}, {fault} (shard {shard} of {total} points)"
         )));
     }
-    for (j, r) in artifact.records.iter().enumerate() {
-        let expected = shard.index + j * shard.count;
-        if r.index != expected {
+    if let Owners::Known(plan) = owners {
+        let owned = (0..total).filter(|&g| owns(plan, shard, g)).count();
+        if artifact.records.len() != owned {
             return Err(MergeError::IndexMismatch(format!(
-                "{}: record {j} has global index {}, shard {shard} expects {expected}",
-                artifact.dir.display(),
-                r.index
+                "{dir}: shard {shard} of {total} points must hold {owned} records, found {}",
+                artifact.records.len()
             )));
         }
     }
@@ -511,7 +540,7 @@ fn validate_shard_indices(
 pub struct MergeReport {
     /// Total merged data rows.
     pub rows: usize,
-    /// How many shard directories were interleaved.
+    /// How many shard directories were merged.
     pub shards: usize,
     /// The common base seed (`None` for an empty merge).
     pub seed: Option<u64>,
@@ -522,40 +551,26 @@ pub struct MergeReport {
 
 /// Merges N shard artifact directories (passed in shard order: the
 /// `i`-th directory must hold shard `i/N`) back into the artifacts an
-/// unsharded run would have written under `out_dir`.
+/// unsharded run would have written under `out_dir`. `plan` is the
+/// plan the shards ran under (`sweep-merge --plan`); `None` means they
+/// strode, unless their sidecars carry a plan fingerprint.
 ///
 /// Validates each shard (see [`load_record_artifact`]), that all shards
 /// agree on seed and — when `.meta.json` sidecars are present — on
-/// spec fingerprint, total point count, and plan fingerprint, and that
-/// the shards' global indices recompose exactly `0..total` (the default
-/// stride interleave, or any disjoint cover when the sidecars carry an
-/// explicit plan fingerprint). Rows are re-emitted verbatim in global
-/// index order, so the merged CSV/JSONL are byte-identical to a full
-/// run's (this is what the canonical-form check in the loader
-/// guarantees); the merged artifact is also a valid `--resume` cache.
+/// spec fingerprint, total point count and plan fingerprint, and that
+/// a given plan matches them. Each shard then passes the index-layout
+/// check: ascending indices within the grid, exactly the ones it owns
+/// under `plan` or the stride rule. The owner is unknown only when the
+/// sidecars name a plan and `plan` is `None`; then any disjoint cover of
+/// `0..total` merges. Rows are re-emitted verbatim in global index
+/// order, so the merged CSV/JSONL are byte-identical to a full run's
+/// (this is what the canonical-form check in the loader guarantees);
+/// the merged artifact is also a valid `--resume` cache.
 ///
 /// # Errors
 ///
 /// Typed [`MergeError`]s; the `sweep-merge` binary exits 2 on any.
 pub fn merge_artifacts(
-    shard_dirs: &[PathBuf],
-    stem: &str,
-    out_dir: &Path,
-) -> Result<MergeReport, MergeError> {
-    merge_artifacts_with_plan(shard_dirs, stem, out_dir, None)
-}
-
-/// [`merge_artifacts`] with an explicit [`ShardPlan`] to validate
-/// *exact* ownership against (`sweep-merge --plan`): beyond the
-/// disjoint-cover checks, every record must sit on precisely the shard
-/// the plan assigned it to, and the plan's fingerprint must match the
-/// sidecars'. Passing a stride plan (or `None`) requires the default
-/// stride layout.
-///
-/// # Errors
-///
-/// Typed [`MergeError`]s; the `sweep-merge` binary exits 2 on any.
-pub fn merge_artifacts_with_plan(
     shard_dirs: &[PathBuf],
     stem: &str,
     out_dir: &Path,
@@ -568,7 +583,7 @@ pub fn merge_artifacts_with_plan(
     // structurally. Only the header line is read here — each path then
     // loads its shards in full.
     if read_header(&shard_dirs[0].join(format!("{stem}.csv")))? != RECORD_COLUMNS.join(",") {
-        if plan.is_some() && plan.and_then(ShardPlan::fingerprint).is_some() {
+        if plan.is_some() {
             return Err(MergeError::MetaMismatch(format!(
                 "{stem}: generic table artifacts are always stride-sharded; --plan does not apply"
             )));
@@ -644,9 +659,8 @@ pub fn merge_artifacts_with_plan(
             _ => {}
         }
     }
-    // Reconcile the sidecars' plan fingerprint with any explicit plan.
+    // Reconcile the sidecars' plan fingerprint with the given plan.
     let meta_plan_fp = artifacts[0].meta.and_then(|m| m.plan);
-    let arg_plan_fp = plan.and_then(ShardPlan::fingerprint);
     if let Some(p) = plan {
         if p.count() != count {
             return Err(MergeError::MetaMismatch(format!(
@@ -654,110 +668,52 @@ pub fn merge_artifacts_with_plan(
                 p.count()
             )));
         }
-        if let Some(points) = p.points() {
-            if points != total {
-                return Err(MergeError::MetaMismatch(format!(
-                    "plan covers {points} points, shards sum to {total}"
-                )));
-            }
-        }
-        if with_meta == count && arg_plan_fp != meta_plan_fp {
+        if p.points() != total {
             return Err(MergeError::MetaMismatch(format!(
-                "plan fingerprint {:?} does not match the sidecars' {:?}",
-                arg_plan_fp.map(|fp| format!("{fp:016x}")),
+                "plan covers {} points, shards sum to {total}",
+                p.points()
+            )));
+        }
+        if with_meta == count && Some(p.fingerprint()) != meta_plan_fp {
+            return Err(MergeError::MetaMismatch(format!(
+                "plan fingerprint {:016x} does not match the sidecars' {:?}",
+                p.fingerprint(),
                 meta_plan_fp.map(|fp| format!("{fp:016x}")),
             )));
         }
     }
 
-    let planned = meta_plan_fp.is_some() || arg_plan_fp.is_some();
-    if planned {
-        // Arbitrary disjoint cover: per-shard strictly ascending, union
-        // exactly 0..total; with an explicit plan, exact ownership too.
-        let mut cover: Vec<Option<(usize, usize)>> = vec![None; total];
-        for (i, a) in artifacts.iter().enumerate() {
-            let mut prev: Option<usize> = None;
-            for (j, r) in a.records.iter().enumerate() {
-                if prev.is_some_and(|p| r.index <= p) {
-                    return Err(MergeError::IndexMismatch(format!(
-                        "{}: record {j} has global index {} out of ascending order",
-                        a.dir.display(),
-                        r.index
-                    )));
-                }
-                prev = Some(r.index);
-                if r.index >= total {
-                    return Err(MergeError::IndexMismatch(format!(
-                        "{}: record {j} has global index {} beyond the {total}-point grid",
-                        a.dir.display(),
-                        r.index
-                    )));
-                }
-                if let Some((other, _)) = cover[r.index] {
-                    return Err(MergeError::IndexMismatch(format!(
-                        "{}: global index {} already emitted by {}",
-                        a.dir.display(),
-                        r.index,
-                        artifacts[other].dir.display()
-                    )));
-                }
-                if let Some(p) = plan {
-                    if p.owner_of(r.index) != Some(i) {
-                        return Err(MergeError::IndexMismatch(format!(
-                            "{}: global index {} belongs to shard {:?} under the plan, found on shard {i}",
-                            a.dir.display(),
-                            r.index,
-                            p.owner_of(r.index)
-                        )));
-                    }
-                }
-                cover[r.index] = Some((i, j));
-            }
-        }
-        // Disjointness + counts guarantee full coverage, but say which
-        // index is missing rather than relying on that arithmetic.
-        let cover: Vec<(usize, usize)> = cover
-            .into_iter()
-            .enumerate()
-            .map(|(g, c)| {
-                c.ok_or_else(|| {
-                    MergeError::IndexMismatch(format!("no shard emitted global index {g}"))
-                })
-            })
-            .collect::<Result<_, _>>()?;
-        let header = RECORD_COLUMNS.join(",");
-        let pick = |rows: fn(&RecordArtifact) -> &[String]| -> Vec<&str> {
-            cover
-                .iter()
-                .map(|&(i, j)| rows(&artifacts[i])[j].as_str())
-                .collect()
-        };
-        write_rows(
-            &out_dir.join(format!("{stem}.csv")),
-            Some(&header),
-            &pick(|a| &a.csv_rows),
+    let owners = match (plan, meta_plan_fp) {
+        (None, Some(_)) => Owners::Unknown,
+        _ => Owners::Known(plan),
+    };
+    for (i, a) in artifacts.iter().enumerate() {
+        check_indices(
+            a,
+            ShardSpec::new(i, count).expect("i < count"),
+            total,
+            owners,
         )?;
-        write_rows(
-            &out_dir.join(format!("{stem}.jsonl")),
-            None,
-            &pick(|a| &a.jsonl_lines),
-        )?;
-    } else {
-        for (i, a) in artifacts.iter().enumerate() {
-            let shard = ShardSpec::new(i, count).expect("i < count");
-            validate_shard_indices(a, shard, total)?;
-        }
-        let header = RECORD_COLUMNS.join(",");
-        let csv_rows: Vec<&[String]> = artifacts.iter().map(|a| a.csv_rows.as_slice()).collect();
-        let jsonl_rows: Vec<&[String]> =
-            artifacts.iter().map(|a| a.jsonl_lines.as_slice()).collect();
-        write_interleaved(
-            &out_dir.join(format!("{stem}.csv")),
-            Some(&header),
-            &csv_rows,
-        )?;
-        write_interleaved(&out_dir.join(format!("{stem}.jsonl")), None, &jsonl_rows)?;
     }
+    let indices: Vec<Vec<usize>> = artifacts
+        .iter()
+        .map(|a| a.records.iter().map(|r| r.index).collect())
+        .collect();
+    let order = global_order(shard_dirs, &indices, total)?;
+    let csv_rows: Vec<&[String]> = artifacts.iter().map(|a| a.csv_rows.as_slice()).collect();
+    let jsonl_rows: Vec<&[String]> = artifacts.iter().map(|a| a.jsonl_lines.as_slice()).collect();
+    write_merged(
+        &out_dir.join(format!("{stem}.csv")),
+        Some(&RECORD_COLUMNS.join(",")),
+        &csv_rows,
+        &order,
+    )?;
+    write_merged(
+        &out_dir.join(format!("{stem}.jsonl")),
+        None,
+        &jsonl_rows,
+        &order,
+    )?;
     if let Some(meta) = artifacts[0].meta {
         SweepMeta {
             shard: ShardSpec::FULL,
@@ -808,17 +764,45 @@ pub fn salvage_jsonl(path: &Path) -> io::Result<(usize, usize)> {
     Ok((kept, dropped))
 }
 
-/// Writes the shards' rows interleaved back into global order — global
-/// row `g` is row `g / N` of shard `g % N` — behind an optional header.
-/// The single merge writer for both the record-schema and structural
-/// paths, so the interleave rule cannot diverge between them.
-fn write_interleaved(
+/// The merged row order: entry `g` is the `(shard, row)` that holds
+/// global index `g`. `indices[i]` lists shard `i`'s global indices, each
+/// below `total`, row by row; an index held twice, or by no shard, is
+/// an error.
+fn global_order(
+    shard_dirs: &[PathBuf],
+    indices: &[Vec<usize>],
+    total: usize,
+) -> Result<Vec<(usize, usize)>, MergeError> {
+    let mut cover: Vec<Option<(usize, usize)>> = vec![None; total];
+    for (i, shard) in indices.iter().enumerate() {
+        for (j, &g) in shard.iter().enumerate() {
+            if let Some((other, _)) = cover[g].replace((i, j)) {
+                return Err(MergeError::IndexMismatch(format!(
+                    "{}: global index {g} already emitted by {}",
+                    shard_dirs[i].display(),
+                    shard_dirs[other].display()
+                )));
+            }
+        }
+    }
+    cover
+        .into_iter()
+        .enumerate()
+        .map(|(g, c)| {
+            c.ok_or_else(|| MergeError::IndexMismatch(format!("no shard emitted global index {g}")))
+        })
+        .collect()
+}
+
+/// Writes the shards' rows in global order — `order[g]` names the
+/// `(shard, row)` of global row `g` — behind an optional header. The
+/// one merge writer for record and table artifacts.
+fn write_merged(
     path: &Path,
     header: Option<&str>,
     shard_rows: &[&[String]],
+    order: &[(usize, usize)],
 ) -> Result<(), MergeError> {
-    let count = shard_rows.len();
-    let total: usize = shard_rows.iter().map(|rows| rows.len()).sum();
     let wrap = |e: io::Error| MergeError::Io(path.to_path_buf(), e);
     if let Some(parent) = path.parent() {
         std::fs::create_dir_all(parent).map_err(wrap)?;
@@ -827,33 +811,16 @@ fn write_interleaved(
     if let Some(h) = header {
         writeln!(w, "{h}").map_err(wrap)?;
     }
-    for g in 0..total {
-        writeln!(w, "{}", shard_rows[g % count][g / count]).map_err(wrap)?;
-    }
-    w.flush().map_err(wrap)
-}
-
-/// Writes an explicit row sequence (already in global order — the
-/// planned-merge path resolves each global index to its shard row
-/// before calling this) behind an optional header.
-fn write_rows(path: &Path, header: Option<&str>, rows: &[&str]) -> Result<(), MergeError> {
-    let wrap = |e: io::Error| MergeError::Io(path.to_path_buf(), e);
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent).map_err(wrap)?;
-    }
-    let mut w = io::BufWriter::new(std::fs::File::create(path).map_err(wrap)?);
-    if let Some(h) = header {
-        writeln!(w, "{h}").map_err(wrap)?;
-    }
-    for row in rows {
-        writeln!(w, "{row}").map_err(wrap)?;
+    for &(i, j) in order {
+        writeln!(w, "{}", shard_rows[i][j]).map_err(wrap)?;
     }
     w.flush().map_err(wrap)
 }
 
 /// Structural merge for non-record artifacts (`Table`-schema CSV/JSONL
-/// sharded by row index): headers must agree, per-shard row counts must
-/// match the interleaving shape, and rows are woven back round-robin.
+/// sharded by row index, always by the stride rule): headers must
+/// agree, and shard `i`'s rows, which carry no index column, are the
+/// row indices it owns, so their count must match.
 fn merge_generic(
     shard_dirs: &[PathBuf],
     stem: &str,
@@ -894,25 +861,35 @@ fn merge_generic(
         )));
     }
     let total: usize = csv_rows.iter().map(Vec::len).sum();
+    let mut indices = Vec::with_capacity(count);
     for (i, rows) in csv_rows.iter().enumerate() {
         let shard = ShardSpec::new(i, count).expect("i < count");
-        if rows.len() != shard.len_of(total) {
+        let owned: Vec<usize> = (0..total).filter(|&g| shard.owns(g)).collect();
+        if rows.len() != owned.len() {
             return Err(MergeError::IndexMismatch(format!(
                 "{}: shard {shard} of {total} rows must hold {} rows, found {}",
                 shard_dirs[i].display(),
-                shard.len_of(total),
+                owned.len(),
                 rows.len()
             )));
         }
+        indices.push(owned);
     }
+    let order = global_order(shard_dirs, &indices, total)?;
     let csv_slices: Vec<&[String]> = csv_rows.iter().map(Vec::as_slice).collect();
     let jsonl_slices: Vec<&[String]> = jsonl_rows.iter().map(Vec::as_slice).collect();
-    write_interleaved(
+    write_merged(
         &out_dir.join(format!("{stem}.csv")),
         Some(&headers[0]),
         &csv_slices,
+        &order,
     )?;
-    write_interleaved(&out_dir.join(format!("{stem}.jsonl")), None, &jsonl_slices)?;
+    write_merged(
+        &out_dir.join(format!("{stem}.jsonl")),
+        None,
+        &jsonl_slices,
+        &order,
+    )?;
     Ok(MergeReport {
         rows: total,
         shards: count,
@@ -945,9 +922,11 @@ pub struct VerifyReport {
 
 /// Verifies one sweep-record artifact directory: everything
 /// [`load_record_artifact`] checks (row counts, strict parsing, seed
-/// column, byte-level CSV↔JSONL agreement), plus global-index
-/// consistency against the sidecar's shard coordinates (dense `0..rows`
-/// when no sidecar is present) and any explicit [`VerifyExpectations`].
+/// column, byte-level CSV↔JSONL agreement), plus merge's index-layout
+/// check against the sidecar's shard coordinates (dense `0..rows` when
+/// no sidecar is present) and any explicit [`VerifyExpectations`]. A
+/// planned shard's sidecar names its plan but not the plan's owners,
+/// so its indices need only ascend within the grid.
 ///
 /// This replaces CI's former python artifact check; the `sweep-merge`
 /// binary exposes it as `--verify` and exits 2 on any error.
@@ -962,27 +941,16 @@ pub fn verify_artifact(
 ) -> Result<VerifyReport, MergeError> {
     let artifact = load_record_artifact(dir, stem)?;
     let rows = artifact.records.len();
-    let (shard, total) = match artifact.meta {
-        Some(meta) => (meta.shard, meta.points as usize),
-        None => (ShardSpec::FULL, rows),
-    };
-    if artifact.meta.and_then(|m| m.plan).is_some() && shard != ShardSpec::FULL {
-        // A planned shard owns an arbitrary subset; without the plan we
-        // can still require strictly ascending in-range indices.
-        let mut prev: Option<usize> = None;
-        for (j, r) in artifact.records.iter().enumerate() {
-            if r.index >= total || prev.is_some_and(|p| r.index <= p) {
-                return Err(MergeError::IndexMismatch(format!(
-                    "{}: record {j} has global index {} (planned shard needs ascending indices below {total})",
-                    artifact.dir.display(),
-                    r.index
-                )));
-            }
-            prev = Some(r.index);
+    let (shard, total, owners) = match artifact.meta {
+        // The sidecar names a shard's plan but not its owners; a whole
+        // run owns every index whatever its plan.
+        Some(meta) if meta.plan.is_some() && !meta.shard.is_full() => {
+            (meta.shard, meta.points as usize, Owners::Unknown)
         }
-    } else {
-        validate_shard_indices(&artifact, shard, total)?;
-    }
+        Some(meta) => (meta.shard, meta.points as usize, Owners::Known(None)),
+        None => (ShardSpec::FULL, rows, Owners::Known(None)),
+    };
+    check_indices(&artifact, shard, total, owners)?;
     if let Some(expected) = expect.rows {
         if rows != expected {
             return Err(MergeError::Expectation(format!(
@@ -1275,7 +1243,7 @@ mod tests {
             dirs.push(dir);
         }
         let out = base.join("merged");
-        let report = merge_artifacts(&dirs, "fig11", &out).unwrap();
+        let report = merge_artifacts(&dirs, "fig11", &out, None).unwrap();
         assert_eq!(report.rows, 7);
         assert_eq!(report.seed, Some(9));
         assert!(report.meta);
@@ -1333,22 +1301,22 @@ mod tests {
         // Seed mismatch between shards.
         let a = mk("a0", &[record(0, 3, 1)], Some(meta(1, 5, s0)));
         let b = mk("b1", &[record(1, 3, 2)], Some(meta(2, 5, s1)));
-        let err = merge_artifacts(&[a.clone(), b], "s", &base.join("out1")).unwrap_err();
+        let err = merge_artifacts(&[a.clone(), b], "s", &base.join("out1"), None).unwrap_err();
         assert!(matches!(err, MergeError::MetaMismatch(_)), "{err}");
 
         // Fingerprint mismatch.
         let b = mk("b2", &[record(1, 3, 1)], Some(meta(1, 6, s1)));
-        let err = merge_artifacts(&[a.clone(), b], "s", &base.join("out2")).unwrap_err();
+        let err = merge_artifacts(&[a.clone(), b], "s", &base.join("out2"), None).unwrap_err();
         assert!(matches!(err, MergeError::MetaMismatch(_)), "{err}");
 
         // Wrong shard position.
         let b = mk("b3", &[record(1, 3, 1)], Some(meta(1, 5, s0)));
-        let err = merge_artifacts(&[a.clone(), b], "s", &base.join("out3")).unwrap_err();
+        let err = merge_artifacts(&[a.clone(), b], "s", &base.join("out3"), None).unwrap_err();
         assert!(matches!(err, MergeError::MetaMismatch(_)), "{err}");
 
         // Index gap: shard 1 carries an even index.
         let b = mk("b4", &[record(2, 3, 1)], Some(meta(1, 5, s1)));
-        let err = merge_artifacts(&[a, b], "s", &base.join("out4")).unwrap_err();
+        let err = merge_artifacts(&[a, b], "s", &base.join("out4"), None).unwrap_err();
         assert!(matches!(err, MergeError::IndexMismatch(_)), "{err}");
     }
 
@@ -1359,14 +1327,14 @@ mod tests {
         let fp = 0xfeed_beef_u64;
         // A deliberately non-stride cover: contiguous runs per shard.
         let owners: Vec<u32> = vec![0, 0, 0, 1, 1, 2, 2];
-        let plan = ShardPlan::Explicit { count: 3, owners };
-        let plan_fp = plan.fingerprint().unwrap();
+        let plan = ShardPlan { count: 3, owners };
+        let plan_fp = plan.fingerprint();
         let mut dirs = Vec::new();
         for i in 0..3 {
             let dir = base.join(format!("shard{i}"));
             let records: Vec<SweepRecord> = full
                 .iter()
-                .filter(|r| plan.owner_of(r.index) == Some(i))
+                .filter(|r| plan.owner_of(r.index) == i)
                 .cloned()
                 .collect();
             let meta = SweepMeta {
@@ -1382,7 +1350,7 @@ mod tests {
             dirs.push(dir);
         }
         let out = base.join("merged");
-        let report = merge_artifacts_with_plan(&dirs, "fig11", &out, Some(&plan)).unwrap();
+        let report = merge_artifacts(&dirs, "fig11", &out, Some(&plan)).unwrap();
         assert_eq!(report.rows, 7);
         assert_eq!(report.seed, Some(9));
 
@@ -1411,18 +1379,17 @@ mod tests {
         // Without the explicit plan the sidecar fingerprints still gate
         // the merge into the disjoint-cover path.
         let out2 = base.join("merged2");
-        merge_artifacts(&dirs, "fig11", &out2).unwrap();
+        merge_artifacts(&dirs, "fig11", &out2, None).unwrap();
         assert_eq!(
             std::fs::read(out.join("fig11.jsonl")).unwrap(),
             std::fs::read(out2.join("fig11.jsonl")).unwrap()
         );
         // A mismatched plan is rejected.
-        let wrong = ShardPlan::Explicit {
+        let wrong = ShardPlan {
             count: 3,
             owners: vec![0, 1, 2, 0, 1, 2, 0],
         };
-        let err = merge_artifacts_with_plan(&dirs, "fig11", &base.join("out-bad"), Some(&wrong))
-            .unwrap_err();
+        let err = merge_artifacts(&dirs, "fig11", &base.join("out-bad"), Some(&wrong)).unwrap_err();
         assert!(matches!(err, MergeError::MetaMismatch(_)), "{err}");
     }
 
@@ -1430,11 +1397,11 @@ mod tests {
     fn planned_merge_rejects_overlap_and_gaps() {
         let base = tmp("merge-plan-bad");
         let fp = 0x1234_u64;
-        let plan = ShardPlan::Explicit {
+        let plan = ShardPlan {
             count: 2,
             owners: vec![0, 1, 0, 1],
         };
-        let plan_fp = plan.fingerprint().unwrap();
+        let plan_fp = plan.fingerprint();
         let meta = |i: usize, points: u64| SweepMeta {
             seed: 9,
             spec_fingerprint: fp,
@@ -1452,19 +1419,19 @@ mod tests {
         // the totals still balance — the duplicate must be what trips).
         let a = mk("a", &[0, 2], meta(0, 4));
         let b = mk("b", &[1, 2], meta(1, 4));
-        let err = merge_artifacts(&[a, b], "s", &base.join("o1")).unwrap_err();
+        let err = merge_artifacts(&[a, b], "s", &base.join("o1"), None).unwrap_err();
         assert!(matches!(err, MergeError::IndexMismatch(_)), "{err}");
         // Out-of-range: index 3 beyond a 3-point grid (2 missing).
         let a = mk("a2", &[0, 3], meta(0, 3));
         let b = mk("b2", &[1], meta(1, 3));
-        let err = merge_artifacts(&[a, b], "s", &base.join("o2")).unwrap_err();
+        let err = merge_artifacts(&[a, b], "s", &base.join("o2"), None).unwrap_err();
         assert!(matches!(err, MergeError::IndexMismatch(_)), "{err}");
         // Descending order within a shard.
         let a3 = base.join("a3");
         let recs = vec![record(2, 3, 9), record(0, 3, 9)];
         write_artifact(&a3, "s", &recs, Some(meta(0, 3)));
         let b = mk("b3", &[1], meta(1, 3));
-        let err = merge_artifacts(&[a3, b], "s", &base.join("o3")).unwrap_err();
+        let err = merge_artifacts(&[a3, b], "s", &base.join("o3"), None).unwrap_err();
         assert!(matches!(err, MergeError::IndexMismatch(_)), "{err}");
     }
 
@@ -1574,7 +1541,7 @@ mod tests {
             dirs.push(dir);
         }
         let out = base.join("merged");
-        let report = merge_artifacts(&dirs, "t", &out).unwrap();
+        let report = merge_artifacts(&dirs, "t", &out, None).unwrap();
         assert_eq!(report.rows, 5);
         assert!(!report.meta);
         for file in ["t.csv", "t.jsonl"] {
@@ -1586,7 +1553,8 @@ mod tests {
         }
         // Shards passed in the wrong order (sizes 2,3 instead of 3,2)
         // violate the interleaving shape and are a typed error.
-        let err = merge_artifacts(&[dirs[1].clone(), dirs[0].clone()], "t", &out).unwrap_err();
+        let err =
+            merge_artifacts(&[dirs[1].clone(), dirs[0].clone()], "t", &out, None).unwrap_err();
         assert!(matches!(err, MergeError::IndexMismatch(_)), "{err}");
     }
 

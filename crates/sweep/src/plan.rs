@@ -1,16 +1,18 @@
-//! Generalized shard-ownership plans.
+//! Shard-ownership plans.
 //!
-//! [`crate::ShardSpec`] hard-codes round-robin striding: shard `i/N`
+//! [`crate::ShardSpec`] alone means round-robin striding: shard `i/N`
 //! owns the points with `global_index % N == i`. That is the right
 //! default — no coordination, no files — but it balances *point counts*,
 //! not *cost*: a d=13 grid point can cost orders of magnitude more than
 //! a d=3 one, so striding leaves most of a fleet idle behind one hot
-//! shard. A [`ShardPlan`] generalizes ownership to any disjoint cover
-//! of `0..points`, while keeping the stride as the implicit plan when
-//! no explicit one is given.
+//! shard. A [`ShardPlan`] names one owner per point instead, any
+//! disjoint cover of `0..points`. Stride is the absence of a plan: one
+//! owner function answers "does this shard own point `g`" for both, and
+//! the engine ([`crate::RunOptions::owns`]), `sweep-merge` and
+//! `sweep-merge --verify` all ask it.
 //!
-//! Explicit plans are deterministic artifacts: built by a pure greedy
-//! LPT pass over measured per-point costs ([`ShardPlan::from_costs`]),
+//! Plans are deterministic artifacts: built by a pure greedy LPT pass
+//! over measured per-point costs ([`ShardPlan::from_costs`]),
 //! fingerprinted, and round-tripped through a single-line JSON file so
 //! every shard of a fleet (and `sweep-merge` afterwards) can prove it
 //! is working from the same assignment.
@@ -20,6 +22,7 @@ use std::io;
 use std::path::Path;
 
 use crate::merge::{parse_flat_json, JsonValue};
+use crate::shard::ShardSpec;
 use crate::spec::splitmix64;
 
 /// Schema tag of the plan file.
@@ -62,99 +65,67 @@ fn malformed(reason: impl Into<String>) -> PlanError {
     }
 }
 
-/// An assignment of globally-numbered grid points to shards.
+/// An explicit assignment of globally-numbered grid points to shards:
+/// what a plan file holds. Point `g` belongs to shard `owners[g]`.
 ///
-/// `Stride` is the implicit default (`g % count`), byte-compatible with
-/// every artifact produced before plans existed. `Explicit` carries one
-/// owner per point and exists to balance measured cost instead of point
-/// count.
+/// There is no stride plan: a run without a plan strides
+/// ([`crate::ShardSpec::owns`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ShardPlan {
-    /// Round-robin striding: point `g` belongs to shard `g % count`.
-    Stride {
-        /// Number of shards.
-        count: usize,
-    },
-    /// One explicit owner per point (`owners[g] < count`).
-    Explicit {
-        /// Number of shards.
-        count: usize,
-        /// Owner shard of each global point index.
-        owners: Vec<u32>,
-    },
+pub struct ShardPlan {
+    /// Number of shards (at least 1).
+    pub(crate) count: usize,
+    /// Owner shard of each global point index (each below `count`).
+    pub(crate) owners: Vec<u32>,
+}
+
+/// Whether `shard` owns global point `g`: the plan's owner when there
+/// is a plan, the stride rule ([`ShardSpec::owns`]) when there is none.
+/// The engine ([`crate::RunOptions::owns`]), merge and verify all ask
+/// this one function.
+///
+/// # Panics
+///
+/// Panics if `g` is beyond the plan's points; check the grid first
+/// ([`ShardPlan::check_grid`]).
+pub(crate) fn owns(plan: Option<&ShardPlan>, shard: ShardSpec, g: usize) -> bool {
+    match plan {
+        Some(plan) => plan.owner_of(g) == shard.index,
+        None => shard.owns(g),
+    }
 }
 
 impl ShardPlan {
-    /// The default plan for `count` shards (round-robin striding).
-    pub fn stride(count: usize) -> Self {
-        ShardPlan::Stride {
-            count: count.max(1),
-        }
-    }
-
     /// Number of shards the plan distributes over.
     pub fn count(&self) -> usize {
-        match self {
-            ShardPlan::Stride { count } | ShardPlan::Explicit { count, .. } => *count,
-        }
+        self.count
     }
 
-    /// Number of points the plan covers (`None` for stride plans, which
-    /// cover any grid).
-    pub fn points(&self) -> Option<usize> {
-        match self {
-            ShardPlan::Stride { .. } => None,
-            ShardPlan::Explicit { owners, .. } => Some(owners.len()),
-        }
+    /// Number of points the plan covers.
+    pub fn points(&self) -> usize {
+        self.owners.len()
     }
 
-    /// The owning shard of global point `g` (`None` when an explicit
-    /// plan does not cover `g`).
-    pub fn owner_of(&self, g: usize) -> Option<usize> {
-        match self {
-            ShardPlan::Stride { count } => Some(g % count),
-            ShardPlan::Explicit { owners, .. } => owners.get(g).map(|&o| o as usize),
-        }
+    /// The owning shard of global point `g`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `g >= self.points()`.
+    pub fn owner_of(&self, g: usize) -> usize {
+        self.owners[g] as usize
     }
 
-    /// Whether shard `shard_index` owns global point `g`.
-    pub fn owns(&self, shard_index: usize, g: usize) -> bool {
-        self.owner_of(g) == Some(shard_index)
-    }
-
-    /// Number of points an explicit plan assigns to `shard_index`
-    /// (`None` for stride plans — use [`crate::ShardSpec::len_of`]).
-    pub fn shard_len(&self, shard_index: usize) -> Option<usize> {
-        match self {
-            ShardPlan::Stride { .. } => None,
-            ShardPlan::Explicit { owners, .. } => Some(
-                owners
-                    .iter()
-                    .filter(|&&o| o as usize == shard_index)
-                    .count(),
-            ),
-        }
-    }
-
-    /// A stable 64-bit fingerprint of an explicit assignment (`None`
-    /// for stride plans — the stride is the fingerprint-free default,
-    /// so pre-plan sidecars stay byte-identical). Recorded in the
+    /// A stable 64-bit fingerprint of the assignment. Recorded in the
     /// `.meta.json` sidecar so merge validation can refuse to
     /// interleave shards cut from different plans.
-    pub fn fingerprint(&self) -> Option<u64> {
-        match self {
-            ShardPlan::Stride { .. } => None,
-            ShardPlan::Explicit { count, owners } => {
-                let mut h = splitmix64(0x7368_6172_6470_6c6e ^ *count as u64); // "shardpln"
-                for &o in owners {
-                    h = splitmix64(h ^ u64::from(o).rotate_left(17));
-                }
-                Some(h)
-            }
+    pub fn fingerprint(&self) -> u64 {
+        let mut h = splitmix64(0x7368_6172_6470_6c6e ^ self.count as u64); // "shardpln"
+        for &o in &self.owners {
+            h = splitmix64(h ^ u64::from(o).rotate_left(17));
         }
+        h
     }
 
-    /// Builds a cost-balanced explicit plan by deterministic greedy LPT
+    /// Builds a cost-balanced plan by deterministic greedy LPT
     /// (longest processing time first): points sorted by cost
     /// descending (index ascending on ties) are assigned one by one to
     /// the least-loaded shard (lowest index on ties). Pure function of
@@ -174,39 +145,31 @@ impl ShardPlan {
             // vectors cannot pile every point onto shard 0.
             load[shard] += costs[i].max(1);
         }
-        ShardPlan::Explicit { count, owners }
+        ShardPlan { count, owners }
     }
 
-    /// Renders an explicit plan as its single-line JSON plan file
-    /// (stride plans have no file form — they are the absence of one).
+    /// Renders the plan as its single-line JSON plan file.
     ///
     /// Fixed key order; owners are comma-separated decimals so the file
     /// stays flat-JSON parseable at any shard count.
-    pub fn render(&self) -> Option<String> {
-        match self {
-            ShardPlan::Stride { .. } => None,
-            ShardPlan::Explicit { count, owners } => {
-                let fp = self.fingerprint().expect("explicit plans fingerprint");
-                let owner_list: Vec<String> = owners.iter().map(|o| o.to_string()).collect();
-                Some(format!(
-                    "{{\"schema\":\"{PLAN_SCHEMA}\",\"count\":{count},\"points\":{},\
-                     \"fingerprint\":\"{fp:016x}\",\"owners\":\"{}\"}}\n",
-                    owners.len(),
-                    owner_list.join(",")
-                ))
-            }
-        }
+    pub fn render(&self) -> String {
+        let owner_list: Vec<String> = self.owners.iter().map(|o| o.to_string()).collect();
+        format!(
+            "{{\"schema\":\"{PLAN_SCHEMA}\",\"count\":{},\"points\":{},\
+             \"fingerprint\":\"{:016x}\",\"owners\":\"{}\"}}\n",
+            self.count,
+            self.owners.len(),
+            self.fingerprint(),
+            owner_list.join(",")
+        )
     }
 
-    /// Writes an explicit plan file to `path` ([`ShardPlan::render`]).
+    /// Writes the plan file to `path` ([`ShardPlan::render`]).
     pub fn save(&self, path: &Path) -> Result<(), PlanError> {
-        let text = self
-            .render()
-            .ok_or_else(|| malformed("stride plans have no file form"))?;
         if let Some(parent) = path.parent() {
             std::fs::create_dir_all(parent)?;
         }
-        std::fs::write(path, text)?;
+        std::fs::write(path, self.render())?;
         Ok(())
     }
 
@@ -271,8 +234,8 @@ impl ShardPlan {
                 "owner {bad} out of range for {count} shards"
             )));
         }
-        let plan = ShardPlan::Explicit { count, owners };
-        let fp = plan.fingerprint().expect("explicit");
+        let plan = ShardPlan { count, owners };
+        let fp = plan.fingerprint();
         if fp != recorded_fp {
             return Err(malformed(format!(
                 "fingerprint mismatch: file says {recorded_fp:016x}, assignment hashes to {fp:016x}"
@@ -287,21 +250,20 @@ impl ShardPlan {
         Self::parse(&text)
     }
 
-    /// Validates the plan against a grid: explicit plans must cover
-    /// exactly `points` points and fit `count` shards.
+    /// Validates the plan against a run: it must be cut for `count`
+    /// shards and cover exactly `points` points.
     pub fn check_grid(&self, count: usize, points: usize) -> Result<(), PlanError> {
-        if self.count() != count {
+        if self.count != count {
             return Err(malformed(format!(
                 "plan is cut for {} shards, run uses {count}",
-                self.count()
+                self.count
             )));
         }
-        if let Some(n) = self.points() {
-            if n != points {
-                return Err(malformed(format!(
-                    "plan covers {n} points, grid has {points}"
-                )));
-            }
+        if self.owners.len() != points {
+            return Err(malformed(format!(
+                "plan covers {} points, grid has {points}",
+                self.owners.len()
+            )));
         }
         Ok(())
     }
@@ -421,18 +383,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn stride_plan_matches_modulo() {
-        let plan = ShardPlan::stride(3);
-        for g in 0..20 {
-            assert_eq!(plan.owner_of(g), Some(g % 3));
-            assert!(plan.owns(g % 3, g));
-        }
-        assert_eq!(plan.fingerprint(), None);
-        assert_eq!(plan.points(), None);
-        assert!(plan.render().is_none());
-    }
-
-    #[test]
     fn lpt_balances_skewed_costs() {
         // One huge point and many small ones: LPT must isolate the
         // huge point and spread the rest.
@@ -444,13 +394,13 @@ mod tests {
                 costs
                     .iter()
                     .enumerate()
-                    .filter(|(i, _)| plan.owns(s, *i))
+                    .filter(|(i, _)| plan.owner_of(*i) == s)
                     .map(|(_, &c)| c)
                     .sum()
             })
             .collect();
         // The huge point's shard gets nothing else.
-        let huge = plan.owner_of(0).unwrap();
+        let huge = plan.owner_of(0);
         assert_eq!(loads[huge], 1000);
         // The other 8 small points split 4/4.
         let others: Vec<u64> = (0..3).filter(|&s| s != huge).map(|s| loads[s]).collect();
@@ -462,7 +412,7 @@ mod tests {
     #[test]
     fn explicit_plan_round_trips_through_file_form() {
         let plan = ShardPlan::from_costs(3, &[5, 1, 9, 2, 2, 7, 1, 1]);
-        let text = plan.render().unwrap();
+        let text = plan.render();
         let back = ShardPlan::parse(&text).unwrap();
         assert_eq!(back, plan);
         assert_eq!(back.fingerprint(), plan.fingerprint());
@@ -471,7 +421,7 @@ mod tests {
     #[test]
     fn parse_rejects_tampering() {
         let plan = ShardPlan::from_costs(2, &[3, 1, 4, 1, 5]);
-        let text = plan.render().unwrap();
+        let text = plan.render();
         // Flip one owner: the recorded fingerprint no longer matches.
         let tampered = if text.contains("\"owners\":\"0") {
             text.replacen("\"owners\":\"0", "\"owners\":\"1", 1)
@@ -502,8 +452,6 @@ mod tests {
         assert!(plan.check_grid(2, 3).is_ok());
         assert!(plan.check_grid(3, 3).is_err());
         assert!(plan.check_grid(2, 4).is_err());
-        // Stride plans fit any point count.
-        assert!(ShardPlan::stride(2).check_grid(2, 99).is_ok());
     }
 
     #[test]

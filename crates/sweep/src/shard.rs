@@ -1,18 +1,22 @@
 //! Sharding a sweep across processes or machines.
 //!
-//! A [`ShardSpec`] `i/N` selects the grid points whose **global** point
-//! index `g` satisfies `g % N == i`. Because per-chunk RNG seeds derive
-//! only from the base seed and the point's coordinates (never from the
-//! schedule or from which process runs the point), a shard computes
-//! exactly the records the full run would have computed for its points.
-//! Shard artifacts keep the global point numbering in their `index`
-//! column, so `sweep-merge` can interleave N shard artifacts back into
-//! a CSV/JSONL pair byte-identical to an unsharded run.
+//! A [`ShardSpec`] `i/N` without a plan selects the grid points whose
+//! **global** point index `g` satisfies `g % N == i` (the stride rule,
+//! [`ShardSpec::owns`]); with a [`crate::ShardPlan`] it selects the
+//! points the plan gives shard `i` ([`crate::RunOptions::owns`]). Because
+//! per-chunk RNG seeds derive only from the base seed and the point's
+//! coordinates (never from the schedule or from which process runs the
+//! point), a shard computes exactly the records the full run would have
+//! computed for its points. Shard artifacts keep the global point
+//! numbering in their `index` column, so `sweep-merge` can put N shard
+//! artifacts back into a CSV/JSONL pair byte-identical to an unsharded
+//! run.
 
 use std::fmt;
 use std::str::FromStr;
 
-/// One shard of a sweep: own the points with `index % count == self.index`.
+/// One shard of a sweep: without a plan, own the points with
+/// `index % count == self.index`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct ShardSpec {
     /// This shard's position, `0 <= index < count`.

@@ -160,7 +160,7 @@ fn shard_artifacts_merge_byte_identically_for_random_specs() {
                 dirs.push(dir);
             }
             let out = base.join(format!("t{trial}-n{count}-merged"));
-            let report = merge_artifacts(&dirs, "scan", &out).unwrap();
+            let report = merge_artifacts(&dirs, "scan", &out, None).unwrap();
             assert_eq!(report.rows, full.len());
             assert_eq!(report.seed, Some(spec.base_seed));
             for file in ["scan.csv", "scan.jsonl", "scan.meta.json"] {
