@@ -41,7 +41,7 @@ fn sampled_defects(
     d: usize,
     p: f64,
     lanes: usize,
-) -> (DecodingGraph, Vec<Vec<usize>>) {
+) -> (DecodingGraph, Vec<Vec<usize>>, Vec<u64>) {
     let noise = if setup.uses_memory() {
         NoiseModel::memory_at_scale(p)
     } else {
@@ -53,11 +53,11 @@ fn sampled_defects(
     let graph = DecodingGraph::build(&noisy, mc.guard_detectors());
     let mut scratch = SampleScratch::new();
     SampleTape::compile(&noisy).sample_into(lanes, &mut SmallRng::seed_from_u64(1), &mut scratch);
-    let mut lists = Vec::new();
+    let (mut lists, mut live) = (Vec::new(), Vec::new());
     scratch
         .result
-        .defect_lists_into(mc.guard_detectors(), lanes, &mut lists);
-    (graph, lists)
+        .defect_lists_into(mc.guard_detectors(), lanes, &mut lists, &mut live);
+    (graph, lists, live)
 }
 
 fn bench_decoders(c: &mut Criterion) {
@@ -144,7 +144,8 @@ fn bench_decode_batch(c: &mut Criterion) {
             group.bench_with_input(BenchmarkId::new("uf-batch", &id), &d, |b, _| {
                 let mut scratch = DecoderScratch::new();
                 let mut out = vec![0u64; words];
-                b.iter(|| uf.decode_batch(&lists, &mut scratch, &mut out))
+                let all = vec![!0u64; words];
+                b.iter(|| uf.decode_batch(&lists, &all, &mut scratch, &mut out))
             });
             group.bench_with_input(BenchmarkId::new("uf-per-lane", &id), &d, |b, _| {
                 let mut out = vec![0u64; words];
@@ -164,20 +165,20 @@ fn bench_decode_batch(c: &mut Criterion) {
         (Setup::Baseline, 7, 5e-3, "d7-p5e-3"),
         (Setup::CompactInterleaved, 9, 2e-3, "d9-compact-int-p2e-3"),
     ] {
-        let (g, lists) = sampled_defects(setup, d, p, lanes);
+        let (g, lists, live) = sampled_defects(setup, d, p, lanes);
         let mwpm = MwpmDecoder::new(&g);
         group.bench_with_input(BenchmarkId::new("mwpm-batch", id), &d, |b, _| {
             let mut scratch = DecoderScratch::new();
             let mut out = vec![0u64; lanes.div_ceil(64)];
-            b.iter(|| mwpm.decode_batch(&lists, &mut scratch, &mut out))
+            b.iter(|| mwpm.decode_batch(&lists, &live, &mut scratch, &mut out))
         });
     }
-    let (g, lists) = sampled_defects(Setup::Baseline, 7, 8e-3, lanes);
+    let (g, lists, live) = sampled_defects(Setup::Baseline, 7, 8e-3, lanes);
     let uf = UnionFindDecoder::new(&g);
     group.bench_with_input(BenchmarkId::new("uf-batch", "d7-p8e-3"), &7, |b, _| {
         let mut scratch = DecoderScratch::new();
         let mut out = vec![0u64; lanes.div_ceil(64)];
-        b.iter(|| uf.decode_batch(&lists, &mut scratch, &mut out))
+        b.iter(|| uf.decode_batch(&lists, &live, &mut scratch, &mut out))
     });
     group.finish();
 }

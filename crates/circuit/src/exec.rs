@@ -85,7 +85,10 @@ impl BatchResult {
     /// Word-scan transpose of a detector subset: clears the first
     /// `lanes` entries of `lists` and fills `lists[lane]` with the
     /// *local* indices (positions within `detectors`) of the detectors
-    /// whose bit is set for that lane, in increasing local order.
+    /// whose bit is set for that lane, in increasing local order. Fills
+    /// `live` with the OR of the subset's rows, `lanes.div_ceil(64)`
+    /// words (at least 1): bit `l` is set exactly when `lists[l]` is
+    /// not empty, the mask `vlq_decoder::Decoder::decode_batch` takes.
     ///
     /// This visits only *set* bits (`trailing_zeros` over the packed
     /// columns), so the cost is O(detectors·words + defects) instead of
@@ -97,6 +100,7 @@ impl BatchResult {
         detectors: &[usize],
         lanes: usize,
         lists: &mut Vec<Vec<usize>>,
+        live: &mut Vec<u64>,
     ) {
         if lists.len() < lanes {
             // Seed fresh lists with a little capacity: typical defect
@@ -109,8 +113,14 @@ impl BatchResult {
             list.clear();
         }
         let words = lanes.div_ceil(64).max(1);
+        live.clear();
+        live.resize(words, 0);
         for (local, &global) in detectors.iter().enumerate() {
-            for_each_set_lane(&self.detector_words(global)[..words], |lane| {
+            let row = &self.detector_words(global)[..words];
+            for (acc, word) in live.iter_mut().zip(row) {
+                *acc |= word;
+            }
+            for_each_set_lane(row, |lane| {
                 debug_assert!(lane < lanes, "tail bit set beyond n_lanes");
                 lists[lane].push(local);
             });

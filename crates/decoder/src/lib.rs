@@ -31,6 +31,7 @@ pub use graph::{DecodingGraph, GraphEdge};
 pub use mwpm::{MwpmDecoder, MwpmOutcome, MwpmScratch};
 pub use unionfind::{UfScratch, UnionFindDecoder};
 
+use vlq_circuit::exec::for_each_set_lane;
 use vlq_telemetry::{Metric, Recorder};
 
 /// Reusable decoder working memory: every decoder's buffers, owned by
@@ -84,11 +85,20 @@ pub trait Decoder {
     /// Decodes one defect list per lane into packed prediction words:
     /// bit `l` of `out` is set when lane `l`'s predicted observable
     /// flipped. Overwrites `out[..defects_per_lane.len().div_ceil(64)]`.
-    /// Every lane is decoded in `scratch`, so its buffers are reused
-    /// across lanes and calls.
+    ///
+    /// `live` marks, one bit per lane in the same packing, the lanes to
+    /// decode; it must mark every lane whose list is not empty
+    /// ([`BatchResult::defect_lists_into`] fills such a mask) and no
+    /// lane past the last. Only marked lanes are decoded, each in
+    /// `scratch`, so its buffers are reused across lanes and calls. An
+    /// unmarked lane predicts no flip, as decoding its empty list does,
+    /// and records nothing.
+    ///
+    /// [`BatchResult::defect_lists_into`]: vlq_circuit::exec::BatchResult::defect_lists_into
     fn decode_batch(
         &self,
         defects_per_lane: &[Vec<usize>],
+        live: &[u64],
         scratch: &mut DecoderScratch,
         out: &mut [u64],
     ) {
@@ -96,12 +106,19 @@ pub trait Decoder {
         // `scratch` stays free for the per-lane decode loop.
         let _span = scratch.recorder.span(Metric::DecodeBatchNanos);
         let words = defects_per_lane.len().div_ceil(64);
+        debug_assert!(
+            defects_per_lane
+                .iter()
+                .enumerate()
+                .all(|(l, defects)| defects.is_empty() || live[l / 64] >> (l % 64) & 1 == 1),
+            "a lane with defects is not marked live"
+        );
         out[..words].fill(0);
-        for (lane, defects) in defects_per_lane.iter().enumerate() {
-            if self.decode_in(defects, scratch) {
+        for_each_set_lane(&live[..words], |lane| {
+            if self.decode_in(&defects_per_lane[lane], scratch) {
                 out[lane / 64] |= 1u64 << (lane % 64);
             }
-        }
+        });
     }
 }
 

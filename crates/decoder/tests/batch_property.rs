@@ -1,6 +1,7 @@
 //! `decode_batch` must be bit-identical to per-lane `decode` — for both
-//! decoders, at several distances — and one `DecoderScratch` must serve
-//! every decoder and graph it is handed exactly as fresh scratch does.
+//! decoders, at several distances, wherever its live-lane mask leaves
+//! empty lanes out — and one `DecoderScratch` must serve every decoder
+//! and graph it is handed exactly as fresh scratch does.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -35,37 +36,41 @@ fn random_defect_lists(rng: &mut SmallRng, lanes: usize, num_nodes: usize) -> Ve
         .collect()
 }
 
-fn packed_per_lane_decode(decoder: &dyn Decoder, lists: &[Vec<usize>]) -> Vec<u64> {
-    let words = lists.len().div_ceil(64);
-    let mut out = vec![0u64; words];
+/// The live-lane mask of `lists`: bit `l` set when lane `l` has a
+/// defect, as `BatchResult::defect_lists_into` fills it.
+fn live_mask(lists: &[Vec<usize>]) -> Vec<u64> {
+    let mut live = vec![0u64; lists.len().div_ceil(64)];
     for (lane, defects) in lists.iter().enumerate() {
-        if decoder.decode(defects) {
+        if !defects.is_empty() {
+            live[lane / 64] |= 1u64 << (lane % 64);
+        }
+    }
+    live
+}
+
+/// UF's three and MWPM's two Deterministic counters.
+const COUNTERS: [Metric; 5] = [
+    Metric::UfGrowthSteps,
+    Metric::UfTouchedNodes,
+    Metric::UfOddClusterPeak,
+    Metric::MwpmBlossomCalls,
+    Metric::MwpmMatchingEdges,
+];
+
+/// Every lane, empty ones included, decoded as `decode` does (in fresh
+/// scratch), all under one fresh recorder: the prediction words and the
+/// Deterministic counters a batch must match.
+fn per_lane_recorded(decoder: &dyn Decoder, lists: &[Vec<usize>]) -> (Vec<u64>, [u64; 5]) {
+    let recorder = Recorder::attached();
+    let mut out = vec![0u64; lists.len().div_ceil(64)];
+    for (lane, defects) in lists.iter().enumerate() {
+        let mut scratch = DecoderScratch::new();
+        scratch.set_recorder(&recorder);
+        if decoder.decode_in(defects, &mut scratch) {
             out[lane / 64] |= 1u64 << (lane % 64);
         }
     }
-    out
-}
-
-#[test]
-fn decode_batch_matches_per_lane_decode() {
-    let mut rng = SmallRng::seed_from_u64(2020);
-    for d in [3usize, 5, 7] {
-        let graph = graph_for(d, 2e-3);
-        for kind in DecoderKind::ALL {
-            let decoder = kind.build(&graph);
-            let lists = random_defect_lists(&mut rng, 150, graph.num_nodes());
-            let expected = packed_per_lane_decode(decoder.as_ref(), &lists);
-            let words = lists.len().div_ceil(64);
-
-            // One scratch, reused twice to cover cross-batch reset.
-            let mut scratch = DecoderScratch::new();
-            for _ in 0..2 {
-                let mut out = vec![0u64; words];
-                decoder.decode_batch(&lists, &mut scratch, &mut out);
-                assert_eq!(out, expected, "{kind} d{d} batch");
-            }
-        }
-    }
+    (out, COUNTERS.map(|m| recorder.value(m)))
 }
 
 /// One batch decoded in `scratch` under a fresh recorder: the
@@ -78,16 +83,53 @@ fn batch_recorded(
     let recorder = Recorder::attached();
     scratch.set_recorder(&recorder);
     let mut out = vec![0u64; lists.len().div_ceil(64)];
-    decoder.decode_batch(lists, scratch, &mut out);
-    let counters = [
-        Metric::UfGrowthSteps,
-        Metric::UfTouchedNodes,
-        Metric::UfOddClusterPeak,
-        Metric::MwpmBlossomCalls,
-        Metric::MwpmMatchingEdges,
-    ]
-    .map(|m| recorder.value(m));
-    (out, counters)
+    decoder.decode_batch(lists, &live_mask(lists), scratch, &mut out);
+    (out, COUNTERS.map(|m| recorder.value(m)))
+}
+
+/// Random lists, and batches whose empty lanes come first, come last,
+/// fill whole 64-lane words or are every lane: the masked batch skips
+/// the empty lanes and must still predict and count exactly as decoding
+/// every lane does.
+#[test]
+fn decode_batch_matches_per_lane_decode() {
+    let mut rng = SmallRng::seed_from_u64(2020);
+    for d in [3usize, 5, 7] {
+        let graph = graph_for(d, 2e-3);
+        let n = graph.num_nodes();
+        let random = random_defect_lists(&mut rng, 150, n);
+        let mut busy = |lanes: usize| -> Vec<Vec<usize>> {
+            random_defect_lists(&mut rng, 4 * lanes, n)
+                .into_iter()
+                .filter(|l| !l.is_empty())
+                .take(lanes)
+                .collect()
+        };
+        let empty = |lanes: usize| vec![Vec::new(); lanes];
+        let layouts = [
+            ("random", random),
+            ("empty first", [empty(70), busy(80)].concat()),
+            ("empty last", [busy(80), empty(120)].concat()),
+            (
+                "empty words",
+                [busy(64), empty(64), busy(64), empty(64), busy(10)].concat(),
+            ),
+            ("all empty", empty(130)),
+        ];
+        for kind in DecoderKind::ALL {
+            let decoder = kind.build(&graph);
+            // One scratch through every layout twice covers cross-batch
+            // reset.
+            let mut scratch = DecoderScratch::new();
+            for (name, lists) in layouts.iter().chain(&layouts) {
+                let want = per_lane_recorded(decoder.as_ref(), lists);
+                let got = batch_recorded(decoder.as_ref(), lists, &mut scratch);
+                assert_eq!(got, want, "{kind} d{d} {name}");
+                let idle = *name == "all empty";
+                assert_eq!(want.1.iter().all(|&c| c == 0), idle, "{kind} d{d} {name}");
+            }
+        }
+    }
 }
 
 /// One scratch handed both decoders in turn on d = 7, 3 and 5 graphs

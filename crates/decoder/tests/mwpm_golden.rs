@@ -75,7 +75,7 @@ fn sampled_point(
     d: usize,
     p: f64,
     seed: u64,
-) -> (DecodingGraph, Vec<Vec<usize>>) {
+) -> (DecodingGraph, Vec<Vec<usize>>, Vec<u64>) {
     let noise = if setup.uses_memory() {
         NoiseModel::memory_at_scale(p)
     } else {
@@ -91,11 +91,11 @@ fn sampled_point(
         &mut SmallRng::seed_from_u64(seed),
         &mut scratch,
     );
-    let mut lists = Vec::new();
+    let (mut lists, mut live) = (Vec::new(), Vec::new());
     scratch
         .result
-        .defect_lists_into(mc.guard_detectors(), LANES, &mut lists);
-    (graph, lists)
+        .defect_lists_into(mc.guard_detectors(), LANES, &mut lists, &mut live);
+    (graph, lists, live)
 }
 
 /// Flip and weight digests of a grid's decodes, with its shot and
@@ -114,11 +114,11 @@ fn decode_grid(points: &[(Setup, Basis, usize, f64)], seed: u64) -> Digests {
     let mut weights = Fnv::new();
     let (mut shots, mut defects) = (0, 0);
     for (&(setup, basis, d, p), seed) in points.iter().zip(seed..) {
-        let (graph, lists) = sampled_point(setup, basis, d, p, seed);
+        let (graph, lists, live) = sampled_point(setup, basis, d, p, seed);
         let decoder = MwpmDecoder::new(&graph);
         let mut batch_scratch = DecoderScratch::new();
         let mut words = vec![0u64; LANES / 64];
-        decoder.decode_batch(&lists, &mut batch_scratch, &mut words);
+        decoder.decode_batch(&lists, &live, &mut batch_scratch, &mut words);
         for &w in &words {
             flips.word(w);
         }

@@ -84,15 +84,17 @@ fn fig11_uf_grid_decodes_match_golden() {
                 &mut sample,
             );
             seed += 1;
-            let mut lists = Vec::new();
-            sample.result.defect_lists_into(&guard, LANES, &mut lists);
+            let (mut lists, mut live) = (Vec::new(), Vec::new());
+            sample
+                .result
+                .defect_lists_into(&guard, LANES, &mut lists, &mut live);
 
             let decoder = UnionFindDecoder::new(&graph);
             let recorder = Recorder::attached();
             let mut scratch = DecoderScratch::new();
             scratch.set_recorder(&recorder);
             let mut words = vec![0u64; LANES / 64];
-            decoder.decode_batch(&lists, &mut scratch, &mut words);
+            decoder.decode_batch(&lists, &live, &mut scratch, &mut words);
             words.iter().for_each(|&w| flips.word(w));
             for m in UF_COUNTERS {
                 counters.word(recorder.value(m));

@@ -265,10 +265,10 @@ impl BlockConfig {
 }
 
 /// Reusable working set for [`PreparedBlock`]'s sample→decode kernel:
-/// the simulator's frame/record buffers, the per-lane defect lists, the
-/// decoders' scratch, and the packed prediction words. One scratch
-/// held across the batches of a run makes the steady state
-/// allocation-free under either decoder.
+/// the simulator's frame/record buffers, the per-lane defect lists and
+/// the mask of lanes that have one, the decoders' scratch, and the
+/// packed prediction words. One scratch held across the batches of a
+/// run makes the steady state allocation-free under either decoder.
 ///
 /// Every buffer is plain, grows to fit and never shrinks, so one
 /// scratch serves any block and any decoder list with the words a fresh
@@ -279,6 +279,8 @@ impl BlockConfig {
 pub struct BlockScratch {
     sample: SampleScratch,
     defect_lists: Vec<Vec<usize>>,
+    /// One bit per lane with a defect: the lanes the decoders run on.
+    live: Vec<u64>,
     /// Shared by every decoder of a call, one after the other.
     decoder: DecoderScratch,
     predictions: Vec<Vec<u64>>,
@@ -374,13 +376,15 @@ impl PreparedBlock {
             self.tape.sample_into(lanes, &mut rng, &mut scratch.sample);
         }
         // Word-scan the guard detectors once into per-lane defect lists
-        // (replaces a per-lane × per-detector bit-probe loop).
+        // and the mask of lanes with a defect (replaces a per-lane ×
+        // per-detector bit-probe loop).
         {
             let _span = scratch.recorder.span(Metric::ExtractNanos);
             scratch.sample.result.defect_lists_into(
                 self.memory.guard_detectors(),
                 lanes,
                 &mut scratch.defect_lists,
+                &mut scratch.live,
             );
         }
         scratch.recorder.incr(Metric::SampleBatches);
@@ -401,7 +405,12 @@ impl PreparedBlock {
             let pred = &mut scratch.predictions[fi];
             pred.clear();
             pred.resize(words, 0);
-            decoder.decode_batch(&scratch.defect_lists[..lanes], &mut scratch.decoder, pred);
+            decoder.decode_batch(
+                &scratch.defect_lists[..lanes],
+                &scratch.live,
+                &mut scratch.decoder,
+                pred,
+            );
             for (p, a) in pred.iter_mut().zip(actual) {
                 *p ^= a;
             }

@@ -30,8 +30,11 @@ pub enum BernoulliRate {
     /// p ≥ 1: every lane is hit, with no draws.
     Always,
     /// 0 < p < 1: geometric skips, with `ln_q = ln(1 - p)` computed once.
+    /// Only [`BernoulliRate::of`] builds it, so `ln_q` is never +0.0.
+    #[non_exhaustive]
     Skip {
-        /// `ln(1 - p)`.
+        /// `ln(1 - p)`, which is negative, or −0.0 where 1 − p rounds
+        /// to 1.0 (p ≤ 2⁻⁵⁴): a channel that draws once and never hits.
         ln_q: f64,
     },
 }
@@ -45,8 +48,13 @@ impl BernoulliRate {
         } else if p >= 1.0 {
             Some(BernoulliRate::Always)
         } else {
+            // ln(1 - p) < 0, but it is +0.0 when 1 - p rounds to 1.0,
+            // and ln(u) / +0.0 = −inf would pass the skip loop's compare
+            // as a hit. −0.0 keeps the sign: ln(u) / −0.0 is +inf or
+            // NaN, so the channel draws once and never hits.
+            let ln_q = (1.0 - p).ln();
             Some(BernoulliRate::Skip {
-                ln_q: (1.0 - p).ln(),
+                ln_q: if ln_q == 0.0 { -0.0 } else { ln_q },
             })
         }
     }
@@ -55,6 +63,13 @@ impl BernoulliRate {
 /// Visits the lanes selected by independent Bernoulli draws at `rate`,
 /// in increasing order, using geometric skipping so the cost is
 /// proportional to the number of hits rather than the number of lanes.
+///
+/// Each skip is ⌊q⌋ lanes for q = ln(u) / ln_q, but the loop compares q
+/// before it truncates it: for q ≥ 0 and an integer r, ⌊q⌋ ≥ r exactly
+/// when q ≥ r, and truncating a nonnegative q floors it. So no `floor`
+/// (a library call on baseline x86-64) runs, and the casts are signed,
+/// which are shorter there than unsigned ones. A q that is +inf or NaN
+/// fails the compare and stops the loop.
 #[inline]
 fn for_each_bernoulli_hit<R: Rng + ?Sized>(
     rng: &mut R,
@@ -62,25 +77,21 @@ fn for_each_bernoulli_hit<R: Rng + ?Sized>(
     n_lanes: usize,
     mut visit: impl FnMut(usize),
 ) {
-    if n_lanes == 0 {
-        return;
-    }
     let ln_q = match rate {
         BernoulliRate::Always => return (0..n_lanes).for_each(visit),
         BernoulliRate::Skip { ln_q } => ln_q,
     };
     let mut i = 0usize;
-    loop {
-        // u in (0, 1] so ln(u) is finite and <= 0.
+    while i < n_lanes {
+        // u in (0, 1] so ln(u) is finite and <= 0, and q >= 0 (it is
+        // +inf or NaN only when ln_q is −0.0, or p was NaN).
         let u = 1.0 - rng.random::<f64>();
-        let skip = (u.ln() / ln_q).floor();
-        if !skip.is_finite() || skip >= (n_lanes - i) as f64 {
-            return;
-        }
-        i += skip as usize;
-        visit(i);
-        i += 1;
-        if i >= n_lanes {
+        let q = u.ln() / ln_q;
+        if q < (n_lanes - i) as i64 as f64 {
+            i += q as i64 as usize;
+            visit(i);
+            i += 1;
+        } else {
             return;
         }
     }
@@ -684,6 +695,73 @@ mod tests {
         use rand::Rng;
         let fresh = SmallRng::seed_from_u64(1).random::<u64>();
         assert_eq!(rng.random::<u64>(), fresh);
+    }
+
+    /// The reference skip loop, floored: `floor`, an `is_finite` test
+    /// and an unsigned cast, on `ln(1 - p)` taken as it is (+0.0 where
+    /// 1 - p rounds to 1.0).
+    fn floored_hits<R: Rng + ?Sized>(rng: &mut R, p: f64, n_lanes: usize, hits: &mut Vec<usize>) {
+        hits.clear();
+        if n_lanes == 0 {
+            return;
+        }
+        let ln_q = (1.0 - p).ln();
+        let mut i = 0usize;
+        loop {
+            let u = 1.0 - rng.random::<f64>();
+            let skip = (u.ln() / ln_q).floor();
+            if !skip.is_finite() || skip >= (n_lanes - i) as f64 {
+                return;
+            }
+            i += skip as usize;
+            hits.push(i);
+            i += 1;
+            if i >= n_lanes {
+                return;
+            }
+        }
+    }
+
+    /// The skip loop visits the lanes the floored loop visits and
+    /// leaves the RNG where it leaves it, from rates whose 1 - p rounds
+    /// to 1.0 (1e-300, 1e-17) to 1 - 1e-12, at lane counts around word
+    /// edges and up to a full 1,024-lane batch.
+    #[test]
+    fn skip_loop_matches_floored_skips() {
+        let ps = [
+            1e-300,
+            1e-17,
+            1e-16,
+            1e-6,
+            8e-4,
+            5e-3,
+            0.3,
+            0.5,
+            1.0 - 1e-12,
+        ];
+        let (mut want, mut got) = (Vec::new(), Vec::new());
+        for (pi, &p) in ps.iter().enumerate() {
+            let rate = rate(p);
+            for lanes in [0usize, 1, 63, 64, 65, 1000, 1024] {
+                // 10^5 channels per pair, fewer where a channel draws
+                // more than ten times: at most about 10^6 draws a pair.
+                let channels = (1e6 / (1.0 + p * lanes as f64)).min(1e5) as u64;
+                let seed = (pi * 10_000 + lanes) as u64;
+                let mut reference = SmallRng::seed_from_u64(seed);
+                let mut rng = SmallRng::seed_from_u64(seed);
+                for channel in 0..channels {
+                    floored_hits(&mut reference, p, lanes, &mut want);
+                    got.clear();
+                    for_each_bernoulli_hit(&mut rng, rate, lanes, |lane| got.push(lane));
+                    assert_eq!(got, want, "p {p:e}, {lanes} lanes, channel {channel}");
+                }
+                assert_eq!(
+                    rng.random::<u64>(),
+                    reference.random::<u64>(),
+                    "p {p:e}, {lanes} lanes: next draw"
+                );
+            }
+        }
     }
 
     #[test]

@@ -42,6 +42,16 @@ pub enum PlanError {
         /// Human-readable reason.
         reason: String,
     },
+    /// A well-formed plan cut for another run: its shard count or its
+    /// point count is not the run's ([`ShardPlan::check_grid`]).
+    Mismatch {
+        /// What differs: `"shards"` or `"points"`.
+        what: &'static str,
+        /// The plan's count.
+        plan: usize,
+        /// The run's count.
+        run: usize,
+    },
 }
 
 impl fmt::Display for PlanError {
@@ -49,6 +59,11 @@ impl fmt::Display for PlanError {
         match self {
             PlanError::Io(e) => write!(f, "plan I/O error: {e}"),
             PlanError::Malformed { reason } => write!(f, "malformed plan: {reason}"),
+            PlanError::Mismatch { what, plan, run } => write!(
+                f,
+                "plan was cut for another grid or shard count ({plan} {what}, this run has \
+                 {run}): re-plan with sweep-launch, or pass the grid flags it was cut for"
+            ),
         }
     }
 }
@@ -251,19 +266,15 @@ impl ShardPlan {
     }
 
     /// Validates the plan against a run: it must be cut for `count`
-    /// shards and cover exactly `points` points.
+    /// shards and cover exactly `points` points, or
+    /// [`PlanError::Mismatch`] names the first count that differs.
     pub fn check_grid(&self, count: usize, points: usize) -> Result<(), PlanError> {
+        let mismatch = |what, plan, run| Err(PlanError::Mismatch { what, plan, run });
         if self.count != count {
-            return Err(malformed(format!(
-                "plan is cut for {} shards, run uses {count}",
-                self.count
-            )));
+            return mismatch("shards", self.count, count);
         }
         if self.owners.len() != points {
-            return Err(malformed(format!(
-                "plan covers {} points, grid has {points}",
-                self.owners.len()
-            )));
+            return mismatch("points", self.owners.len(), points);
         }
         Ok(())
     }
@@ -450,8 +461,28 @@ mod tests {
     fn grid_check_catches_mismatches() {
         let plan = ShardPlan::from_costs(2, &[1, 2, 3]);
         assert!(plan.check_grid(2, 3).is_ok());
-        assert!(plan.check_grid(3, 3).is_err());
-        assert!(plan.check_grid(2, 4).is_err());
+        assert!(matches!(
+            plan.check_grid(3, 3),
+            Err(PlanError::Mismatch {
+                what: "shards",
+                plan: 2,
+                run: 3
+            })
+        ));
+        let stale = plan.check_grid(2, 4).unwrap_err();
+        assert!(matches!(
+            stale,
+            PlanError::Mismatch {
+                what: "points",
+                plan: 3,
+                run: 4
+            }
+        ));
+        assert_eq!(
+            stale.to_string(),
+            "plan was cut for another grid or shard count (3 points, this run has 4): \
+             re-plan with sweep-launch, or pass the grid flags it was cut for"
+        );
     }
 
     #[test]
